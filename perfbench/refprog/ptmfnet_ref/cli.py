@@ -1,0 +1,297 @@
+"""Single command-line entry point for the whole pipeline.
+
+Subcommands: extract (WAV -> feature files), synth (synthetic corpus),
+train, eval, ablate, gradcheck. Exit codes: 0 success, 1 validation error
+(including bad flags), 2 I/O error. Diagnostics go to stderr; results go to
+stdout or --out paths. Every run echoes its fully resolved configuration to
+stderr first, so logged runs are self-describing.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from .ablation import VARIANTS, run_ablation, write_ablation_csv
+from .autodiff import collect_parameters
+from .checkpoint import load_into, save_checkpoint
+from .dataio import TASKS, SynthSpec, load_manifest, synth_dataset, write_feature_file
+from .dsp import MelConfig, default_frame_config, extract_lld_bundle, mfcc, read_wav
+from .errors import DataFormatError, ValidationError
+from .gradcheck import run_full_battery
+from .model import DepressionModel, ModelConfig, load_sample_features
+from .training import evaluate, train
+
+EXIT_OK = 0
+EXIT_VALIDATION = 1
+EXIT_IO = 2
+
+_CONFIG_FIELDS = {f.name for f in dataclasses.fields(ModelConfig)}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Flag mistakes are validation errors (exit 1), not the argparse
+    default of 2, which this tool reserves for I/O failures."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
+def _echo_config(command: str, resolved: dict) -> None:
+    sys.stderr.write(f"config[{command}]: {json.dumps(resolved, sort_keys=True, default=str)}\n")
+
+
+def _require_file(path, what: str) -> Path:
+    path = Path(path)
+    if not path.is_file():
+        raise FileNotFoundError(f"{what} not found: {path}")
+    return path
+
+
+def _model_config_from(args, flag_names: tuple) -> ModelConfig:
+    """Built-in defaults <- config file <- command-line flags."""
+    data: dict = {}
+    if getattr(args, "config", None):
+        cfg_path = _require_file(args.config, "config file")
+        try:
+            loaded = json.loads(cfg_path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"config file {cfg_path} is not valid JSON: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ValidationError(f"config file {cfg_path} must hold a key-value object")
+        unknown = sorted(set(loaded) - _CONFIG_FIELDS)
+        if unknown:
+            raise ValidationError(f"unknown config keys {unknown}; valid keys: {sorted(_CONFIG_FIELDS)}")
+        data.update(loaded)
+    for name in flag_names:
+        value = getattr(args, name.replace("-", "_"))
+        if value is not None:
+            data[name] = value
+    return ModelConfig.from_dict(data)
+
+
+# ---------------------------------------------------------------------------
+# subcommands
+
+
+def _cmd_extract(args) -> int:
+    wav_path = _require_file(args.wav, "wav file")
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    w = read_wav(wav_path)
+    fcfg = default_frame_config(w.sample_rate, args.frame_ms, args.hop_ms)
+    n_fft = 1
+    while n_fft < fcfg.frame_len:
+        n_fft *= 2
+    mcfg = MelConfig(n_fft=n_fft, n_mels=26, n_mfcc=args.n_mfcc,
+                     fmin=0.0, fmax=w.sample_rate / 2.0)
+    _echo_config("extract", {"wav": str(wav_path), "features": args.features,
+                             "frame_ms": args.frame_ms, "hop_ms": args.hop_ms,
+                             "n_mfcc": args.n_mfcc, "sample_rate": w.sample_rate,
+                             "frame_len": fcfg.frame_len, "hop_len": fcfg.hop_len,
+                             "n_fft": n_fft, "out_dir": str(out_dir)})
+    written = []
+    if args.features in ("mfcc", "both"):
+        path = out_dir / f"{wav_path.stem}_mfcc.mpft"
+        write_feature_file(mfcc(w, fcfg, mcfg), path)
+        written.append(path)
+    if args.features in ("lld", "both"):
+        path = out_dir / f"{wav_path.stem}_lld.mpft"
+        write_feature_file(extract_lld_bundle(w, fcfg), path)
+        written.append(path)
+    for path in written:
+        print(path)
+    return EXIT_OK
+
+
+def _cmd_synth(args) -> int:
+    spec = SynthSpec(n_samples=args.n, task=args.task, class_sep=args.class_sep,
+                     personality_sep=args.personality_sep)
+    _echo_config("synth", {"n": args.n, "task": args.task, "class_sep": args.class_sep,
+                           "personality_sep": args.personality_sep, "seed": args.seed,
+                           "out_dir": args.out_dir})
+    manifest = synth_dataset(spec, np.random.default_rng(args.seed), Path(args.out_dir))
+    print(manifest)
+    return EXIT_OK
+
+
+_TRAIN_FLAGS = ("task", "epochs", "seed", "lr", "batch_size", "val_fraction", "dropout")
+
+
+def _cmd_train(args) -> int:
+    manifest = _require_file(args.manifest, "manifest")
+    cfg = _model_config_from(args, _TRAIN_FLAGS)
+    _echo_config("train", {"manifest": str(manifest), **cfg.to_dict()})
+    records = load_manifest(manifest)
+    state = train(cfg, records, log_path=args.log_out)
+    for row in state.log:
+        sys.stderr.write(json.dumps(row, sort_keys=True) + "\n")
+    if args.checkpoint_out:
+        ckpt = Path(args.checkpoint_out)
+        ckpt.parent.mkdir(parents=True, exist_ok=True)
+        save_checkpoint(ckpt, collect_parameters(state.model))
+        Path(str(ckpt) + ".json").write_text(
+            json.dumps(cfg.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    summary = {
+        "best_epoch": state.best_epoch,
+        "best_val_f1_task": state.best_val_f1,
+        "final_train_acc": state.log[-1]["train_acc"] if state.log else None,
+        "val_metrics": state.val_metrics.to_dict() if state.val_metrics else None,
+    }
+    print(json.dumps(summary, sort_keys=True))
+    return EXIT_OK
+
+
+def _cmd_eval(args) -> int:
+    ckpt = _require_file(args.checkpoint, "checkpoint")
+    manifest = _require_file(args.manifest, "manifest")
+    sidecar = _require_file(str(ckpt) + ".json", "checkpoint config sidecar")
+    cfg = ModelConfig.from_dict(json.loads(sidecar.read_text(encoding="utf-8")))
+    if args.task is not None and args.task != cfg.task:
+        raise ValidationError(
+            f"task mismatch: checkpoint was trained for {cfg.task!r}, requested {args.task!r}")
+    _echo_config("eval", {"checkpoint": str(ckpt), "manifest": str(manifest), **cfg.to_dict()})
+    model = DepressionModel(cfg)
+    load_into(collect_parameters(model), ckpt)
+    records = load_manifest(manifest)
+    feats = [load_sample_features(r, cfg) for r in records]
+    report = evaluate(model, feats)
+    print(json.dumps(report.to_dict(), sort_keys=True))
+    return EXIT_OK
+
+
+_ABLATE_FLAGS = ("epochs", "seed", "lr", "batch_size", "val_fraction", "dropout")
+
+
+def _cmd_ablate(args) -> int:
+    manifest = _require_file(args.manifest, "manifest")
+    cfg = _model_config_from(args, _ABLATE_FLAGS)
+    tasks = tuple(t.strip() for t in args.tasks.split(",") if t.strip())
+    for t in tasks:
+        if t not in TASKS:
+            raise ValidationError(f"unknown task {t!r}; choose from {TASKS}")
+    variants = tuple(v.strip() for v in args.variants.split(",") if v.strip())
+    for v in variants:
+        if v not in VARIANTS:
+            raise ValidationError(f"unknown variant {v!r}; choose from {tuple(VARIANTS)}")
+    _echo_config("ablate", {"manifest": str(manifest), "tasks": list(tasks),
+                            "variants": list(variants), "out": args.out, **cfg.to_dict()})
+    records = load_manifest(manifest)
+    rows = run_ablation(cfg, records, tasks=tasks, variants=variants,
+                        progress=lambda line: sys.stderr.write(line + "\n"))
+    write_ablation_csv(rows, args.out)
+    print(args.out)
+    return EXIT_OK
+
+
+def _cmd_gradcheck(args) -> int:
+    _echo_config("gradcheck", {"seed": args.seed, "tol": args.tol})
+    summary = run_full_battery(seeds=(args.seed,), tol=args.tol)
+    for seed, case in summary.cases:
+        for entry in case.report.entries:
+            status = "ok" if entry.max_rel_err <= args.tol else "FAIL"
+            print(f"{case.module}.{entry.name} max_rel_err={entry.max_rel_err:.3e} {status}")
+    if not summary.ok:
+        seed, module, err = summary.worst()
+        sys.stderr.write(f"gradcheck failed: {module} (seed {seed}) max_rel_err={err:.3e}\n")
+        return EXIT_VALIDATION
+    return EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# parser
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="ptmfnet",
+                     description="Multimodal depression-detection pipeline tools",
+                     formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+
+    def add(name, help_text, func):
+        p = sub.add_parser(name, help=help_text,
+                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p.set_defaults(func=func)
+        return p
+
+    p = add("extract", "extract MFCC/LLD features from a 16-bit mono WAV", _cmd_extract)
+    p.add_argument("wav", help="input RIFF WAV path")
+    p.add_argument("--features", choices=("mfcc", "lld", "both"), default="both",
+                   help="which feature matrices to write")
+    p.add_argument("--frame-ms", type=float, default=25.0, help="frame length in ms")
+    p.add_argument("--hop-ms", type=float, default=10.0, help="hop length in ms")
+    p.add_argument("--n-mfcc", type=int, default=13, help="number of cepstral coefficients")
+    p.add_argument("--out-dir", default=".", help="directory for the output files")
+
+    p = add("synth", "generate a labeled synthetic corpus with a manifest", _cmd_synth)
+    p.add_argument("--n", type=int, required=True, help="number of samples")
+    p.add_argument("--task", choices=TASKS, default="binary", help="label granularity")
+    p.add_argument("--class-sep", type=float, default=1.0,
+                   help="feature-mean separation per class index")
+    p.add_argument("--personality-sep", type=float, default=None,
+                   help="personality-embedding separation (defaults to --class-sep)")
+    p.add_argument("--seed", type=int, default=0, help="generator seed")
+    p.add_argument("--out-dir", required=True, help="output directory")
+
+    p = add("train", "train a model from a manifest", _cmd_train)
+    p.add_argument("--manifest", required=True, help="manifest.jsonl path")
+    p.add_argument("--config", default=None, help="JSON file of config overrides")
+    p.add_argument("--task", choices=TASKS, default=None, help="label granularity")
+    p.add_argument("--epochs", type=int, default=None, help="training epochs")
+    p.add_argument("--seed", type=int, default=None, help="run seed")
+    p.add_argument("--lr", type=float, default=None, help="Adam learning rate")
+    p.add_argument("--batch-size", type=int, default=None, help="samples per step")
+    p.add_argument("--val-fraction", type=float, default=None, help="validation share")
+    p.add_argument("--dropout", type=float, default=None, help="dropout rate")
+    p.add_argument("--log-out", default=None, help="JSONL epoch log path")
+    p.add_argument("--checkpoint-out", default=None, help="checkpoint path (.json sidecar added)")
+
+    p = add("eval", "evaluate a checkpoint on a manifest", _cmd_eval)
+    p.add_argument("--checkpoint", required=True, help="checkpoint path from train")
+    p.add_argument("--manifest", required=True, help="manifest.jsonl path")
+    p.add_argument("--task", choices=TASKS, default=None,
+                   help="assert the checkpoint was trained for this task")
+
+    p = add("ablate", "train all branch-ablation variants and tabulate metrics", _cmd_ablate)
+    p.add_argument("--manifest", required=True, help="manifest.jsonl path")
+    p.add_argument("--config", default=None, help="JSON file of config overrides")
+    p.add_argument("--tasks", default=",".join(TASKS), help="comma-separated task list")
+    p.add_argument("--variants", default=",".join(VARIANTS), help="comma-separated variant list")
+    p.add_argument("--out", default="ablation.csv", help="CSV output path")
+    p.add_argument("--epochs", type=int, default=None, help="training epochs")
+    p.add_argument("--seed", type=int, default=None, help="run seed")
+    p.add_argument("--lr", type=float, default=None, help="Adam learning rate")
+    p.add_argument("--batch-size", type=int, default=None, help="samples per step")
+    p.add_argument("--val-fraction", type=float, default=None, help="validation share")
+    p.add_argument("--dropout", type=float, default=None, help="dropout rate")
+
+    p = add("gradcheck", "finite-difference check of every differentiable block", _cmd_gradcheck)
+    p.add_argument("--seed", type=int, default=0, help="weight/input seed")
+    p.add_argument("--tol", type=float, default=1e-4, help="max relative error allowed")
+
+    return parser
+
+
+def main(argv=None) -> int:
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits for --help and flag errors
+        return int(exc.code or 0)
+    try:
+        return args.func(args)
+    except ValidationError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_VALIDATION
+    except (DataFormatError, OSError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_IO
+
+
+if __name__ == "__main__":
+    sys.exit(main())

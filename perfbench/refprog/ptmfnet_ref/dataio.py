@@ -1,0 +1,385 @@
+"""Dataset plumbing: feature files, JSON-lines manifests, prompt building,
+and a synthetic dataset generator for end-to-end testing.
+
+Feature files use a small binary format (magic "MPFT"): f32 on disk,
+widened to f64 where the model consumes them. Widening is exact, so the
+round trip stays bitwise stable.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import struct
+from dataclasses import dataclass, field, fields
+from pathlib import Path
+
+import numpy as np
+
+from .errors import DataFormatError, ValidationError
+
+FEATURE_MAGIC = b"MPFT"
+FEATURE_VERSION = 1
+
+AUDIO_STREAMS = ("lld", "mfcc", "wav2vec")
+VISUAL_STREAMS = ("openface", "resnet", "densenet")
+TASKS = ("binary", "ternary", "quinary")
+TASK_CLASSES = {"binary": 2, "ternary": 3, "quinary": 5}
+
+# desk-scale stream widths shared by the synthetic generator and model defaults
+DEFAULT_STREAM_DIMS = {
+    "lld": 6,
+    "mfcc": 13,
+    "wav2vec": 24,
+    "openface": 8,
+    "resnet": 12,
+    "densenet": 12,
+}
+DEFAULT_PERSONALITY_DIM = 16
+
+# severity nesting: quinary 0 is the healthy class for every granularity
+_TERNARY_OF_SEVERITY = (0, 1, 1, 2, 2)
+_BINARY_OF_SEVERITY = (0, 1, 1, 1, 1)
+
+
+def labels_from_severity(severity: int) -> dict:
+    if not 0 <= severity <= 4:
+        raise ValidationError(f"latent severity must be in 0..4, got {severity}")
+    return {
+        "binary": _BINARY_OF_SEVERITY[severity],
+        "ternary": _TERNARY_OF_SEVERITY[severity],
+        "quinary": severity,
+    }
+
+
+# ---------------------------------------------------------------------------
+# feature files
+
+
+def write_feature_file(matrix: np.ndarray, path) -> None:
+    m = np.asarray(matrix, dtype=np.float32)
+    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
+        raise ValidationError(f"feature matrix must be 2-D and non-empty, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValidationError("feature matrix contains non-finite values")
+    t, d = m.shape
+    with open(path, "wb") as fh:
+        fh.write(FEATURE_MAGIC)
+        fh.write(struct.pack("<III", FEATURE_VERSION, t, d))
+        fh.write(np.ascontiguousarray(m, dtype="<f4").tobytes())
+
+
+def read_feature_file(path) -> np.ndarray:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if raw[:4] != FEATURE_MAGIC:
+        raise DataFormatError(f"{path}: bad magic {raw[:4]!r}, expected {FEATURE_MAGIC!r}")
+    if len(raw) < 16:
+        raise DataFormatError(f"{path}: truncated header")
+    version, t, d = struct.unpack_from("<III", raw, 4)
+    if version != FEATURE_VERSION:
+        raise DataFormatError(f"{path}: unsupported version {version}")
+    expected = 16 + 4 * t * d
+    if len(raw) != expected:
+        raise DataFormatError(f"{path}: truncated or oversized payload ({len(raw)} bytes, expected {expected})")
+    m = np.frombuffer(raw, dtype="<f4", offset=16).reshape(t, d).astype(np.float32)
+    if t < 1 or d < 1:
+        raise DataFormatError(f"{path}: degenerate shape ({t}, {d})")
+    if not np.all(np.isfinite(m)):
+        raise DataFormatError(f"{path}: non-finite values")
+    return m
+
+
+def load_features_f64(path) -> np.ndarray:
+    """Read a feature file widened to f64 for model consumption."""
+    return read_feature_file(path).astype(np.float64)
+
+
+# ---------------------------------------------------------------------------
+# records
+
+
+@dataclass(frozen=True)
+class PersonalityProfile:
+    extraversion: object
+    agreeableness: object
+    openness: object
+    neuroticism: object
+    conscientiousness: object
+    age: int
+    gender: str
+    origin: str
+
+    def __post_init__(self):
+        for trait in ("extraversion", "agreeableness", "openness", "neuroticism", "conscientiousness"):
+            value = getattr(self, trait)
+            if value is None or (isinstance(value, str) and not value.strip()):
+                raise ValidationError(f"personality trait {trait!r} is missing")
+        if self.age <= 0:
+            raise ValidationError(f"age must be positive, got {self.age}")
+
+    def to_dict(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+@dataclass(frozen=True)
+class SampleRecord:
+    id: str
+    audio_paths: dict
+    visual_paths: dict
+    personality: PersonalityProfile
+    labels: dict
+    personality_embedding_path: Path | None = None
+
+    def label(self, task: str) -> int:
+        return self.labels[task]
+
+
+PROMPT_TEMPLATE = (
+    "The patient is a {age} {gender} from {origin}. "
+    "The patient's Extraversion score is {extraversion}. "
+    "The Agreeableness score is {agreeableness}. "
+    "The Openness score is {openness}. "
+    "The Neuroticism score is {neuroticism}. "
+    "The Conscientiousness score is {conscientiousness}. "
+    "Please generate a concise, fluent English description summarizing the "
+    "patient's key personality traits, family environment, and other notable "
+    "characteristics. Avoid mentioning depression or related terminology. "
+    "Output the response as a single paragraph."
+)
+
+
+def build_prompt(profile: PersonalityProfile) -> str:
+    return PROMPT_TEMPLATE.format(**profile.to_dict())
+
+
+def profile_to_embedding(profile: PersonalityProfile, dim: int = DEFAULT_PERSONALITY_DIM) -> np.ndarray:
+    """Deterministic stand-in for an LLM-description text embedding.
+
+    Equal profiles map to identical vectors; the seed is a digest of the
+    rendered prompt so any slot change perturbs the whole embedding.
+    """
+    digest = hashlib.sha256(build_prompt(profile).encode("utf-8")).digest()
+    seed = int.from_bytes(digest[:8], "little")
+    return np.random.default_rng(seed).standard_normal(dim)
+
+
+# ---------------------------------------------------------------------------
+# manifests
+
+
+def _require(condition, errors, line_no, message):
+    if not condition:
+        errors.append(f"line {line_no}: {message}")
+    return condition
+
+
+def _resolve(base: Path, value: str) -> Path:
+    p = Path(value)
+    return p if p.is_absolute() else base / p
+
+
+def load_manifest(path) -> list[SampleRecord]:
+    """Parse a JSON-lines manifest, validating every record.
+
+    All problems are gathered into one error so a bad manifest is fixable
+    in a single pass; relative paths resolve against the manifest's parent.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise DataFormatError(f"{path}: manifest not found")
+    base = path.parent
+    records: list[SampleRecord] = []
+    errors: list[str] = []
+    seen_ids: dict[str, int] = {}
+
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                errors.append(f"line {line_no}: invalid JSON ({exc.msg})")
+                continue
+            record = _parse_record(obj, base, line_no, errors, seen_ids)
+            if record is not None:
+                records.append(record)
+
+    if errors:
+        raise ValidationError(f"{path}: {len(errors)} invalid manifest line(s)\n" + "\n".join(errors))
+    return records
+
+
+def _parse_record(obj, base, line_no, errors, seen_ids):
+    ok = True
+    sample_id = obj.get("id")
+    if not _require(isinstance(sample_id, str) and sample_id, errors, line_no, "missing or empty 'id'"):
+        return None
+    if sample_id in seen_ids:
+        errors.append(f"line {line_no}: duplicate id {sample_id!r} (first seen on line {seen_ids[sample_id]})")
+        ok = False
+    else:
+        seen_ids[sample_id] = line_no
+
+    audio = obj.get("audio_paths", {})
+    visual = obj.get("visual_paths", {})
+    resolved_audio, resolved_visual = {}, {}
+    for streams, src, dst, label in ((AUDIO_STREAMS, audio, resolved_audio, "audio"),
+                                     (VISUAL_STREAMS, visual, resolved_visual, "visual")):
+        for stream in streams:
+            if not _require(stream in src, errors, line_no, f"missing {label} stream {stream!r}"):
+                ok = False
+                continue
+            p = _resolve(base, src[stream])
+            if not _require(p.exists(), errors, line_no, f"{label} path for {stream!r} does not exist: {p}"):
+                ok = False
+            dst[stream] = p
+
+    labels = obj.get("labels", {})
+    for task in TASKS:
+        if not _require(task in labels, errors, line_no, f"missing label for task {task!r}"):
+            ok = False
+            continue
+        value = labels[task]
+        in_range = isinstance(value, int) and 0 <= value < TASK_CLASSES[task]
+        if not _require(in_range, errors, line_no,
+                        f"label {value!r} out of range for task {task!r} (expected 0..{TASK_CLASSES[task] - 1})"):
+            ok = False
+
+    try:
+        profile = PersonalityProfile(**obj.get("personality", {}))
+    except (TypeError, ValidationError) as exc:
+        errors.append(f"line {line_no}: invalid personality profile ({exc})")
+        return None
+
+    emb_path = None
+    if obj.get("personality_embedding_path") is not None:
+        emb_path = _resolve(base, obj["personality_embedding_path"])
+        if not _require(emb_path.exists(), errors, line_no,
+                        f"personality embedding path does not exist: {emb_path}"):
+            ok = False
+
+    if not ok:
+        return None
+    return SampleRecord(id=sample_id, audio_paths=resolved_audio, visual_paths=resolved_visual,
+                        personality=profile, labels={t: labels[t] for t in TASKS},
+                        personality_embedding_path=emb_path)
+
+
+def write_manifest(records: list[dict], path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for obj in records:
+            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# synthetic data
+
+
+@dataclass(frozen=True)
+class SynthSpec:
+    """Controls for the synthetic corpus.
+
+    class_sep scales a per-stream mean offset proportional to the class
+    index of `task`; 0 removes all label information from the features.
+    personality_sep defaults to class_sep when None.
+    """
+
+    n_samples: int
+    task: str = "binary"
+    class_sep: float = 1.0
+    personality_sep: float | None = None
+    stream_dims: dict = field(default_factory=lambda: dict(DEFAULT_STREAM_DIMS))
+    personality_dim: int = DEFAULT_PERSONALITY_DIM
+    t_range: tuple = (4, 12)
+
+    def __post_init__(self):
+        if self.n_samples < 1:
+            raise ValidationError("n_samples must be >= 1")
+        if self.task not in TASKS:
+            raise ValidationError(f"unknown task {self.task!r}; choose from {TASKS}")
+        if self.class_sep < 0:
+            raise ValidationError("class_sep must be >= 0")
+        if not 1 <= self.t_range[0] <= self.t_range[1]:
+            raise ValidationError(f"invalid t_range {self.t_range}")
+
+
+_GENDERS = ("male", "female")
+_ORIGINS = ("Beijing", "Shanghai", "Chengdu", "Xi'an", "Harbin", "Guangzhou")
+_TRAITS = ("extraversion", "agreeableness", "openness", "neuroticism", "conscientiousness")
+
+
+def _draw_severity(task: str, rng: np.random.Generator) -> int:
+    # balance the requested task's classes, then spread uniformly inside each
+    k = TASK_CLASSES[task]
+    cls = int(rng.integers(k))
+    if task == "quinary":
+        return cls
+    if task == "ternary":
+        pools = ((0,), (1, 2), (3, 4))
+    else:
+        pools = ((0,), (1, 2, 3, 4))
+    pool = pools[cls]
+    return int(pool[rng.integers(len(pool))])
+
+
+def synth_dataset(spec: SynthSpec, rng: np.random.Generator, out_dir) -> Path:
+    """Generate feature files plus a manifest; returns the manifest path.
+
+    Every random draw goes through `rng` in a fixed order, so a fixed seed
+    reproduces the corpus bitwise.
+    """
+    out_dir = Path(out_dir)
+    feat_dir = out_dir / "features"
+    feat_dir.mkdir(parents=True, exist_ok=True)
+
+    streams = list(spec.stream_dims.items())
+    directions = {}
+    for name, dim in streams:
+        v = rng.standard_normal(dim)
+        directions[name] = v / np.linalg.norm(v)
+    v = rng.standard_normal(spec.personality_dim)
+    pers_direction = v / np.linalg.norm(v)
+    pers_sep = spec.class_sep if spec.personality_sep is None else spec.personality_sep
+
+    rows = []
+    for i in range(spec.n_samples):
+        severity = _draw_severity(spec.task, rng)
+        labels = labels_from_severity(severity)
+        cls = labels[spec.task]
+        sample_id = f"synth_{i:05d}"
+
+        audio_paths, visual_paths = {}, {}
+        for name, dim in streams:
+            t = int(rng.integers(spec.t_range[0], spec.t_range[1] + 1))
+            m = rng.standard_normal((t, dim)) + spec.class_sep * cls * directions[name]
+            rel = f"features/{sample_id}_{name}.mpft"
+            write_feature_file(m.astype(np.float32), out_dir / rel)
+            (audio_paths if name in AUDIO_STREAMS else visual_paths)[name] = rel
+
+        emb = rng.standard_normal(spec.personality_dim) + pers_sep * cls * pers_direction
+        emb_rel = f"features/{sample_id}_personality.mpft"
+        write_feature_file(emb[None, :].astype(np.float32), out_dir / emb_rel)
+
+        profile = {
+            "age": int(rng.integers(18, 66)),
+            "gender": _GENDERS[int(rng.integers(2))],
+            "origin": _ORIGINS[int(rng.integers(len(_ORIGINS)))],
+        }
+        for trait in _TRAITS:
+            profile[trait] = int(rng.integers(1, 6))
+
+        rows.append({
+            "id": sample_id,
+            "audio_paths": audio_paths,
+            "visual_paths": visual_paths,
+            "personality": profile,
+            "personality_embedding_path": emb_rel,
+            "labels": labels,
+        })
+
+    manifest_path = out_dir / "manifest.jsonl"
+    write_manifest(rows, manifest_path)
+    return manifest_path

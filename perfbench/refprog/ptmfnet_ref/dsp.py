@@ -1,0 +1,212 @@
+"""Hand-crafted audio features: MFCCs, short-term energy, zero-crossing rate.
+
+All functions are pure and operate on mono float64 waveforms; frame
+layouts follow the usual short-time analysis convention (frame t starts
+at t*hop_len, trailing samples that do not fill a frame are dropped).
+"""
+
+from __future__ import annotations
+
+import wave
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import DataFormatError, ValidationError
+
+PRE_EMPHASIS = 0.97
+
+_WINDOWS = {
+    "hamming": np.hamming,
+    "hann": np.hanning,
+    "rect": np.ones,
+}
+
+
+@dataclass(frozen=True)
+class Waveform:
+    """Mono audio signal, samples nominally in [-1, 1]."""
+
+    samples: np.ndarray
+    sample_rate: int
+
+    def __post_init__(self):
+        samples = np.asarray(self.samples, dtype=np.float64)
+        object.__setattr__(self, "samples", samples)
+        if samples.ndim != 1 or samples.size == 0:
+            raise ValidationError("waveform must be a non-empty 1-D sample sequence")
+        if not np.all(np.isfinite(samples)):
+            raise ValidationError("waveform contains non-finite samples")
+        if self.sample_rate < 8000:
+            raise ValidationError(f"sample_rate must be >= 8000, got {self.sample_rate}")
+
+
+@dataclass(frozen=True)
+class FrameConfig:
+    frame_len: int
+    hop_len: int
+    window: str = "hamming"
+
+    def __post_init__(self):
+        if not 0 < self.hop_len <= self.frame_len:
+            raise ValidationError(
+                f"need 0 < hop_len <= frame_len, got hop_len={self.hop_len} frame_len={self.frame_len}"
+            )
+        if self.window not in _WINDOWS:
+            raise ValidationError(f"unknown window {self.window!r}; choose from {sorted(_WINDOWS)}")
+
+
+@dataclass(frozen=True)
+class MelConfig:
+    n_fft: int = 512
+    n_mels: int = 26
+    n_mfcc: int = 13
+    fmin: float = 0.0
+    fmax: float = 8000.0
+    log_floor: float = 1e-10
+
+    def __post_init__(self):
+        if self.n_fft < 1 or self.n_fft & (self.n_fft - 1):
+            raise ValidationError(f"n_fft must be a power of two, got {self.n_fft}")
+        if not 1 <= self.n_mfcc <= self.n_mels:
+            raise ValidationError(f"need 1 <= n_mfcc <= n_mels, got {self.n_mfcc} > {self.n_mels}")
+        if not 0.0 <= self.fmin < self.fmax:
+            raise ValidationError(f"need 0 <= fmin < fmax, got fmin={self.fmin} fmax={self.fmax}")
+        if self.log_floor <= 0.0:
+            raise ValidationError("log_floor must be positive")
+
+
+def _frame_raw(samples: np.ndarray, frame_len: int, hop_len: int) -> np.ndarray:
+    if samples.size < frame_len:
+        raise ValidationError(
+            f"signal of {samples.size} samples is shorter than one {frame_len}-sample frame"
+        )
+    n_frames = 1 + (samples.size - frame_len) // hop_len
+    idx = np.arange(frame_len)[None, :] + hop_len * np.arange(n_frames)[:, None]
+    return samples[idx]
+
+
+def frame_signal(w: Waveform, cfg: FrameConfig) -> np.ndarray:
+    """Slice into overlapping frames and apply the analysis window.
+
+    Returns a (T, frame_len) array with T = 1 + floor((len - frame_len)/hop).
+    """
+    frames = _frame_raw(w.samples, cfg.frame_len, cfg.hop_len)
+    return frames * _WINDOWS[cfg.window](cfg.frame_len)
+
+
+def short_term_energy(frames: np.ndarray) -> np.ndarray:
+    """Mean squared sample per (already windowed) frame, shape (T, 1)."""
+    return np.mean(np.square(frames), axis=1, keepdims=True)
+
+
+def zero_crossing_rate(frames: np.ndarray) -> np.ndarray:
+    """Sign-change fraction per frame, shape (T, 1).
+
+    Expects unwindowed frames (windowing corrupts sign structure); zero
+    samples count as positive, so digital silence has rate 0.
+    """
+    signs = np.where(frames >= 0.0, 1.0, -1.0)
+    changes = np.sum(signs[:, 1:] != signs[:, :-1], axis=1, keepdims=True)
+    return changes / float(frames.shape[1] - 1)
+
+
+def pre_emphasize(samples: np.ndarray, coef: float = PRE_EMPHASIS) -> np.ndarray:
+    out = samples.copy()
+    out[1:] -= coef * samples[:-1]
+    return out
+
+
+def mel_from_hz(f):
+    return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
+
+
+def hz_from_mel(m):
+    return 700.0 * (np.power(10.0, np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
+
+
+def mel_edges_hz(n_mels: int, fmin: float, fmax: float) -> np.ndarray:
+    """n_mels + 2 band edges, equally spaced on the HTK mel scale."""
+    mels = np.linspace(mel_from_hz(fmin), mel_from_hz(fmax), n_mels + 2)
+    return hz_from_mel(mels)
+
+
+def mel_filterbank(sample_rate: int, n_fft: int, n_mels: int, fmin: float, fmax: float) -> np.ndarray:
+    """Triangular filters evaluated at FFT bin centres, shape (n_mels, n_fft//2 + 1)."""
+    edges = mel_edges_hz(n_mels, fmin, fmax)
+    bin_hz = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
+    lo, mid, hi = edges[:-2, None], edges[1:-1, None], edges[2:, None]
+    rising = (bin_hz[None, :] - lo) / (mid - lo)
+    falling = (hi - bin_hz[None, :]) / (hi - mid)
+    return np.maximum(0.0, np.minimum(rising, falling))
+
+
+def dct_matrix(n: int) -> np.ndarray:
+    """Orthonormal DCT-II basis; row k dotted with a length-n vector gives coefficient k."""
+    k = np.arange(n)[:, None]
+    i = np.arange(n)[None, :]
+    mat = np.cos(np.pi * k * (2 * i + 1) / (2.0 * n)) * np.sqrt(2.0 / n)
+    mat[0] /= np.sqrt(2.0)
+    return mat
+
+
+def log_mel_energies(w: Waveform, fcfg: FrameConfig, mcfg: MelConfig) -> np.ndarray:
+    """Floored log mel-band magnitudes, shape (T, n_mels)."""
+    if mcfg.fmax > w.sample_rate / 2:
+        raise ValidationError(f"fmax={mcfg.fmax} exceeds Nyquist for sample_rate={w.sample_rate}")
+    if mcfg.n_fft < fcfg.frame_len:
+        raise ValidationError(f"n_fft={mcfg.n_fft} shorter than frame_len={fcfg.frame_len}")
+    emphasized = pre_emphasize(w.samples)
+    frames = _frame_raw(emphasized, fcfg.frame_len, fcfg.hop_len) * _WINDOWS[fcfg.window](fcfg.frame_len)
+    mag = np.abs(np.fft.rfft(frames, n=mcfg.n_fft, axis=1))
+    fb = mel_filterbank(w.sample_rate, mcfg.n_fft, mcfg.n_mels, mcfg.fmin, mcfg.fmax)
+    return np.log(np.maximum(mag @ fb.T, mcfg.log_floor))
+
+
+def mfcc(w: Waveform, fcfg: FrameConfig, mcfg: MelConfig) -> np.ndarray:
+    """Mel-frequency cepstral coefficients, shape (T, n_mfcc)."""
+    logmel = log_mel_energies(w, fcfg, mcfg)
+    basis = dct_matrix(mcfg.n_mels)[: mcfg.n_mfcc]
+    return logmel @ basis.T
+
+
+def extract_lld_bundle(w: Waveform, fcfg: FrameConfig) -> np.ndarray:
+    """Short-term energy and zero-crossing rate side by side, shape (T, 2)."""
+    windowed = frame_signal(w, fcfg)
+    raw = _frame_raw(w.samples, fcfg.frame_len, fcfg.hop_len)
+    return np.hstack([short_term_energy(windowed), zero_crossing_rate(raw)])
+
+
+def default_frame_config(sample_rate: int, frame_ms: float = 25.0, hop_ms: float = 10.0,
+                         window: str = "hamming") -> FrameConfig:
+    return FrameConfig(
+        frame_len=int(round(sample_rate * frame_ms / 1000.0)),
+        hop_len=int(round(sample_rate * hop_ms / 1000.0)),
+        window=window,
+    )
+
+
+def default_mel_config(sample_rate: int, n_mfcc: int = 13) -> MelConfig:
+    n_fft = 1
+    while n_fft < int(round(sample_rate * 0.025)):
+        n_fft *= 2
+    return MelConfig(n_fft=n_fft, n_mels=26, n_mfcc=n_mfcc, fmin=0.0,
+                     fmax=sample_rate / 2.0, log_floor=1e-10)
+
+
+def read_wav(path) -> Waveform:
+    """Decode a canonical 16-bit PCM mono RIFF file."""
+    try:
+        with wave.open(str(path), "rb") as fh:
+            channels = fh.getnchannels()
+            width = fh.getsampwidth()
+            rate = fh.getframerate()
+            raw = fh.readframes(fh.getnframes())
+    except (wave.Error, EOFError) as exc:
+        raise DataFormatError(f"{path}: not a readable WAV file ({exc})") from exc
+    if channels != 1:
+        raise DataFormatError(f"{path}: expected mono audio, found {channels} channels")
+    if width != 2:
+        raise DataFormatError(f"{path}: expected 16-bit PCM, found {8 * width}-bit")
+    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+    return Waveform(samples, rate)
