@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,9 +58,6 @@ class Tensor:
     def zero_grad(self) -> None:
         if self.grad is not None:
             self.grad[...] = 0.0
-
-    def backward(self) -> None:
-        backward(self)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -156,11 +153,6 @@ def backward(loss: Tensor) -> None:
         t = holders[k]
         if t.grad is not None:
             t.grad += g
-
-
-def zero_grads(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.zero_grad()
 
 
 # ---------------------------------------------------------------------------
@@ -407,13 +399,13 @@ def tmean(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     return scale(tsum(x, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
-def constant(data, like: Tensor | None = None) -> Tensor:
+def constant(data) -> Tensor:
     """A non-differentiable tensor (convenience for literals in graphs)."""
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=False)
 
 
 # ---------------------------------------------------------------------------
-# Parameters and containers
+# Parameters and modules
 # ---------------------------------------------------------------------------
 
 
@@ -427,7 +419,7 @@ class Module:
 
     named_parameters() walks instance attributes (tensors, sub-modules, dicts,
     lists/tuples) in insertion order, building dotted name paths that mirror
-    the nesting, e.g. "enc.lld.lstm.W_i".
+    the nesting, e.g. "enc.lld.lstm.W".
     """
 
     def named_parameters(self, prefix: str = "") -> Iterator[Parameter]:
@@ -450,13 +442,6 @@ def _walk_params(name: str, val) -> Iterator[Parameter]:
     elif isinstance(val, (list, tuple)):
         for i, v in enumerate(val):
             yield from _walk_params(f"{name}.{i}", v)
-
-
-class Container(Module):
-    """Anonymous grouping module; attribute names become name-path segments."""
-
-    def __init__(self, **modules):
-        vars(self).update(modules)
 
 
 def collect_parameters(module: Module) -> list[Parameter]:

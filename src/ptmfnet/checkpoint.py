@@ -3,10 +3,21 @@
 Layout: magic "PTMF", format version u32, parameter count u32; then per
 parameter: name length u32, UTF-8 name, rank u32, one u32 per extent, and the
 row-major f64 little-endian payload. Round-trips are bit-exact.
+
+Format version 2 stores each parameter in the layout its forward reads:
+fused LSTM gates (W: D x 4H, U: H x 4H, b: 1 x 4H), Linear weights as
+(d_in, d_out) and biases as (1, d). Version 1 files (per-gate LSTM tensors,
+(d_out, d_in) Linear weights) are rejected, not converted.
+
+The reader checks every length, rank and extent against the bytes left in
+the file before reading, so a corrupt header fails with DataFormatError
+without allocating the payload it claims.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from typing import Iterable
 
@@ -16,7 +27,7 @@ from .autodiff import Parameter
 from .errors import DataFormatError, ValidationError
 
 MAGIC = b"PTMF"
-VERSION = 1
+VERSION = 2
 
 
 def save_checkpoint(path, params: Iterable[Parameter]) -> None:
@@ -37,8 +48,8 @@ def save_checkpoint(path, params: Iterable[Parameter]) -> None:
             fh.write(arr.tobytes(order="C"))
 
 
-def _read_exact(fh, n: int, path, what: str) -> bytes:
-    buf = fh.read(n)
+def _read_exact(fh, n: int, end: int, path, what: str) -> bytes:
+    buf = fh.read(n) if n <= end - fh.tell() else b""
     if len(buf) != n:
         raise DataFormatError(f"{path}: truncated checkpoint while reading {what}")
     return buf
@@ -48,19 +59,23 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Read a checkpoint into an ordered name -> f64 array mapping."""
     out: dict[str, np.ndarray] = {}
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, path, "magic")
+        end = os.fstat(fh.fileno()).st_size
+        magic = _read_exact(fh, 4, end, path, "magic")
         if magic != MAGIC:
             raise DataFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        version, count = struct.unpack("<II", _read_exact(fh, 8, path, "header"))
+        version, count = struct.unpack("<II", _read_exact(fh, 8, end, path, "header"))
         if version != VERSION:
-            raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
+            raise DataFormatError(
+                f"{path}: unsupported checkpoint version {version}; this build reads version {VERSION}")
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", _read_exact(fh, 4, path, "name length"))
-            name = _read_exact(fh, name_len, path, "name").decode("utf-8")
-            (rank,) = struct.unpack("<I", _read_exact(fh, 4, path, "rank"))
-            shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, path, "extents"))
-            n = int(np.prod(shape, dtype=np.int64)) if rank else 1
-            payload = _read_exact(fh, 8 * n, path, f"payload of {name!r}")
+            (name_len,) = struct.unpack("<I", _read_exact(fh, 4, end, path, "name length"))
+            try:
+                name = _read_exact(fh, name_len, end, path, "name").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataFormatError(f"{path}: parameter name is not valid UTF-8") from exc
+            (rank,) = struct.unpack("<I", _read_exact(fh, 4, end, path, "rank"))
+            shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, end, path, "extents"))
+            payload = _read_exact(fh, 8 * math.prod(shape), end, path, f"payload of {name!r}")
             arr = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
             if name in out:
                 raise DataFormatError(f"{path}: duplicate parameter {name!r}")

@@ -54,21 +54,27 @@ def _require_file(path, what: str) -> Path:
     return path
 
 
+def _read_config_file(path, what: str) -> dict:
+    """A JSON object of ModelConfig fields; anything else is rejected."""
+    cfg_path = _require_file(path, what)
+    try:
+        loaded = json.loads(cfg_path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"{what} {cfg_path} is not valid JSON: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise ValidationError(f"{what} {cfg_path} must hold a key-value object")
+    unknown = sorted(set(loaded) - _CONFIG_FIELDS)
+    if unknown:
+        raise ValidationError(f"unknown keys {unknown} in {what} {cfg_path}; "
+                              f"valid keys: {sorted(_CONFIG_FIELDS)}")
+    return loaded
+
+
 def _model_config_from(args, flag_names: tuple) -> ModelConfig:
     """Built-in defaults <- config file <- command-line flags."""
     data: dict = {}
     if getattr(args, "config", None):
-        cfg_path = _require_file(args.config, "config file")
-        try:
-            loaded = json.loads(cfg_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"config file {cfg_path} is not valid JSON: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ValidationError(f"config file {cfg_path} must hold a key-value object")
-        unknown = sorted(set(loaded) - _CONFIG_FIELDS)
-        if unknown:
-            raise ValidationError(f"unknown config keys {unknown}; valid keys: {sorted(_CONFIG_FIELDS)}")
-        data.update(loaded)
+        data.update(_read_config_file(args.config, "config file"))
     for name in flag_names:
         value = getattr(args, name.replace("-", "_"))
         if value is not None:
@@ -151,8 +157,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     ckpt = _require_file(args.checkpoint, "checkpoint")
     manifest = _require_file(args.manifest, "manifest")
-    sidecar = _require_file(str(ckpt) + ".json", "checkpoint config sidecar")
-    cfg = ModelConfig.from_dict(json.loads(sidecar.read_text(encoding="utf-8")))
+    cfg = ModelConfig.from_dict(_read_config_file(str(ckpt) + ".json", "checkpoint config sidecar"))
     if args.task is not None and args.task != cfg.task:
         raise ValidationError(
             f"task mismatch: checkpoint was trained for {cfg.task!r}, requested {args.task!r}")

@@ -186,14 +186,6 @@ def default_frame_config(sample_rate: int, frame_ms: float = 25.0, hop_ms: float
     )
 
 
-def default_mel_config(sample_rate: int, n_mfcc: int = 13) -> MelConfig:
-    n_fft = 1
-    while n_fft < int(round(sample_rate * 0.025)):
-        n_fft *= 2
-    return MelConfig(n_fft=n_fft, n_mels=26, n_mfcc=n_mfcc, fmin=0.0,
-                     fmax=sample_rate / 2.0, log_floor=1e-10)
-
-
 def read_wav(path) -> Waveform:
     """Decode a canonical 16-bit PCM mono RIFF file."""
     try:

@@ -17,10 +17,11 @@ from .errors import ValidationError
 class LstmEncoder(Module):
     """Single-layer unidirectional LSTM returning every hidden state.
 
-    Gate parameters are stored per gate (W_*: H x D, U_*: H x H, b_*: H)
-    and concatenated once per forward pass so each step needs only one
-    recurrent matmul. Forget bias starts at 1.0, everything else uniform
-    in +/- 1/sqrt(H).
+    The four gates are stored fused, in the layout the forward pass reads:
+    W (D x 4H), U (H x 4H) and b (1 x 4H), gate columns in the order
+    i|f|o|g, so each step needs one recurrent matmul and the input
+    projection for all steps is one matmul. Forget bias starts at 1.0,
+    everything else uniform in +/- 1/sqrt(H).
     """
 
     GATES = ("i", "f", "o", "g")
@@ -31,13 +32,17 @@ class LstmEncoder(Module):
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         bound = 1.0 / np.sqrt(hidden_dim)
+        # drawn per gate, (H x D), (H x H), (H,), so a seed gives the same
+        # initial weights as the per-gate layout of format v1
+        w, u, b = [], [], []
         for gate in self.GATES:
-            setattr(self, f"W_{gate}", ad.uniform_init(rng, (hidden_dim, input_dim), bound))
-            setattr(self, f"U_{gate}", ad.uniform_init(rng, (hidden_dim, hidden_dim), bound))
+            w.append(rng.uniform(-bound, bound, size=(hidden_dim, input_dim)))
+            u.append(rng.uniform(-bound, bound, size=(hidden_dim, hidden_dim)))
             bias = rng.uniform(-bound, bound, size=hidden_dim)
-            if gate == "f":
-                bias = np.ones(hidden_dim)
-            setattr(self, f"b_{gate}", Tensor(bias, requires_grad=True))
+            b.append(np.ones(hidden_dim) if gate == "f" else bias)
+        self.W = Tensor(np.concatenate(w).T.copy(), requires_grad=True)
+        self.U = Tensor(np.concatenate(u).T.copy(), requires_grad=True)
+        self.b = Tensor(np.concatenate(b)[None, :], requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
         """x: (T, D) -> hidden sequence (T, H)."""
@@ -46,19 +51,14 @@ class LstmEncoder(Module):
             raise ValidationError(f"input dim {d} does not match encoder dim {self.input_dim}")
         h_dim = self.hidden_dim
 
-        w = ad.concat([getattr(self, f"W_{g}") for g in self.GATES], axis=0)
-        u = ad.concat([getattr(self, f"U_{g}") for g in self.GATES], axis=0)
-        b = ad.reshape(ad.concat([getattr(self, f"b_{g}") for g in self.GATES], axis=0), (1, 4 * h_dim))
-
         # input contributions for all steps at once
-        xw = ad.add(ad.matmul(x, ad.transpose(w)), b)
-        u_t = ad.transpose(u)
+        xw = ad.add(ad.matmul(x, self.W), self.b)
 
         h = ad.constant(np.zeros((1, h_dim)))
         c = ad.constant(np.zeros((1, h_dim)))
         outputs = []
         for t in range(t_len):
-            pre = ad.add(ad.narrow(xw, 0, t, 1), ad.matmul(h, u_t))
+            pre = ad.add(ad.narrow(xw, 0, t, 1), ad.matmul(h, self.U))
             # i|f|o share the sigmoid, g is the tanh candidate
             gates = ad.sigmoid(ad.narrow(pre, 1, 0, 3 * h_dim))
             i = ad.narrow(gates, 1, 0, h_dim)
@@ -74,7 +74,7 @@ class LstmEncoder(Module):
 class AspPooling(Module):
     """Attentive statistics pooling: weighted mean and weighted std.
 
-    Scores e_t = v . tanh(W h_t + b) feed a softmax over time; the output
+    Scores e_t = tanh(h_t W + b) v feed a softmax over time; the output
     row is concat(mu, s) with s = sqrt(relu(E[h^2] - mu^2) + eps), so the
     std half is never below sqrt(eps).
     """
@@ -85,15 +85,16 @@ class AspPooling(Module):
         self.hidden_dim = hidden_dim
         self.eps = eps
         bound = 1.0 / np.sqrt(hidden_dim)
-        self.W = ad.uniform_init(rng, (attn_dim, hidden_dim), bound)
-        self.b = ad.uniform_init(rng, (attn_dim,), bound)
-        self.v = ad.uniform_init(rng, (attn_dim,), bound)
+        # W is drawn as (A x H) and stored transposed, as the forward reads it
+        self.W = Tensor(rng.uniform(-bound, bound, size=(attn_dim, hidden_dim)).T.copy(),
+                        requires_grad=True)
+        self.b = ad.uniform_init(rng, (1, attn_dim), bound)
+        self.v = ad.uniform_init(rng, (attn_dim, 1), bound)
 
     def attention(self, h: Tensor) -> Tensor:
         """Frame weights (T, 1); positive, summing to 1."""
-        proj = ad.tanh(ad.add(ad.matmul(h, ad.transpose(self.W)),
-                              ad.reshape(self.b, (1, self.b.shape[0]))))
-        scores = ad.matmul(proj, ad.reshape(self.v, (self.v.shape[0], 1)))
+        proj = ad.tanh(ad.add(ad.matmul(h, self.W), self.b))
+        scores = ad.matmul(proj, self.v)
         return ad.softmax(scores, axis=0)
 
     def forward(self, h: Tensor, trace=None) -> Tensor:

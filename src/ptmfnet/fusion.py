@@ -54,14 +54,13 @@ class CoAttentionFusion(Module):
 
     def __init__(self, d_lld: int, d_mfcc: int, d_w2v: int,
                  d_lld_out: int, d_mfcc_out: int, d_w2v_out: int,
-                 dropout: float, rng: np.random.Generator, sigmoid_weighting: bool = False):
+                 dropout: float, rng: np.random.Generator):
         self.lld = Linear(d_lld, d_lld_out, rng)
         self.mfcc = Linear(d_mfcc, d_mfcc_out, rng)
         self.w2v = Linear(d_w2v, d_w2v_out, rng)
         bound = 1.0 / np.sqrt(d_lld_out + d_mfcc_out)
         self.P = ad.uniform_init(rng, (d_lld_out + d_mfcc_out, d_w2v_out), bound)
         self.dropout = dropout
-        self.sigmoid_weighting = sigmoid_weighting
         self.out_dim = d_w2v_out + d_lld_out + d_mfcc_out
 
     def _transform(self, x: Tensor, proj: Linear, training: bool, rng) -> Tensor:
@@ -78,10 +77,7 @@ class CoAttentionFusion(Module):
         if not weighting:
             return ad.concat([w2v_t, lld_t, mfcc_t], axis=1)
         c = ad.concat([lld_t, mfcc_t], axis=1)
-        gate = ad.matmul(c, self.P)
-        if self.sigmoid_weighting:
-            gate = ad.sigmoid(gate)
-        weighted = ad.mul(gate, w2v_t)
+        weighted = ad.mul(ad.matmul(c, self.P), w2v_t)
         return ad.concat([weighted, lld_t, mfcc_t], axis=1)
 
 
@@ -142,16 +138,15 @@ class TransformerFusion(Module):
         self.proj_a = Linear(d_audio, d_model, rng)
         self.proj_v = Linear(d_visual, d_model, rng)
         bound = 1.0 / np.sqrt(d_model)
-        self.m_a = ad.uniform_init(rng, (d_model,), bound)
-        self.m_v = ad.uniform_init(rng, (d_model,), bound)
+        self.m_a = ad.uniform_init(rng, (1, d_model), bound)
+        self.m_v = ad.uniform_init(rng, (1, d_model), bound)
         self.layers = [TransformerLayer(d_model, n_heads, d_ffn, dropout, rng)
                        for _ in range(n_layers)]
-        self.d_model = d_model
 
     def forward(self, u_a: Tensor, u_v: Tensor, training: bool = False,
                 rng: np.random.Generator | None = None, trace=None) -> FusedRepresentation:
-        tok_a = ad.add(self.proj_a.forward(u_a), ad.reshape(self.m_a, (1, self.d_model)))
-        tok_v = ad.add(self.proj_v.forward(u_v), ad.reshape(self.m_v, (1, self.d_model)))
+        tok_a = ad.add(self.proj_a.forward(u_a), self.m_a)
+        tok_v = ad.add(self.proj_v.forward(u_v), self.m_v)
         x = ad.concat([tok_a, tok_v], axis=0)
         for layer in self.layers:
             x = layer.forward(x, training, rng, trace)

@@ -11,16 +11,18 @@ from .autodiff import Module, Tensor
 
 
 class Linear(Module):
-    """Affine map on row vectors: (T, d_in) -> (T, d_out)."""
+    """Affine map on row vectors: (T, d_in) -> (T, d_out), x @ weight + bias
+    with weight (d_in, d_out) and bias (1, d_out)."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
         bound = 1.0 / np.sqrt(d_in)
-        self.weight = ad.uniform_init(rng, (d_out, d_in), bound)
-        self.bias = ad.uniform_init(rng, (d_out,), bound)
+        # drawn as (d_out, d_in) and stored transposed, as the forward reads it
+        self.weight = Tensor(rng.uniform(-bound, bound, size=(d_out, d_in)).T.copy(),
+                             requires_grad=True)
+        self.bias = ad.uniform_init(rng, (1, d_out), bound)
 
     def forward(self, x: Tensor) -> Tensor:
-        out_dim = self.weight.shape[0]
-        return ad.add(ad.matmul(x, ad.transpose(self.weight)), ad.reshape(self.bias, (1, out_dim)))
+        return ad.add(ad.matmul(x, self.weight), self.bias)
 
 
 @dataclass

@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Container, Module, Tensor
+from .autodiff import Module, Tensor
 from .dataio import (AUDIO_STREAMS, DEFAULT_PERSONALITY_DIM, DEFAULT_STREAM_DIMS,
                      TASK_CLASSES, TASKS, VISUAL_STREAMS, load_features_f64,
                      profile_to_embedding)
@@ -51,8 +51,6 @@ class ModelConfig:
 
     d_h: int = 64
     n_p: int = 4
-    bca_personality_query: bool = True
-    coatt_sigmoid: bool = False
 
     dropout: float = 0.1
 
@@ -170,37 +168,34 @@ class DepressionModel(Module):
         fuse = {}
         if cfg.multi_audio:
             for s in AUDIO_STREAMS:
-                enc[s] = Container(lstm=LstmEncoder(cfg.audio_dims[s], cfg.audio_hidden, rng))
+                enc[s] = {"lstm": LstmEncoder(cfg.audio_dims[s], cfg.audio_hidden, rng)}
             # built even for the no-weighting ablation: the per-stream
             # transforms stay, only the elementwise gate is skipped
             fuse["coatt"] = CoAttentionFusion(
                 cfg.audio_hidden, cfg.audio_hidden, cfg.audio_hidden,
                 cfg.coatt_lld_dim, cfg.coatt_mfcc_dim, cfg.coatt_w2v_dim,
-                cfg.dropout, rng, sigmoid_weighting=cfg.coatt_sigmoid)
+                cfg.dropout, rng)
             audio_seq_dim = fuse["coatt"].out_dim
         else:
-            enc["wav2vec"] = Container(
-                lstm=LstmEncoder(cfg.audio_dims["wav2vec"], cfg.audio_hidden, rng))
+            enc["wav2vec"] = {"lstm": LstmEncoder(cfg.audio_dims["wav2vec"], cfg.audio_hidden, rng)}
             audio_seq_dim = cfg.audio_hidden
-        enc["audio"] = Container(asp=AspPooling(audio_seq_dim, cfg.asp_attn_dim, rng, cfg.asp_eps))
+        enc["audio"] = {"asp": AspPooling(audio_seq_dim, cfg.asp_attn_dim, rng, cfg.asp_eps)}
 
         visual_in = (sum(cfg.visual_dims.values()) if cfg.multi_visual
                      else cfg.visual_dims["openface"])
-        enc["visual"] = Container(
-            lstm=LstmEncoder(visual_in, cfg.visual_hidden, rng),
-            asp=AspPooling(cfg.visual_hidden, cfg.asp_attn_dim, rng, cfg.asp_eps))
+        enc["visual"] = {"lstm": LstmEncoder(visual_in, cfg.visual_hidden, rng),
+                         "asp": AspPooling(cfg.visual_hidden, cfg.asp_attn_dim, rng, cfg.asp_eps)}
 
         fuse["tx"] = TransformerFusion(
             d_audio=2 * audio_seq_dim, d_visual=2 * cfg.visual_hidden,
             d_model=cfg.d_model, n_layers=cfg.tx_layers, n_heads=cfg.tx_heads,
             d_ffn=cfg.tx_ffn, dropout=cfg.dropout, rng=rng)
 
-        self.enc = Container(**enc)
-        self.fuse = Container(**fuse)
+        self.enc = enc
+        self.fuse = fuse
 
         if cfg.ptmfim:
-            self.ptmfim = Ptmfim(cfg.personality_dim, cfg.d_model, cfg.d_h, cfg.n_p,
-                                 rng, personality_query=cfg.bca_personality_query)
+            self.ptmfim = Ptmfim(cfg.personality_dim, cfg.d_model, cfg.d_h, cfg.n_p, rng)
             head_in = cfg.d_h
         else:
             head_in = 2 * cfg.d_model + cfg.personality_dim
@@ -212,13 +207,13 @@ class DepressionModel(Module):
         cfg = self.cfg
         if cfg.multi_audio:
             aligned = align_streams([feats.audio[s] for s in AUDIO_STREAMS])
-            hidden = {s: getattr(self.enc, s).lstm.forward(Tensor(a))
+            hidden = {s: self.enc[s]["lstm"].forward(Tensor(a))
                       for s, a in zip(AUDIO_STREAMS, aligned)}
-            seq = self.fuse.coatt.forward(hidden["lld"], hidden["mfcc"], hidden["wav2vec"],
-                                          training=training, rng=rng, weighting=cfg.co_att)
+            seq = self.fuse["coatt"].forward(hidden["lld"], hidden["mfcc"], hidden["wav2vec"],
+                                             training=training, rng=rng, weighting=cfg.co_att)
         else:
-            seq = self.enc.wav2vec.lstm.forward(Tensor(feats.audio["wav2vec"]))
-        return self.enc.audio.asp.forward(seq, trace)
+            seq = self.enc["wav2vec"]["lstm"].forward(Tensor(feats.audio["wav2vec"]))
+        return self.enc["audio"]["asp"].forward(seq, trace)
 
     def _visual_branch(self, feats: SampleFeatures, trace) -> Tensor:
         if self.cfg.multi_visual:
@@ -226,15 +221,15 @@ class DepressionModel(Module):
             stacked = visual_concat(*aligned)
         else:
             stacked = feats.visual["openface"]
-        hidden = self.enc.visual.lstm.forward(Tensor(stacked))
-        return self.enc.visual.asp.forward(hidden, trace)
+        hidden = self.enc["visual"]["lstm"].forward(Tensor(stacked))
+        return self.enc["visual"]["asp"].forward(hidden, trace)
 
     def forward(self, feats: SampleFeatures, training: bool = False,
                 rng: np.random.Generator | None = None, trace=None) -> Tensor:
         """Returns class logits of shape (1, n_classes)."""
         u_a = self._audio_branch(feats, training, rng, trace)
         u_v = self._visual_branch(feats, trace)
-        fused = self.fuse.tx.forward(u_a, u_v, training=training, rng=rng, trace=trace)
+        fused = self.fuse["tx"].forward(u_a, u_v, training=training, rng=rng, trace=trace)
         pers = Tensor(feats.personality[None, :])
         if self.cfg.ptmfim:
             head_in = self.ptmfim.forward(pers, fused, trace).out

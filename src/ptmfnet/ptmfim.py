@@ -29,24 +29,22 @@ class PtmfimOutput:
 
 
 class Ptmfim(Module):
-    """personality_query selects the cross-attention direction: True uses
-    personality tokens as queries over the multimodal tokens (default),
-    False reverses it."""
+    """Binary correlation attends from the personality tokens (queries) onto
+    the multimodal tokens (keys and values)."""
 
     def __init__(self, d_personality: int, d_multimodal: int, d_h: int, n_p: int,
-                 rng: np.random.Generator, personality_query: bool = True):
+                 rng: np.random.Generator):
         if n_p < 1 or d_h < 1:
             raise ValidationError(f"need n_p >= 1 and d_h >= 1, got n_p={n_p} d_h={d_h}")
         self.d_h = d_h
         self.n_p = n_p
-        self.personality_query = personality_query
         self.pers_proj = Linear(d_personality, n_p * d_h, rng)
         self.mm_proj = Linear(d_multimodal, d_h, rng)
         bound = 1.0 / np.sqrt(d_h)
         for name in ("Q_b", "K_b", "V_b", "Q_t", "K_t", "V_t"):
             setattr(self, name, ad.uniform_init(rng, (d_h, d_h), bound))
         self.W_g = ad.uniform_init(rng, (2 * d_h, d_h), bound)
-        self.b_g = ad.uniform_init(rng, (d_h,), bound)
+        self.b_g = ad.uniform_init(rng, (1, d_h), bound)
 
     def _attend(self, q_src: Tensor, kv_src: Tensor, q_w: Tensor, k_w: Tensor,
                 v_w: Tensor, trace) -> Tensor:
@@ -63,9 +61,7 @@ class Ptmfim(Module):
         return ad.reshape(self.pers_proj.forward(embedding), (self.n_p, self.d_h))
 
     def binary_correlation(self, p_tok: Tensor, m_tok: Tensor, trace=None) -> Tensor:
-        if self.personality_query:
-            return self._attend(p_tok, m_tok, self.Q_b, self.K_b, self.V_b, trace)
-        return self._attend(m_tok, p_tok, self.Q_b, self.K_b, self.V_b, trace)
+        return self._attend(p_tok, m_tok, self.Q_b, self.K_b, self.V_b, trace)
 
     def triple_interaction(self, p_tok: Tensor, bca: Tensor, trace=None) -> Tensor:
         return self._attend(p_tok, bca, self.Q_t, self.K_t, self.V_t, trace)
@@ -73,8 +69,7 @@ class Ptmfim(Module):
     def gate(self, bca: Tensor, tia: Tensor, p_pooled: Tensor, trace=None) -> PtmfimOutput:
         b_bar = ad.tmean(bca, axis=0, keepdims=True)
         t_bar = ad.tmean(tia, axis=0, keepdims=True)
-        pre = ad.add(ad.matmul(ad.concat([b_bar, t_bar], axis=1), self.W_g),
-                     ad.reshape(self.b_g, (1, self.d_h)))
+        pre = ad.add(ad.matmul(ad.concat([b_bar, t_bar], axis=1), self.W_g), self.b_g)
         g = ad.sigmoid(pre)
         if trace is not None:
             trace.gates.append(g.data[0].copy())

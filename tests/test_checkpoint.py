@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ def test_header_layout(tmp_path):
     raw = path.read_bytes()
     assert raw[:4] == b"PTMF"
     version, count = struct.unpack_from("<II", raw, 4)
-    assert (version, count) == (1, 1)
+    assert (version, count) == (ckpt.VERSION, 1) == (2, 1)
     (name_len,) = struct.unpack_from("<I", raw, 12)
     assert raw[16 : 16 + name_len] == b"w"
     rank_off = 16 + name_len
@@ -68,6 +69,39 @@ def test_truncated_payload(tmp_path):
     path.write_bytes(path.read_bytes()[:-5])
     with pytest.raises(DataFormatError, match="truncated"):
         ckpt.load_checkpoint(path)
+
+
+def test_v1_file_rejected_naming_its_version(tmp_path):
+    path = tmp_path / "old.ptmf"
+    ckpt.save_checkpoint(path, _params(np.random.default_rng(5), [("w", (2, 3))]))
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = struct.pack("<I", 1)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataFormatError, match="version 1"):
+        ckpt.load_checkpoint(path)
+
+
+def test_name_not_utf8_is_format_error(tmp_path):
+    path = tmp_path / "name.ptmf"
+    path.write_bytes(b"PTMF" + struct.pack("<III", ckpt.VERSION, 1, 2) + b"\xff\xfe"
+                     + struct.pack("<II", 1, 1) + struct.pack("<d", 0.5))
+    with pytest.raises(DataFormatError, match="UTF-8"):
+        ckpt.load_checkpoint(path)
+
+
+def test_oversized_header_rejected_before_allocating(tmp_path):
+    # 40 bytes whose header claims a 4096 x 4096 f64 payload (128 MiB)
+    head = b"PTMF" + struct.pack("<III", ckpt.VERSION, 1, 1) + b"w" + struct.pack("<III", 2, 4096, 4096)
+    path = tmp_path / "huge.ptmf"
+    path.write_bytes(head + b"\x00" * (40 - len(head)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataFormatError, match="truncated"):
+            ckpt.load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_duplicate_names_rejected_on_save(tmp_path):

@@ -188,6 +188,41 @@ def test_eval_missing_checkpoint_exits_2(synth_dir):
                  "--manifest", str(synth_dir / "manifest.jsonl")]) == EXIT_IO
 
 
+def _with_v1_keys(text):
+    # the two config fields format-v1 sidecars carried and ModelConfig dropped
+    return json.dumps({**json.loads(text), "bca_personality_query": True, "coatt_sigmoid": False})
+
+
+@pytest.mark.parametrize("make_sidecar,code", [
+    (lambda text: "{not json", EXIT_IO),
+    (lambda text: "[1, 2]", EXIT_VALIDATION),
+    (_with_v1_keys, EXIT_VALIDATION),
+], ids=["invalid_json", "not_an_object", "unknown_keys"])
+def test_eval_malformed_sidecar_exits_with_one_line(trained, synth_dir, tmp_path, capsys,
+                                                   make_sidecar, code):
+    ckpt = tmp_path / "m.ptmf"
+    ckpt.write_bytes(trained.read_bytes())
+    good = (trained.parent / (trained.name + ".json")).read_text()
+    (tmp_path / "m.ptmf.json").write_text(make_sidecar(good))
+    assert main(["eval", "--checkpoint", str(ckpt),
+                 "--manifest", str(synth_dir / "manifest.jsonl")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "m.ptmf.json" in err
+
+
+def test_eval_v1_checkpoint_exits_2_naming_version(trained, synth_dir, tmp_path, capsys):
+    raw = bytearray(trained.read_bytes())
+    raw[4:8] = (1).to_bytes(4, "little")
+    ckpt = tmp_path / "old.ptmf"
+    ckpt.write_bytes(bytes(raw))
+    (tmp_path / "old.ptmf.json").write_text((trained.parent / (trained.name + ".json")).read_text())
+    assert main(["eval", "--checkpoint", str(ckpt),
+                 "--manifest", str(synth_dir / "manifest.jsonl")]) == EXIT_IO
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("error: ") and "version 1" in last
+
+
 # ---------------------------------------------------------------------------
 # config file resolution
 
@@ -251,7 +286,7 @@ def test_gradcheck_reports_per_parameter_and_passes(capsys):
     assert code == EXIT_OK
     lines = captured.out.strip().splitlines()
     assert all("max_rel_err=" in line and line.endswith("ok") for line in lines)
-    assert any(line.startswith("lstm.W_i") for line in lines)
+    assert any(line.startswith("lstm.W ") for line in lines)
     assert any(line.startswith("ptmfim.Q_b") for line in lines)
 
 

@@ -21,8 +21,10 @@ def _zero_params(module):
 
 
 def _gate_arrays(enc):
-    return {g: (getattr(enc, f"W_{g}").data, getattr(enc, f"U_{g}").data, getattr(enc, f"b_{g}").data)
-            for g in LstmEncoder.GATES}
+    """Per-gate (H x D, H x H, H) arrays sliced out of the fused i|f|o|g columns."""
+    h = enc.hidden_dim
+    cols = {g: slice(k * h, (k + 1) * h) for k, g in enumerate(LstmEncoder.GATES)}
+    return {g: (enc.W.data[:, c].T, enc.U.data[:, c].T, enc.b.data[0, c]) for g, c in cols.items()}
 
 
 def _ref_lstm(enc, x):
@@ -70,21 +72,35 @@ def test_sequence_matches_reference_recurrence():
 
 def test_forget_bias_initialized_to_one():
     enc = LstmEncoder(5, 7, np.random.default_rng(3))
-    np.testing.assert_array_equal(enc.b_f.data, np.ones(7))
+    np.testing.assert_array_equal(enc.b.data[0, 7:14], np.ones(7))
     bound = 1.0 / math.sqrt(7)
     for g in ("i", "o", "g"):
-        assert np.all(np.abs(getattr(enc, f"b_{g}").data) <= bound)
-        assert np.all(np.abs(getattr(enc, f"W_{g}").data) <= bound)
+        w, u, b = _gate_arrays(enc)[g]
+        assert np.all(np.abs(b) <= bound)
+        assert np.all(np.abs(w) <= bound)
+
+
+def test_init_draws_per_gate_in_order():
+    # the fused layout holds the same numbers as per-gate draws in i|f|o|g
+    # order, so a seed keeps giving the same initial weights
+    enc = LstmEncoder(3, 4, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    bound = 1.0 / math.sqrt(4)
+    for g in LstmEncoder.GATES:
+        w, u, b = _gate_arrays(enc)[g]
+        np.testing.assert_array_equal(w, rng.uniform(-bound, bound, size=(4, 3)))
+        np.testing.assert_array_equal(u, rng.uniform(-bound, bound, size=(4, 4)))
+        drawn = rng.uniform(-bound, bound, size=4)
+        np.testing.assert_array_equal(b, np.ones(4) if g == "f" else drawn)
 
 
 def test_parameter_shapes_and_names():
     enc = LstmEncoder(3, 4, np.random.default_rng(4))
     params = collect_parameters(enc)
-    names = {p.name for p in params}
-    assert names == {f"{w}_{g}" for w in ("W", "U", "b") for g in "ifog"}
-    assert enc.W_i.shape == (4, 3)
-    assert enc.U_f.shape == (4, 4)
-    assert enc.b_o.shape == (4,)
+    assert [p.name for p in params] == ["W", "U", "b"]
+    assert enc.W.shape == (3, 16)
+    assert enc.U.shape == (4, 16)
+    assert enc.b.shape == (1, 16)
 
 
 def test_dimension_mismatch_rejected():
@@ -124,8 +140,8 @@ def test_lstm_gradcheck_five_steps():
 
 def _ref_asp(pool, h):
     """Loop oracle for attentive statistics pooling."""
-    w, b, v = pool.W.data, pool.b.data, pool.v.data
-    scores = np.array([v @ np.tanh(w @ h_t + b) for h_t in h])
+    w, b, v = pool.W.data, pool.b.data[0], pool.v.data[:, 0]
+    scores = np.array([np.tanh(h_t @ w + b) @ v for h_t in h])
     exp = np.exp(scores - scores.max())
     alpha = exp / exp.sum()
     mu = sum(a * h_t for a, h_t in zip(alpha, h))

@@ -63,17 +63,15 @@ def _coatt(rng=None, **kw):
     return CoAttentionFusion(**args)
 
 
-def _ref_coatt(mod, lld, mfcc, w2v, sigmoid=False):
+def _ref_coatt(mod, lld, mfcc, w2v):
     def transform(x, lin):
-        return np.maximum(x @ lin.weight.data.T + lin.bias.data, 0.0)
+        return np.maximum(x @ lin.weight.data + lin.bias.data, 0.0)
 
     l_t, m_t, w_t = transform(lld, mod.lld), transform(mfcc, mod.mfcc), transform(w2v, mod.w2v)
     rows = []
     for t in range(l_t.shape[0]):
         c = np.concatenate([l_t[t], m_t[t]])
         g = c @ mod.P.data
-        if sigmoid:
-            g = 1.0 / (1.0 + np.exp(-g))
         rows.append(np.concatenate([g * w_t[t], l_t[t], m_t[t]]))
     return np.stack(rows)
 
@@ -116,14 +114,6 @@ def test_coatt_matches_loop_oracle_random_p():
     np.testing.assert_allclose(got, _ref_coatt(mod, lld, mfcc, w2v), atol=1e-12)
 
 
-def test_coatt_sigmoid_variant():
-    mod = _coatt(rng=np.random.default_rng(8), sigmoid_weighting=True)
-    rng = np.random.default_rng(9)
-    lld, mfcc, w2v = rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), rng.normal(size=(3, 4))
-    got = mod.forward(Tensor(lld), Tensor(mfcc), Tensor(w2v)).data
-    np.testing.assert_allclose(got, _ref_coatt(mod, lld, mfcc, w2v, sigmoid=True), atol=1e-12)
-
-
 def test_coatt_output_dim_and_plain_concat():
     mod = _coatt()
     rng = np.random.default_rng(10)
@@ -133,7 +123,7 @@ def test_coatt_output_dim_and_plain_concat():
     plain = mod.forward(Tensor(lld), Tensor(mfcc), Tensor(w2v), weighting=False)
     assert plain.shape == (4, 10)
     # without weighting the w2v block is the bare transform
-    ref = np.maximum(w2v @ mod.w2v.weight.data.T + mod.w2v.bias.data, 0.0)
+    ref = np.maximum(w2v @ mod.w2v.weight.data + mod.w2v.bias.data, 0.0)
     np.testing.assert_allclose(plain.data[:, :4], ref, atol=1e-12)
 
 
@@ -182,8 +172,8 @@ def test_tx_empty_stack_is_projection_plus_embedding():
     rng = np.random.default_rng(21)
     u_a, u_v = rng.normal(size=(1, 5)), rng.normal(size=(1, 5))
     out = mod.forward(Tensor(u_a), Tensor(u_v))
-    ref_a = u_a @ mod.proj_a.weight.data.T + mod.proj_a.bias.data + mod.m_a.data
-    ref_v = u_v @ mod.proj_v.weight.data.T + mod.proj_v.bias.data + mod.m_v.data
+    ref_a = u_a @ mod.proj_a.weight.data + mod.proj_a.bias.data + mod.m_a.data
+    ref_v = u_v @ mod.proj_v.weight.data + mod.proj_v.bias.data + mod.m_v.data
     np.testing.assert_allclose(out.audio_token.data, ref_a, atol=1e-12)
     np.testing.assert_allclose(out.visual_token.data, ref_v, atol=1e-12)
     np.testing.assert_allclose(out.f_star.data, np.concatenate([ref_a, ref_v], axis=1), atol=1e-12)

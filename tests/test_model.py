@@ -13,6 +13,7 @@ from ptmfnet.errors import ValidationError
 from ptmfnet.layers import ForwardTrace
 from ptmfnet.model import (ClassifierHead, DepressionModel, ModelConfig,
                            SampleFeatures, classify, load_sample_features)
+from ptmfnet.training import cross_entropy
 
 SMALL = dict(audio_hidden=4, visual_hidden=4, coatt_lld_dim=4, coatt_mfcc_dim=4,
              coatt_w2v_dim=4, asp_attn_dim=4, d_model=8, tx_layers=1, tx_heads=2,
@@ -99,9 +100,9 @@ def test_parameter_names_follow_contract():
     cfg = make_cfg()
     names = _names(DepressionModel(cfg, np.random.default_rng(6)))
     expected_members = {
-        "enc.lld.lstm.W_i", "enc.mfcc.lstm.U_f", "enc.wav2vec.lstm.b_o",
+        "enc.lld.lstm.W", "enc.mfcc.lstm.U", "enc.wav2vec.lstm.b",
         "enc.audio.asp.W", "enc.audio.asp.v",
-        "enc.visual.lstm.W_g", "enc.visual.asp.b",
+        "enc.visual.lstm.W", "enc.visual.asp.b",
         "fuse.coatt.P", "fuse.coatt.lld.weight", "fuse.coatt.w2v.bias",
         "fuse.tx.proj_a.weight", "fuse.tx.m_v",
         "fuse.tx.layers.0.q.weight", "fuse.tx.layers.0.ln2_gain",
@@ -116,6 +117,35 @@ def test_parameter_names_follow_contract():
                 "fuse.coatt.", "fuse.tx.", "ptmfim.", "head.")
     stray = [n for n in names if not n.startswith(prefixes)]
     assert not stray, f"parameters outside the contracted namespace: {stray}"
+
+
+def _op_name(vjp) -> str:
+    """Op type of a tape node, from the qualname of its VJP closure; binary
+    ops share one closure and are named by the `vjp_pair` it captured."""
+    name = vjp.__qualname__.split(".")[0]
+    if name == "_binary":
+        cells = dict(zip(vjp.__code__.co_freevars, vjp.__closure__))
+        name = cells["vjp_pair"].cell_contents.__qualname__.split(".")[0]
+    return name
+
+
+def test_parameters_feed_only_matmul_add_layer_norm():
+    # parameters are stored in the layout their forward reads, so a training
+    # forward records no reshape, transpose or concat of a parameter
+    cfg = ModelConfig.compact()
+    model = DepressionModel(cfg, np.random.default_rng(30))
+    params = {id(p.tensor): p.name for p in collect_parameters(model)}
+    feats = make_feats(cfg, np.random.default_rng(31))
+    with ad.Tape() as tape:
+        cross_entropy(model.forward(feats, training=True, rng=np.random.default_rng(32)), feats.label)
+    uses = {}
+    for node in tape.nodes:
+        for t in node.inputs:
+            if id(t) in params:
+                uses.setdefault(params[id(t)], set()).add(_op_name(node.vjp))
+    assert set(uses) == set(params.values())
+    bad = {name: ops for name, ops in uses.items() if not ops <= {"matmul", "add", "layer_norm"}}
+    assert not bad, bad
 
 
 def test_parameter_names_unique_and_stable():
@@ -137,7 +167,7 @@ def test_wo_ptmfim_has_zero_ptmfim_parameters():
     assert not [n for n in names if n.startswith("ptmfim.")]
     # head consumes the fused vector concatenated with the raw embedding
     fc1 = dict(collect_parameters(model))["head.fc1.weight"]
-    assert fc1.data.shape[1] == 2 * cfg.d_model + cfg.personality_dim
+    assert fc1.data.shape[0] == 2 * cfg.d_model + cfg.personality_dim
     logits = model.forward(make_feats(cfg, np.random.default_rng(8)))
     assert logits.shape == (1, cfg.n_classes)
 
@@ -145,7 +175,7 @@ def test_wo_ptmfim_has_zero_ptmfim_parameters():
 def test_full_model_head_consumes_interaction_vector():
     cfg = make_cfg()
     fc1 = dict(collect_parameters(DepressionModel(cfg, np.random.default_rng(0))))["head.fc1.weight"]
-    assert fc1.data.shape[1] == cfg.d_h
+    assert fc1.data.shape[0] == cfg.d_h
 
 
 def test_wo_multi_audio_keeps_only_wav2vec_audio():
@@ -153,10 +183,10 @@ def test_wo_multi_audio_keeps_only_wav2vec_audio():
     model = DepressionModel(cfg, np.random.default_rng(9))
     names = _names(model)
     assert not [n for n in names if n.startswith(("enc.lld.", "enc.mfcc.", "fuse.coatt."))]
-    assert "enc.wav2vec.lstm.W_i" in names
+    assert "enc.wav2vec.lstm.W" in names
     # ASP then attends over the single-stream hidden width
     asp_w = dict(collect_parameters(model))["enc.audio.asp.W"]
-    assert asp_w.data.shape == (cfg.asp_attn_dim, cfg.audio_hidden)
+    assert asp_w.data.shape == (cfg.audio_hidden, cfg.asp_attn_dim)
     assert model.forward(make_feats(cfg, np.random.default_rng(10))).shape == (1, 2)
 
 
@@ -175,8 +205,8 @@ def test_wo_co_att_keeps_transforms_but_skips_weighting():
 def test_wo_multi_visual_uses_only_openface():
     cfg = make_cfg(multi_visual=False)
     model = DepressionModel(cfg, np.random.default_rng(12))
-    w_i = dict(collect_parameters(model))["enc.visual.lstm.W_i"]
-    assert w_i.data.shape == (cfg.visual_hidden, cfg.visual_dims["openface"])
+    w = dict(collect_parameters(model))["enc.visual.lstm.W"]
+    assert w.data.shape == (cfg.visual_dims["openface"], 4 * cfg.visual_hidden)
     assert model.forward(make_feats(cfg, np.random.default_rng(13))).shape == (1, 2)
 
 
