@@ -259,13 +259,6 @@ def sqrt(x: Tensor) -> Tensor:
     return _record(out, (x,), lambda g: (g * 0.5 / r,))
 
 
-def log(x: Tensor) -> Tensor:
-    if np.any(x.data <= 0):
-        raise ValidationError("log of non-positive values")
-    out = _result(np.log(x.data), x.requires_grad)
-    return _record(out, (x,), lambda g: (g / x.data,))
-
-
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
@@ -485,7 +478,6 @@ def grad_check(
     f: Callable[[], Tensor],
     params: Sequence[Parameter],
     eps: float = 1e-5,
-    tol: float = 1e-4,
     atol: float = 1e-8,
 ) -> GradCheckReport:
     """Compare tape gradients of scalar f() against central finite differences.

@@ -81,9 +81,8 @@ def _frame_raw(samples: np.ndarray, frame_len: int, hop_len: int) -> np.ndarray:
         raise ValidationError(
             f"signal of {samples.size} samples is shorter than one {frame_len}-sample frame"
         )
-    n_frames = 1 + (samples.size - frame_len) // hop_len
-    idx = np.arange(frame_len)[None, :] + hop_len * np.arange(n_frames)[:, None]
-    return samples[idx]
+    # a read-only strided view: frame t is samples[t*hop_len : t*hop_len + frame_len]
+    return np.lib.stride_tricks.sliding_window_view(samples, frame_len)[::hop_len]
 
 
 def frame_signal(w: Waveform, cfg: FrameConfig) -> np.ndarray:
@@ -172,8 +171,8 @@ def mfcc(w: Waveform, fcfg: FrameConfig, mcfg: MelConfig) -> np.ndarray:
 
 def extract_lld_bundle(w: Waveform, fcfg: FrameConfig) -> np.ndarray:
     """Short-term energy and zero-crossing rate side by side, shape (T, 2)."""
-    windowed = frame_signal(w, fcfg)
     raw = _frame_raw(w.samples, fcfg.frame_len, fcfg.hop_len)
+    windowed = raw * _WINDOWS[fcfg.window](fcfg.frame_len)
     return np.hstack([short_term_energy(windowed), zero_crossing_rate(raw)])
 
 

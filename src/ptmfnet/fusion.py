@@ -1,17 +1,15 @@
 """Fusion stages: audio co-attention, visual concatenation, and the
-2-token transformer that merges both branches into one representation.
+2-token transformer that merges both branches into one token matrix.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Module, Tensor
 from .errors import ValidationError
-from .layers import Linear
+from .layers import Linear, attention
 
 
 def align_streams(arrays: list[np.ndarray]) -> list[np.ndarray]:
@@ -107,11 +105,7 @@ class TransformerLayer(Module):
         heads = []
         for h in range(self.n_heads):
             sl = lambda t: ad.narrow(t, 1, h * self.d_head, self.d_head)
-            scores = ad.scale(ad.matmul(sl(q), ad.transpose(sl(k))), 1.0 / np.sqrt(self.d_head))
-            attn = ad.softmax(scores, axis=-1)
-            if trace is not None:
-                trace.attention_rows.append(attn.data.copy())
-            heads.append(ad.matmul(attn, sl(v)))
+            heads.append(attention(sl(q), sl(k), sl(v), trace))
         return self.o.forward(ad.concat(heads, axis=1))
 
     def forward(self, x: Tensor, training: bool, rng, trace=None) -> Tensor:
@@ -122,16 +116,10 @@ class TransformerLayer(Module):
         return ad.add(x, ad.dropout(ffn, self.dropout, training, rng))
 
 
-@dataclass
-class FusedRepresentation:
-    f_star: Tensor       # (1, 2*d_model)
-    audio_token: Tensor  # (1, d_model)
-    visual_token: Tensor
-
-
 class TransformerFusion(Module):
     """Projects the two utterance vectors to d_model, tags them with
-    modality embeddings, and runs a 2-token pre-norm encoder stack."""
+    modality embeddings, and runs a 2-token pre-norm encoder stack. The
+    output is the (2, d_model) token matrix: audio row, then visual row."""
 
     def __init__(self, d_audio: int, d_visual: int, d_model: int, n_layers: int,
                  n_heads: int, d_ffn: int, dropout: float, rng: np.random.Generator):
@@ -144,16 +132,10 @@ class TransformerFusion(Module):
                        for _ in range(n_layers)]
 
     def forward(self, u_a: Tensor, u_v: Tensor, training: bool = False,
-                rng: np.random.Generator | None = None, trace=None) -> FusedRepresentation:
+                rng: np.random.Generator | None = None, trace=None) -> Tensor:
         tok_a = ad.add(self.proj_a.forward(u_a), self.m_a)
         tok_v = ad.add(self.proj_v.forward(u_v), self.m_v)
         x = ad.concat([tok_a, tok_v], axis=0)
         for layer in self.layers:
             x = layer.forward(x, training, rng, trace)
-        audio_token = ad.narrow(x, 0, 0, 1)
-        visual_token = ad.narrow(x, 0, 1, 1)
-        return FusedRepresentation(
-            f_star=ad.concat([audio_token, visual_token], axis=1),
-            audio_token=audio_token,
-            visual_token=visual_token,
-        )
+        return x

@@ -25,6 +25,15 @@ class Linear(Module):
         return ad.add(ad.matmul(x, self.weight), self.bias)
 
 
+def attention(q: Tensor, k: Tensor, v: Tensor, trace=None) -> Tensor:
+    """Scaled dot-product attention softmax(q k^T / sqrt(q.shape[1])) v; the
+    attention matrix (one row per query) goes to `trace` when one is given."""
+    attn = ad.softmax(ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(q.shape[1])), axis=-1)
+    if trace is not None:
+        trace.attention_rows.append(attn.data.copy())
+    return ad.matmul(attn, v)
+
+
 @dataclass
 class ForwardTrace:
     """Per-forward diagnostics captured when a trace object is passed in.

@@ -5,7 +5,8 @@ to a ModelConfig whose ablation flags prune whole branches.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -27,6 +28,20 @@ def _default_audio_dims():
 
 def _default_visual_dims():
     return {s: DEFAULT_STREAM_DIMS[s] for s in VISUAL_STREAMS}
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# annotated field type -> (check, what the error message asks for)
+_FIELD_TYPES = {
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "int": (_is_int, "an integer"),
+    "float": (lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v)), "a finite number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "dict": (lambda v: isinstance(v, dict), "an object"),
+}
 
 
 @dataclass(frozen=True)
@@ -71,27 +86,34 @@ class ModelConfig:
     val_fraction: float = 0.2
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            check, wanted = _FIELD_TYPES[f.type]
+            if not check(value):
+                raise ValidationError(f"{f.name} must be {wanted}, got {value!r}")
+        for name, streams in (("audio_dims", AUDIO_STREAMS), ("visual_dims", VISUAL_STREAMS)):
+            dims = getattr(self, name)
+            if set(dims) != set(streams) or not all(_is_int(d) and d >= 1 for d in dims.values()):
+                raise ValidationError(f"{name} must map exactly {streams} to positive integers, "
+                                      f"got {dims!r}")
         if self.task not in TASKS:
             raise ValidationError(f"unknown task {self.task!r}; choose from {TASKS}")
         dims = [self.personality_dim, self.audio_hidden, self.visual_hidden,
                 self.coatt_lld_dim, self.coatt_mfcc_dim, self.coatt_w2v_dim,
                 self.asp_attn_dim, self.d_model, self.tx_heads, self.tx_ffn,
-                self.d_h, self.n_p, self.batch_size,
-                *self.audio_dims.values(), *self.visual_dims.values()]
+                self.d_h, self.n_p, self.batch_size]
         if any(d < 1 for d in dims):
             raise ValidationError("all dims must be positive")
-        if set(self.audio_dims) != set(AUDIO_STREAMS):
-            raise ValidationError(f"audio_dims must have keys {AUDIO_STREAMS}")
-        if set(self.visual_dims) != set(VISUAL_STREAMS):
-            raise ValidationError(f"visual_dims must have keys {VISUAL_STREAMS}")
         if self.d_model % self.tx_heads:
             raise ValidationError(f"d_model={self.d_model} not divisible by tx_heads={self.tx_heads}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValidationError("dropout must be in [0, 1)")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValidationError("val_fraction must be in (0, 1)")
-        if self.tx_layers < 0 or self.epochs < 0:
-            raise ValidationError("tx_layers and epochs must be non-negative")
+        if self.tx_layers < 0 or self.epochs < 0 or self.seed < 0:
+            raise ValidationError("tx_layers, epochs and seed must be non-negative")
+        if self.lr <= 0:
+            raise ValidationError(f"lr must be positive, got {self.lr!r}")
 
     @property
     def n_classes(self) -> int:
@@ -229,18 +251,14 @@ class DepressionModel(Module):
         """Returns class logits of shape (1, n_classes)."""
         u_a = self._audio_branch(feats, training, rng, trace)
         u_v = self._visual_branch(feats, trace)
-        fused = self.fuse["tx"].forward(u_a, u_v, training=training, rng=rng, trace=trace)
+        tokens = self.fuse["tx"].forward(u_a, u_v, training=training, rng=rng, trace=trace)
         pers = Tensor(feats.personality[None, :])
         if self.cfg.ptmfim:
-            head_in = self.ptmfim.forward(pers, fused, trace).out
-        else:
-            head_in = ad.concat([fused.f_star, pers], axis=1)
+            head_in = self.ptmfim.forward(pers, tokens, trace).out
+        else:  # [audio row | visual row | personality]
+            head_in = ad.concat([ad.reshape(tokens, (1, tokens.size)), pers], axis=1)
         return self.head.forward(head_in)
 
     def predict(self, feats: SampleFeatures) -> int:
         return int(np.argmax(self.forward(feats, training=False).data[0]))
 
-
-def classify(logits: Tensor) -> Tensor:
-    """Logits (1, C) -> probabilities (1, C)."""
-    return ad.softmax(logits, axis=-1)

@@ -16,8 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Module, Tensor
 from .errors import ValidationError
-from .fusion import FusedRepresentation
-from .layers import Linear
+from .layers import Linear, attention
 
 
 @dataclass
@@ -46,25 +45,17 @@ class Ptmfim(Module):
         self.W_g = ad.uniform_init(rng, (2 * d_h, d_h), bound)
         self.b_g = ad.uniform_init(rng, (1, d_h), bound)
 
-    def _attend(self, q_src: Tensor, kv_src: Tensor, q_w: Tensor, k_w: Tensor,
-                v_w: Tensor, trace) -> Tensor:
-        q = ad.matmul(q_src, q_w)
-        k = ad.matmul(kv_src, k_w)
-        v = ad.matmul(kv_src, v_w)
-        attn = ad.softmax(ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(self.d_h)), axis=-1)
-        if trace is not None:
-            trace.attention_rows.append(attn.data.copy())
-        return ad.matmul(attn, v)
-
     def personality_tokens(self, embedding: Tensor) -> Tensor:
         """(1, d_p) embedding -> (n_p, d_h) token matrix."""
         return ad.reshape(self.pers_proj.forward(embedding), (self.n_p, self.d_h))
 
     def binary_correlation(self, p_tok: Tensor, m_tok: Tensor, trace=None) -> Tensor:
-        return self._attend(p_tok, m_tok, self.Q_b, self.K_b, self.V_b, trace)
+        return attention(ad.matmul(p_tok, self.Q_b), ad.matmul(m_tok, self.K_b),
+                         ad.matmul(m_tok, self.V_b), trace)
 
     def triple_interaction(self, p_tok: Tensor, bca: Tensor, trace=None) -> Tensor:
-        return self._attend(p_tok, bca, self.Q_t, self.K_t, self.V_t, trace)
+        return attention(ad.matmul(p_tok, self.Q_t), ad.matmul(bca, self.K_t),
+                         ad.matmul(bca, self.V_t), trace)
 
     def gate(self, bca: Tensor, tia: Tensor, p_pooled: Tensor, trace=None) -> PtmfimOutput:
         b_bar = ad.tmean(bca, axis=0, keepdims=True)
@@ -76,10 +67,10 @@ class Ptmfim(Module):
         out = ad.add(ad.mul(g, t_bar), p_pooled)
         return PtmfimOutput(out=out, gate_values=g, bca_tokens=bca, tia_tokens=tia)
 
-    def forward(self, personality_embedding: Tensor, fused: FusedRepresentation,
-                trace=None) -> PtmfimOutput:
+    def forward(self, personality_embedding: Tensor, tokens: Tensor, trace=None) -> PtmfimOutput:
+        """`tokens` is the (2, d_multimodal) audio/visual token matrix."""
         p_tok = self.personality_tokens(personality_embedding)
-        m_tok = self.mm_proj.forward(ad.concat([fused.audio_token, fused.visual_token], axis=0))
+        m_tok = self.mm_proj.forward(tokens)
         bca = self.binary_correlation(p_tok, m_tok, trace)
         tia = self.triple_interaction(p_tok, bca, trace)
         p_pooled = ad.tmean(p_tok, axis=0, keepdims=True)

@@ -27,10 +27,7 @@ def cross_entropy(logits: Tensor, label: int) -> Tensor:
     n = logits.shape[-1]
     if not 0 <= label < n:
         raise ValidationError(f"label {label} out of range for {n} classes")
-    onehot = np.zeros(logits.shape)
-    onehot[..., label] = 1.0
-    logp = ad.log_softmax(logits, axis=-1)
-    return ad.scale(ad.tsum(ad.mul(logp, ad.constant(onehot))), -1.0)
+    return ad.scale(ad.narrow(ad.log_softmax(logits, axis=-1), 1, label, 1), -1.0)
 
 
 class Adam:

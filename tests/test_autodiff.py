@@ -65,11 +65,9 @@ def test_relu_definition():
     np.testing.assert_array_equal(out.data, [[0.0, 3.0]])
 
 
-def test_sqrt_and_log_domain_errors():
+def test_sqrt_domain_error():
     with pytest.raises(ValidationError):
         ad.sqrt(t([[-1.0]]))
-    with pytest.raises(ValidationError):
-        ad.log(t([[0.0]]))
 
 
 def test_layer_norm_constant_row_is_zero():
@@ -263,21 +261,21 @@ def test_gradcheck_unary_ops(op_idx, shape):
     def f():
         return ad.tsum(ad.mul(op(x), probe))
 
-    report = ad.grad_check(f, [Parameter("x", x)], eps=1e-5, tol=1e-4)
+    report = ad.grad_check(f, [Parameter("x", x)], eps=1e-5)
     assert report.passed(1e-4), report.entries
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_gradcheck_relu_sqrt_log(seed):
-    # Positive-domain / kink-free inputs for relu, sqrt, log.
+def test_gradcheck_relu_sqrt(seed):
+    # Positive-domain / kink-free inputs for relu and sqrt.
     rng = np.random.default_rng(seed)
     x = t(rng.uniform(0.5, 2.0, size=(3, 4)), rg=True)
     probe = t(rng.normal(size=(3, 4)))
-    for op in (ad.relu, ad.sqrt, ad.log):
+    for op in (ad.relu, ad.sqrt):
         def f(op=op):
             return ad.tsum(ad.mul(op(x), probe))
 
-        report = ad.grad_check(f, [Parameter("x", x)], eps=1e-6, tol=1e-4)
+        report = ad.grad_check(f, [Parameter("x", x)], eps=1e-6)
         assert report.passed(1e-4), (op, report.entries)
 
 

@@ -249,6 +249,23 @@ def test_config_file_unknown_key_exits_1(synth_dir, tmp_path, capsys):
     assert "epoochs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [
+    {"d_h": "8"}, {"lr": "0.1"}, {"seed": -1}, {"epochs": 1.5}, {"audio_dims": [1]},
+    {"lr": -1.0}, {"batch_size": True},
+], ids=["str_dim", "str_lr", "negative_seed", "float_epochs", "list_dims", "negative_lr",
+        "bool_batch_size"])
+def test_config_file_wrong_type_or_range_exits_1_with_one_line(synth_dir, tmp_path, capsys, bad):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"epochs": 1, **bad}))
+    code = main(["train", "--manifest", str(synth_dir / "manifest.jsonl"),
+                 "--config", str(cfg_file), "--checkpoint-out", str(tmp_path / "m.ptmf")])
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert next(iter(bad)) in err
+    assert not (tmp_path / "m.ptmf").exists()
+
+
 def test_config_file_invalid_json_exits_2(synth_dir, tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text("{not json")

@@ -174,18 +174,9 @@ def test_tx_empty_stack_is_projection_plus_embedding():
     out = mod.forward(Tensor(u_a), Tensor(u_v))
     ref_a = u_a @ mod.proj_a.weight.data + mod.proj_a.bias.data + mod.m_a.data
     ref_v = u_v @ mod.proj_v.weight.data + mod.proj_v.bias.data + mod.m_v.data
-    np.testing.assert_allclose(out.audio_token.data, ref_a, atol=1e-12)
-    np.testing.assert_allclose(out.visual_token.data, ref_v, atol=1e-12)
-    np.testing.assert_allclose(out.f_star.data, np.concatenate([ref_a, ref_v], axis=1), atol=1e-12)
-
-
-def test_tx_f_star_is_token_concat():
-    mod = _tx()
-    rng = np.random.default_rng(22)
-    out = mod.forward(Tensor(rng.normal(size=(1, 5))), Tensor(rng.normal(size=(1, 5))))
-    np.testing.assert_array_equal(
-        out.f_star.data, np.concatenate([out.audio_token.data, out.visual_token.data], axis=1))
-    assert out.f_star.shape == (1, 16)
+    assert out.shape == (2, 8)
+    np.testing.assert_allclose(out.data[0], ref_a[0], atol=1e-12)
+    np.testing.assert_allclose(out.data[1], ref_v[0], atol=1e-12)
 
 
 def test_tx_swap_equivariance_without_modality_embeddings():
@@ -201,8 +192,8 @@ def test_tx_swap_equivariance_without_modality_embeddings():
     swapped = mod.forward(u_v, u_a)
     # equality holds to the ULP: attn @ v uses FMA, and the token swap flips
     # which product lands in the fused (unrounded) operand slot
-    np.testing.assert_allclose(fwd.audio_token.data, swapped.visual_token.data, rtol=1e-14, atol=1e-15)
-    np.testing.assert_allclose(fwd.visual_token.data, swapped.audio_token.data, rtol=1e-14, atol=1e-15)
+    np.testing.assert_allclose(fwd.data[0], swapped.data[1], rtol=1e-14, atol=1e-15)
+    np.testing.assert_allclose(fwd.data[1], swapped.data[0], rtol=1e-14, atol=1e-15)
 
 
 def test_tx_modality_embeddings_break_symmetry():
@@ -212,7 +203,7 @@ def test_tx_modality_embeddings_break_symmetry():
     rng = np.random.default_rng(24)
     u = Tensor(rng.normal(size=(1, 5)))
     out = mod.forward(u, u)
-    assert np.any(out.audio_token.data != out.visual_token.data)
+    assert np.any(out.data[0] != out.data[1])
 
 
 def test_tx_attention_rows_stochastic():
@@ -232,8 +223,8 @@ def test_tx_deterministic_without_dropout():
     mod = _tx(dropout=0.3)
     rng = np.random.default_rng(26)
     u_a, u_v = Tensor(rng.normal(size=(1, 5))), Tensor(rng.normal(size=(1, 5)))
-    a = mod.forward(u_a, u_v, training=False).f_star.data
-    b = mod.forward(u_a, u_v, training=False).f_star.data
+    a = mod.forward(u_a, u_v, training=False).data
+    b = mod.forward(u_a, u_v, training=False).data
     np.testing.assert_array_equal(a, b)
 
 
@@ -247,10 +238,10 @@ def test_tx_gradcheck_two_layers():
     rng = np.random.default_rng(28)
     u_a = Tensor(rng.normal(size=(1, 5)))
     u_v = Tensor(rng.normal(size=(1, 5)))
-    probe = ad.constant(rng.normal(size=(1, 12)))
+    probe = ad.constant(rng.normal(size=(2, 6)))
 
     def f():
-        return ad.tsum(ad.mul(mod.forward(u_a, u_v).f_star, probe))
+        return ad.tsum(ad.mul(mod.forward(u_a, u_v), probe))
 
     report = ad.grad_check(f, collect_parameters(mod), eps=1e-5)
     assert report.passed(1e-4), report.entries

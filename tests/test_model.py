@@ -12,7 +12,7 @@ from ptmfnet.dataio import (AUDIO_STREAMS, VISUAL_STREAMS, PersonalityProfile,
 from ptmfnet.errors import ValidationError
 from ptmfnet.layers import ForwardTrace
 from ptmfnet.model import (ClassifierHead, DepressionModel, ModelConfig,
-                           SampleFeatures, classify, load_sample_features)
+                           SampleFeatures, load_sample_features)
 from ptmfnet.training import cross_entropy
 
 SMALL = dict(audio_hidden=4, visual_hidden=4, coatt_lld_dim=4, coatt_mfcc_dim=4,
@@ -47,16 +47,6 @@ def test_forward_logit_shape_per_task(task, n_cls):
     assert logits.shape == (1, n_cls)
     assert np.all(np.isfinite(logits.data))
     assert cfg.n_classes == n_cls
-
-
-def test_classify_is_a_probability_row():
-    cfg = make_cfg(task="quinary")
-    rng = np.random.default_rng(2)
-    model = DepressionModel(cfg, rng)
-    probs = classify(model.forward(make_feats(cfg, rng))).data
-    assert probs.shape == (1, 5)
-    assert np.all(probs > 0)
-    np.testing.assert_allclose(probs.sum(), 1.0, rtol=1e-12)
 
 
 def test_predict_matches_argmax_of_logits():
@@ -148,6 +138,30 @@ def test_parameters_feed_only_matmul_add_layer_norm():
     assert not bad, bad
 
 
+def _capture_tokens(model) -> dict:
+    """Wrap this model's transformer fusion so its output lands in the dict."""
+    seen = {}
+    tx_forward = model.fuse["tx"].forward
+    model.fuse["tx"].forward = lambda *a, **kw: seen.setdefault("tokens", tx_forward(*a, **kw))
+    return seen
+
+
+def test_transformer_tokens_reach_ptmfim_without_glue_ops():
+    # the (2, d_model) token matrix goes straight into PTMFIM's projection:
+    # no node slices it into rows or joins it back together
+    cfg = ModelConfig.compact()
+    model = DepressionModel(cfg, np.random.default_rng(33))
+    seen = _capture_tokens(model)
+    feats = make_feats(cfg, np.random.default_rng(34))
+    with ad.Tape() as tape:
+        cross_entropy(model.forward(feats, training=True, rng=np.random.default_rng(35)), feats.label)
+    tokens = seen["tokens"]
+    assert tokens.shape == (2, cfg.d_model)
+    consumers = [_op_name(node.vjp) for node in tape.nodes
+                 if any(t is tokens for t in node.inputs)]
+    assert consumers == ["matmul"]
+
+
 def test_parameter_names_unique_and_stable():
     cfg = make_cfg()
     a = [p.name for p in collect_parameters(DepressionModel(cfg, np.random.default_rng(0)))]
@@ -170,6 +184,19 @@ def test_wo_ptmfim_has_zero_ptmfim_parameters():
     assert fc1.data.shape[0] == 2 * cfg.d_model + cfg.personality_dim
     logits = model.forward(make_feats(cfg, np.random.default_rng(8)))
     assert logits.shape == (1, cfg.n_classes)
+
+
+def test_wo_ptmfim_head_input_is_token_rows_then_personality():
+    cfg = make_cfg(ptmfim=False)
+    model = DepressionModel(cfg, np.random.default_rng(36))
+    seen = _capture_tokens(model)
+    head_forward = model.head.forward
+    model.head.forward = lambda x: head_forward(seen.setdefault("head_in", x))
+    feats = make_feats(cfg, np.random.default_rng(37))
+    model.forward(feats)
+    tokens = seen["tokens"].data
+    expected = np.concatenate([tokens[0], tokens[1], feats.personality])[None, :]
+    np.testing.assert_array_equal(seen["head_in"].data, expected)
 
 
 def test_full_model_head_consumes_interaction_vector():

@@ -4,15 +4,13 @@ import pytest
 from ptmfnet import autodiff as ad
 from ptmfnet.autodiff import Tensor, collect_parameters
 from ptmfnet.errors import ValidationError
-from ptmfnet.fusion import FusedRepresentation
 from ptmfnet.layers import ForwardTrace
 from ptmfnet.ptmfim import Ptmfim
 
 
-def _fused(tok_a, tok_v):
-    a = Tensor(np.asarray(tok_a, dtype=float)[None, :])
-    v = Tensor(np.asarray(tok_v, dtype=float)[None, :])
-    return FusedRepresentation(f_star=ad.concat([a, v], axis=1), audio_token=a, visual_token=v)
+def _tokens(tok_a, tok_v):
+    """(2, d) token matrix as the transformer fusion emits it: audio row, visual row."""
+    return Tensor(np.stack([np.asarray(tok_a, dtype=float), np.asarray(tok_v, dtype=float)]))
 
 
 def _module(d_p=5, d_m=6, d_h=4, n_p=3, seed=0):
@@ -83,7 +81,7 @@ def test_attention_rows_stochastic():
     mod = _module()
     rng = np.random.default_rng(4)
     trace = ForwardTrace()
-    mod.forward(Tensor(rng.normal(size=(1, 5))), _fused(rng.normal(size=6), rng.normal(size=6)),
+    mod.forward(Tensor(rng.normal(size=(1, 5))), _tokens(rng.normal(size=6), rng.normal(size=6)),
                 trace=trace)
     assert len(trace.attention_rows) == 2  # one BCA, one TIA
     assert trace.attention_rows[0].shape == (3, 2)
@@ -182,7 +180,7 @@ def test_gate_strictly_open_interval():
     for seed in range(20):
         mod = _module(seed=seed)
         res = mod.forward(Tensor(rng.normal(size=(1, 5)) * 10),
-                          _fused(rng.normal(size=6) * 10, rng.normal(size=6) * 10))
+                          _tokens(rng.normal(size=6) * 10, rng.normal(size=6) * 10))
         g = res.gate_values.data
         assert np.all(g > 0.0) and np.all(g < 1.0)
 
@@ -196,7 +194,7 @@ def test_forward_matches_loop_oracle():
     rng = np.random.default_rng(19)
     emb = rng.normal(size=5)
     tok_a, tok_v = rng.normal(size=6), rng.normal(size=6)
-    res = mod.forward(Tensor(emb[None, :]), _fused(tok_a, tok_v))
+    res = mod.forward(Tensor(emb[None, :]), _tokens(tok_a, tok_v))
     ref_out, ref_g, ref_bca, ref_tia = _ref_forward(mod, emb, tok_a, tok_v)
     np.testing.assert_allclose(res.out.data[0], ref_out, atol=1e-12)
     np.testing.assert_allclose(res.gate_values.data[0], ref_g, atol=1e-12)
@@ -209,7 +207,7 @@ def test_zero_embedding_zero_bias_uniform_attention():
     mod.pers_proj.bias.data[...] = 0.0
     rng = np.random.default_rng(21)
     trace = ForwardTrace()
-    res = mod.forward(Tensor(np.zeros((1, 5))), _fused(rng.normal(size=6), rng.normal(size=6)),
+    res = mod.forward(Tensor(np.zeros((1, 5))), _tokens(rng.normal(size=6), rng.normal(size=6)),
                       trace=trace)
     np.testing.assert_allclose(trace.attention_rows[0], np.full((3, 2), 0.5), atol=1e-12)
     # p_pooled vanishes, so the output is exactly the gated tia mean
@@ -222,7 +220,7 @@ def test_zero_multimodal_keeps_personality_residual():
     mod.mm_proj.bias.data[...] = 0.0
     rng = np.random.default_rng(23)
     emb = rng.normal(size=(1, 5))
-    res = mod.forward(Tensor(emb), _fused(np.zeros(6), np.zeros(6)))
+    res = mod.forward(Tensor(emb), _tokens(np.zeros(6), np.zeros(6)))
     p_pooled = mod.personality_tokens(Tensor(emb)).data.mean(axis=0)
     # bca and tia collapse to zero, so only the residual path remains
     np.testing.assert_allclose(res.out.data[0], p_pooled, atol=1e-12)
@@ -234,7 +232,7 @@ def test_output_dims_across_configs():
     for d_h, n_p in ((2, 1), (4, 3), (8, 4)):
         mod = _module(d_p=5, d_m=6, d_h=d_h, n_p=n_p, seed=d_h + n_p)
         res = mod.forward(Tensor(rng.normal(size=(1, 5))),
-                          _fused(rng.normal(size=6), rng.normal(size=6)))
+                          _tokens(rng.normal(size=6), rng.normal(size=6)))
         assert res.out.shape == (1, d_h)
         assert res.gate_values.shape == (1, d_h)
 
@@ -243,11 +241,11 @@ def test_ptmfim_gradcheck():
     mod = _module(d_p=4, d_m=5, d_h=3, n_p=2, seed=27)
     rng = np.random.default_rng(28)
     emb = Tensor(rng.normal(size=(1, 4)))
-    fused = _fused(rng.normal(size=5), rng.normal(size=5))
+    tokens = _tokens(rng.normal(size=5), rng.normal(size=5))
     probe = ad.constant(rng.normal(size=(1, 3)))
 
     def f():
-        return ad.tsum(ad.mul(mod.forward(emb, fused).out, probe))
+        return ad.tsum(ad.mul(mod.forward(emb, tokens).out, probe))
 
     report = ad.grad_check(f, collect_parameters(mod), eps=1e-5)
     assert report.passed(1e-4), report.entries
