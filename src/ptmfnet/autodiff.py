@@ -222,14 +222,17 @@ def scale(x: Tensor, c: float) -> Tensor:
     return _record(out, (x,), lambda g: (g * c,))
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    d = x.data
-    out_data = np.empty_like(d)
+def _sigmoid(d: np.ndarray) -> np.ndarray:
+    out = np.empty_like(d)
     pos = d >= 0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
     e = np.exp(d[~pos])
-    out_data[~pos] = e / (1.0 + e)
-    out = _result(out_data, x.requires_grad)
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    out = _result(_sigmoid(x.data), x.requires_grad)
     s = out.data
     return _record(out, (x,), lambda g: (g * s * (1.0 - s),))
 
@@ -305,6 +308,46 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         return dx, dgain, dbias
 
     return _record(out, (x, gain, bias), vjp)
+
+
+def lstm(x: Tensor, W: Tensor, U: Tensor, b: Tensor) -> Tensor:
+    """One LSTM layer over a (T, D) sequence -> hidden states (T, H), as one op.
+
+    W (D x 4H), U (H x 4H) and b (1 x 4H) hold gate columns i|f|o|g; h and c
+    start at zero. The VJP runs backpropagation through time: O(T) time and memory.
+    """
+    (t_len, d), h_dim = x.shape, U.shape[0]
+    if t_len < 1 or W.shape != (d, 4 * h_dim) or U.shape != (h_dim, 4 * h_dim) or b.shape != (1, 4 * h_dim):
+        raise ShapeError(f"lstm shapes disagree: x {x.shape}, W {W.shape}, U {U.shape}, b {b.shape}")
+    k = 3 * h_dim  # i|f|o columns take the sigmoid, g the tanh
+    xw = x.data @ W.data + b.data
+    gates = np.empty((t_len, 4 * h_dim))
+    c, h = np.zeros((2, t_len + 1, h_dim))  # row t + 1 holds the state after step t
+    tc = np.empty((t_len, h_dim))  # tanh(c[1:])
+    for t in range(t_len):
+        pre = xw[t : t + 1] + h[t : t + 1] @ U.data
+        gates[t] = np.concatenate([_sigmoid(pre[:, :k]), np.tanh(pre[:, k:])], axis=1)
+        i, f, o, g = gates[t].reshape(4, 1, h_dim)
+        c[t + 1] = f * c[t : t + 1] + i * g
+        tc[t] = np.tanh(c[t + 1 : t + 2])
+        h[t + 1] = o * tc[t : t + 1]
+    out = _result(h[1:], x.requires_grad or W.requires_grad or U.requires_grad or b.requires_grad)
+
+    def vjp(gy):
+        d_pre = np.empty_like(gates)
+        dh = dc = np.zeros((1, h_dim))
+        for t in range(t_len - 1, -1, -1):
+            i, f, o, g = gates[t].reshape(4, 1, h_dim)
+            dh = gy[t : t + 1] + dh
+            dc = dc + dh * o * (1.0 - tc[t] * tc[t])
+            d_ifo = np.concatenate([dc * g, dc * c[t], dh * tc[t]], axis=1)
+            d_pre[t, :k] = d_ifo * gates[t, :k] * (1.0 - gates[t, :k])
+            d_pre[t, k:] = dc * i * (1.0 - g * g)
+            dh = d_pre[t : t + 1] @ U.data.T
+            dc = dc * f
+        return d_pre @ W.data.T, x.data.T @ d_pre, h[:-1].T @ d_pre, d_pre.sum(axis=0, keepdims=True)
+
+    return _record(out, (x, W, U, b), vjp)
 
 
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) -> Tensor:

@@ -2,7 +2,9 @@
 pooling (ASP) from frame level to utterance level.
 
 Everything operates on (T, D) tape tensors and returns row vectors or
-sequences; batching is handled one sample at a time by the trainer.
+sequences; batching is handled one sample at a time by the trainer. The
+LSTM is the fused `autodiff.lstm` op: one tape node per sequence, whatever
+its length.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ class LstmEncoder(Module):
 
     The four gates are stored fused, in the layout the forward pass reads:
     W (D x 4H), U (H x 4H) and b (1 x 4H), gate columns in the order
-    i|f|o|g, so each step needs one recurrent matmul and the input
-    projection for all steps is one matmul. Forget bias starts at 1.0,
-    everything else uniform in +/- 1/sqrt(H).
+    i|f|o|g, which is what `autodiff.lstm` takes: one input projection for
+    all steps, then one recurrent matmul per step. Forget bias starts at
+    1.0, everything else uniform in +/- 1/sqrt(H).
     """
 
     GATES = ("i", "f", "o", "g")
@@ -46,29 +48,10 @@ class LstmEncoder(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         """x: (T, D) -> hidden sequence (T, H)."""
-        t_len, d = x.shape
+        _, d = x.shape
         if d != self.input_dim:
             raise ValidationError(f"input dim {d} does not match encoder dim {self.input_dim}")
-        h_dim = self.hidden_dim
-
-        # input contributions for all steps at once
-        xw = ad.add(ad.matmul(x, self.W), self.b)
-
-        h = ad.constant(np.zeros((1, h_dim)))
-        c = ad.constant(np.zeros((1, h_dim)))
-        outputs = []
-        for t in range(t_len):
-            pre = ad.add(ad.narrow(xw, 0, t, 1), ad.matmul(h, self.U))
-            # i|f|o share the sigmoid, g is the tanh candidate
-            gates = ad.sigmoid(ad.narrow(pre, 1, 0, 3 * h_dim))
-            i = ad.narrow(gates, 1, 0, h_dim)
-            f = ad.narrow(gates, 1, h_dim, h_dim)
-            o = ad.narrow(gates, 1, 2 * h_dim, h_dim)
-            g = ad.tanh(ad.narrow(pre, 1, 3 * h_dim, h_dim))
-            c = ad.add(ad.mul(f, c), ad.mul(i, g))
-            h = ad.mul(o, ad.tanh(c))
-            outputs.append(h)
-        return ad.concat(outputs, axis=0)
+        return ad.lstm(x, self.W, self.U, self.b)
 
 
 class AspPooling(Module):

@@ -114,6 +114,13 @@ class ModelConfig:
             raise ValidationError("tx_layers, epochs and seed must be non-negative")
         if self.lr <= 0:
             raise ValidationError(f"lr must be positive, got {self.lr!r}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValidationError(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
+        if self.adam_eps <= 0:
+            raise ValidationError(f"adam_eps must be positive, got {self.adam_eps!r}")
+        if self.weight_decay < 0:
+            raise ValidationError(f"weight_decay must be non-negative, got {self.weight_decay!r}")
 
     @property
     def n_classes(self) -> int:

@@ -9,6 +9,7 @@ spawned off the config seed, in a fixed order.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -157,9 +158,23 @@ def _batches(seq: list, size: int):
         yield seq[start : start + size]
 
 
+def _check_finite(loss: Tensor, params: list[Parameter], epoch: int, step: int) -> None:
+    """Stop on a non-finite batch loss or global gradient norm, naming the
+    step and the first parameter whose gradient is not finite."""
+    norm = math.sqrt(sum(float(np.vdot(p.tensor.grad, p.tensor.grad)) for p in params))
+    if math.isfinite(loss.item()) and math.isfinite(norm):
+        return
+    bad = next((p.name for p in params if not np.all(np.isfinite(p.tensor.grad))), None)
+    where = f"; first non-finite gradient in {bad}" if bad else ""
+    raise ValidationError(f"training diverged at epoch {epoch}, step {step}: loss {loss.item()}, "
+                          f"gradient norm {norm}{where}")
+
+
 def train(cfg: ModelConfig, records, log_path=None) -> TrainState:
     """Full training run over manifest records; returns the model rolled
-    back to its best validation f1_task snapshot."""
+    back to its best validation f1_task snapshot. A non-finite loss or
+    gradient raises ValidationError before the optimizer step or any log
+    is written."""
     ss = np.random.SeedSequence(cfg.seed)
     init_ss, split_ss, sample_ss, drop_ss = ss.spawn(4)
 
@@ -182,7 +197,7 @@ def train(cfg: ModelConfig, records, log_path=None) -> TrainState:
     for epoch in range(cfg.epochs):
         order = _resample_indices(labels, cfg.n_classes, rng_sample)
         loss_sum = 0.0
-        for batch in _batches(order, cfg.batch_size):
+        for step, batch in enumerate(_batches(order, cfg.batch_size)):
             with Tape():
                 losses = [cross_entropy(
                     model.forward(train_feats[i], training=True, rng=rng_drop),
@@ -194,6 +209,7 @@ def train(cfg: ModelConfig, records, log_path=None) -> TrainState:
                 for p in params:
                     p.tensor.zero_grad()
                 ad.backward(batch_loss)
+            _check_finite(batch_loss, params, epoch, step)
             optimizer.step()
             loss_sum += batch_loss.item() * len(batch)
 

@@ -251,9 +251,10 @@ def test_config_file_unknown_key_exits_1(synth_dir, tmp_path, capsys):
 
 @pytest.mark.parametrize("bad", [
     {"d_h": "8"}, {"lr": "0.1"}, {"seed": -1}, {"epochs": 1.5}, {"audio_dims": [1]},
-    {"lr": -1.0}, {"batch_size": True},
+    {"lr": -1.0}, {"batch_size": True}, {"beta1": 1.0}, {"adam_eps": 0.0, "beta2": 0.0},
+    {"beta2": 1.5}, {"weight_decay": -5.0},
 ], ids=["str_dim", "str_lr", "negative_seed", "float_epochs", "list_dims", "negative_lr",
-        "bool_batch_size"])
+        "bool_batch_size", "beta1_one", "zero_adam_eps", "beta2_above_one", "negative_weight_decay"])
 def test_config_file_wrong_type_or_range_exits_1_with_one_line(synth_dir, tmp_path, capsys, bad):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"epochs": 1, **bad}))
@@ -264,6 +265,27 @@ def test_config_file_wrong_type_or_range_exits_1_with_one_line(synth_dir, tmp_pa
     assert err.startswith("error: ") and err.count("\n") == 1
     assert next(iter(bad)) in err
     assert not (tmp_path / "m.ptmf").exists()
+
+
+def test_diverging_training_exits_1_and_writes_nothing(tmp_path, capsys):
+    # lr 1e300 passes every config check; the second step's loss is NaN
+    assert main(["synth", "--n", "20", "--task", "binary", "--seed", "7",
+                 "--out-dir", str(tmp_path / "d")]) == EXIT_OK
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"lr": 1e300}))
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        code = main(["train", "--manifest", str(tmp_path / "d" / "manifest.jsonl"),
+                     "--config", str(cfg_file), "--epochs", "2",
+                     "--checkpoint-out", str(tmp_path / "m.ptmf"), "--log-out", str(tmp_path / "log.jsonl")])
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert "epoch 0, step 1" in errors[0] and "first non-finite gradient in " in errors[0]
+    assert not (tmp_path / "m.ptmf").exists()
+    assert not (tmp_path / "m.ptmf.json").exists()
+    assert not (tmp_path / "log.jsonl").exists()
 
 
 def test_config_file_invalid_json_exits_2(synth_dir, tmp_path):

@@ -47,6 +47,27 @@ def _ref_lstm(enc, x, out_gates=None):
     return np.stack(out)
 
 
+def _taped_lstm(enc, x):
+    """The op-by-op recurrence the fused `ad.lstm` replaced (15 recorded ops a
+    frame, plus 3 a call), kept as an oracle in the same expression order."""
+    h_dim = enc.hidden_dim
+    xw = ad.add(ad.matmul(x, enc.W), enc.b)
+    h = ad.constant(np.zeros((1, h_dim)))
+    c = ad.constant(np.zeros((1, h_dim)))
+    outputs = []
+    for t in range(x.shape[0]):
+        pre = ad.add(ad.narrow(xw, 0, t, 1), ad.matmul(h, enc.U))
+        gates = ad.sigmoid(ad.narrow(pre, 1, 0, 3 * h_dim))
+        i = ad.narrow(gates, 1, 0, h_dim)
+        f = ad.narrow(gates, 1, h_dim, h_dim)
+        o = ad.narrow(gates, 1, 2 * h_dim, h_dim)
+        g = ad.tanh(ad.narrow(pre, 1, 3 * h_dim, h_dim))
+        c = ad.add(ad.mul(f, c), ad.mul(i, g))
+        h = ad.mul(o, ad.tanh(c))
+        outputs.append(h)
+    return ad.concat(outputs, axis=0)
+
+
 # ---------------------------------------------------------------------------
 # LSTM
 
@@ -142,6 +163,60 @@ def test_lstm_gradcheck_five_steps():
 
     report = ad.grad_check(f, collect_parameters(enc), eps=1e-5)
     assert report.passed(1e-4), report.entries
+
+
+def _lstm_out_and_grads(run, enc, x, probe):
+    for t in (enc.W, enc.U, enc.b, x):
+        t.zero_grad()
+    with ad.Tape():
+        out = run(x)
+        ad.backward(ad.tsum(ad.mul(out, probe)))
+    return out.data, {"W": enc.W.grad.copy(), "U": enc.U.grad.copy(),
+                      "b": enc.b.grad.copy(), "x": x.grad.copy()}
+
+
+@pytest.mark.parametrize("t_len", [1, 2, 37])
+def test_fused_lstm_matches_taped_recurrence(t_len):
+    rng = np.random.default_rng(40 + t_len)
+    enc = LstmEncoder(3, 5, rng)
+    x = Tensor(rng.normal(size=(t_len, 3)), requires_grad=True)
+    probe = ad.constant(rng.normal(size=(t_len, 5)))
+    out, grads = _lstm_out_and_grads(enc.forward, enc, x, probe)
+    ref_out, ref = _lstm_out_and_grads(lambda v: _taped_lstm(enc, v), enc, x, probe)
+    np.testing.assert_array_equal(out, ref_out)
+    for name in ("W", "b", "x"):
+        np.testing.assert_array_equal(grads[name], ref[name], err_msg=name)
+    # U's per-step terms are summed as one matmul instead of one by one
+    assert np.max(np.abs(grads["U"] - ref["U"])) <= 1e-12 * np.max(np.abs(ref["U"]))
+
+
+@pytest.mark.parametrize("t_len", [1, 50, 2000])
+def test_lstm_forward_records_one_tape_node(t_len):
+    enc = LstmEncoder(2, 3, np.random.default_rng(13))
+    with ad.Tape() as tape:
+        enc.forward(Tensor(np.random.default_rng(14).normal(size=(t_len, 2))))
+    assert len(tape.nodes) == 1
+
+
+def test_lstm_gradcheck_input():
+    rng = np.random.default_rng(15)
+    enc = LstmEncoder(2, 3, rng)
+    x = ad.Parameter("x", Tensor(rng.normal(size=(6, 2)), requires_grad=True))
+    probe = ad.constant(rng.normal(size=(6, 3)))
+
+    def f():
+        return ad.tsum(ad.mul(enc.forward(x.tensor), probe))
+
+    report = ad.grad_check(f, [x], eps=1e-5)
+    assert report.passed(1e-4), report.entries
+
+
+def test_fused_lstm_rejects_empty_sequence_and_bad_shapes():
+    enc = LstmEncoder(2, 3, np.random.default_rng(16))
+    with pytest.raises(ad.ShapeError):
+        ad.lstm(Tensor(np.zeros((0, 2))), enc.W, enc.U, enc.b)
+    with pytest.raises(ad.ShapeError):
+        ad.lstm(Tensor(np.zeros((4, 2))), enc.W, enc.W, enc.b)
 
 
 # ---------------------------------------------------------------------------

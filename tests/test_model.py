@@ -119,9 +119,10 @@ def _op_name(vjp) -> str:
     return name
 
 
-def test_parameters_feed_only_matmul_add_layer_norm():
+def test_parameters_feed_only_matmul_add_layer_norm_lstm():
     # parameters are stored in the layout their forward reads, so a training
-    # forward records no reshape, transpose or concat of a parameter
+    # forward records no reshape, transpose or concat of a parameter; the LSTM
+    # weights go straight into the fused lstm op
     cfg = ModelConfig.compact()
     model = DepressionModel(cfg, np.random.default_rng(30))
     params = {id(p.tensor): p.name for p in collect_parameters(model)}
@@ -134,7 +135,7 @@ def test_parameters_feed_only_matmul_add_layer_norm():
             if id(t) in params:
                 uses.setdefault(params[id(t)], set()).add(_op_name(node.vjp))
     assert set(uses) == set(params.values())
-    bad = {name: ops for name, ops in uses.items() if not ops <= {"matmul", "add", "layer_norm"}}
+    bad = {name: ops for name, ops in uses.items() if not ops <= {"matmul", "add", "layer_norm", "lstm"}}
     assert not bad, bad
 
 
