@@ -62,18 +62,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
 
 def _result(data: np.ndarray, requires_grad: bool) -> Tensor:
     # Internal constructor for op outputs. Finiteness here is a debug-mode
@@ -208,10 +196,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _binary(a, b, np.add, lambda g, x, y: (g, g))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _binary(a, b, np.subtract, lambda g, x, y: (g, -g))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     return _binary(a, b, np.multiply, lambda g, x, y: (g * y, g * x))
 
@@ -249,29 +233,13 @@ def relu(x: Tensor) -> Tensor:
     return _record(out, (x,), lambda g: (g * mask,))
 
 
-def square(x: Tensor) -> Tensor:
-    out = _result(x.data * x.data, x.requires_grad)
-    return _record(out, (x,), lambda g: (g * 2.0 * x.data,))
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
-def sqrt(x: Tensor) -> Tensor:
-    if np.any(x.data < 0):
-        raise ValidationError("sqrt of negative values")
-    out = _result(np.sqrt(x.data), x.requires_grad)
-    r = out.data
-    return _record(out, (x,), lambda g: (g * 0.5 / r,))
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = _result(e / e.sum(axis=axis, keepdims=True), x.requires_grad)
-    s = out.data
-
-    def vjp(g):
-        return (s * (g - (g * s).sum(axis=axis, keepdims=True)),)
-
-    return _record(out, (x,), vjp)
+def _softmax_vjp(g: np.ndarray, s: np.ndarray, axis: int) -> np.ndarray:
+    return s * (g - (g * s).sum(axis=axis, keepdims=True))
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -350,6 +318,73 @@ def lstm(x: Tensor, W: Tensor, U: Tensor, b: Tensor) -> Tensor:
     return _record(out, (x, W, U, b), vjp)
 
 
+def attentive_stats(h: Tensor, W: Tensor, b: Tensor, v: Tensor, eps: float) -> tuple[Tensor, np.ndarray]:
+    """Attentive statistics pooling of a (T, H) sequence, as one op.
+
+    Frame weights alpha = softmax over t of tanh(h W + b) v, with W (H x A),
+    b (1 x A) and v (A x 1), give the weighted mean mu and the weighted std
+    s = sqrt(relu(sum_t alpha_t h_t^2 - mu^2) + eps). Returns the (1, 2H) row
+    [mu | s] and the (T, 1) weights as a plain array.
+    """
+    (t_len, h_dim), a_dim = h.shape, W.shape[-1]
+    if t_len < 1 or W.shape != (h_dim, a_dim) or b.shape != (1, a_dim) or v.shape != (a_dim, 1):
+        raise ShapeError(f"attentive_stats shapes disagree: h {h.shape}, W {W.shape}, b {b.shape}, v {v.shape}")
+    if eps <= 0:
+        raise ValidationError("attentive_stats eps must be positive")
+    proj = np.tanh(h.data @ W.data + b.data)
+    alpha = _softmax(proj @ v.data, axis=0)
+    mu = (alpha * h.data).sum(axis=0, keepdims=True)
+    sq = h.data * h.data
+    diff = (alpha * sq).sum(axis=0, keepdims=True) - mu * mu
+    s = np.sqrt(np.maximum(diff, 0.0) + eps)
+    out = _result(np.concatenate([mu, s], axis=1), any(t.requires_grad for t in (h, W, b, v)))
+
+    def vjp(g):
+        g_diff = g[:, h_dim:] * 0.5 / s * (diff > 0)
+        g_mu = g[:, :h_dim] - g_diff * 2.0 * mu
+        d_alpha = (g_diff * sq).sum(axis=1, keepdims=True) + (g_mu * h.data).sum(axis=1, keepdims=True)
+        d_scores = _softmax_vjp(d_alpha, alpha, axis=0)
+        d_pre = d_scores @ v.data.T * (1.0 - proj * proj)
+        dh = g_diff * alpha * 2.0 * h.data + g_mu * alpha + d_pre @ W.data.T
+        return dh, h.data.T @ d_pre, d_pre.sum(axis=0, keepdims=True), proj.T @ d_scores
+
+    return _record(out, (h, W, b, v), vjp), alpha
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int = 1) -> tuple[Tensor, np.ndarray]:
+    """Multi-head scaled dot-product attention, as one op.
+
+    The columns of q (n_q x d), k (n_k x d) and v (n_k x d_v) split into
+    n_heads equal blocks; head j computes softmax(q_j k_j^T / sqrt(d / n_heads)) v_j,
+    and the heads' outputs sit side by side in head order. Returns the
+    (n_q, d_v) output and the (n_heads, n_q, n_k) weights as a plain array.
+    """
+    if q.data.ndim != 2 or v.data.ndim != 2 or k.shape != (v.shape[0], q.shape[1]) \
+            or n_heads < 1 or q.shape[1] % n_heads or v.shape[1] % n_heads:
+        raise ShapeError(f"attention shapes disagree: q {q.shape}, k {k.shape}, v {v.shape}, {n_heads} heads")
+
+    def split(x, width):  # (n, n_heads * width) -> (n_heads, n, width)
+        return np.ascontiguousarray(x.reshape(len(x), n_heads, width).transpose(1, 0, 2))
+
+    def join(x):  # (n_heads, n, width) -> (n, n_heads * width)
+        return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
+
+    d, d_v = q.shape[1] // n_heads, v.shape[1] // n_heads  # per head
+    qh, vh = split(q.data, d), split(v.data, d_v)
+    k_t = np.ascontiguousarray(split(k.data, d).transpose(0, 2, 1))
+    c = 1.0 / np.sqrt(d)
+    attn = _softmax(qh @ k_t * c, axis=-1)
+    out = _result(join(attn @ vh), q.requires_grad or k.requires_grad or v.requires_grad)
+
+    def vjp(g):
+        gh = split(g, d_v)
+        d_scores = _softmax_vjp(gh @ vh.transpose(0, 2, 1), attn, axis=-1) * c
+        dq, d_k_t = d_scores @ k_t.transpose(0, 2, 1), qh.transpose(0, 2, 1) @ d_scores
+        return join(dq), join(d_k_t.transpose(0, 2, 1)), join(attn.transpose(0, 2, 1) @ gh)
+
+    return _record(out, (q, k, v), vjp), attn
+
+
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) -> Tensor:
     """Zero elements with probability `rate` and rescale survivors; identity at inference."""
     if not 0.0 <= rate < 1.0:
@@ -411,13 +446,6 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _record(out, (x,), lambda g: (g.reshape(x.shape),))
 
 
-def transpose(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got {x.shape}")
-    out = _result(x.data.T.copy(), x.requires_grad)
-    return _record(out, (x,), lambda g: (g.T,))
-
-
 def tsum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     out = _result(x.data.sum(axis=axis, keepdims=keepdims), x.requires_grad)
 
@@ -433,11 +461,6 @@ def tsum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
 def tmean(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     n = x.size if axis is None else x.shape[axis]
     return scale(tsum(x, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
-def constant(data) -> Tensor:
-    """A non-differentiable tensor (convenience for literals in graphs)."""
-    return Tensor(np.asarray(data, dtype=np.float64), requires_grad=False)
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +484,6 @@ class Module:
     def named_parameters(self, prefix: str = "") -> Iterator[Parameter]:
         for attr, val in vars(self).items():
             yield from _walk_params(f"{prefix}{attr}", val)
-
-    def parameters(self) -> list[Tensor]:
-        return [p.tensor for p in self.named_parameters()]
 
 
 def _walk_params(name: str, val) -> Iterator[Parameter]:

@@ -179,6 +179,17 @@ def _resolve(base: Path, value: str) -> Path:
     return p if p.is_absolute() else base / p
 
 
+def _field(obj: dict, key: str, kind: type, errors, line_no, default=None):
+    """obj[key] when it is a `kind` (or `default` when absent), else None with
+    the error recorded."""
+    value = obj.get(key, default)
+    if isinstance(value, kind) and (kind is not str or value):
+        return value
+    wanted = "a non-empty string" if kind is str else "a JSON object"
+    errors.append(f"line {line_no}: {key!r} must be {wanted}, got {json.dumps(value)[:40]}")
+    return None
+
+
 def load_manifest(path) -> list[SampleRecord]:
     """Parse a JSON-lines manifest, validating every record.
 
@@ -193,19 +204,24 @@ def load_manifest(path) -> list[SampleRecord]:
     errors: list[str] = []
     seen_ids: dict[str, int] = {}
 
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                errors.append(f"line {line_no}: invalid JSON ({exc.msg})")
-                continue
-            record = _parse_record(obj, base, line_no, errors, seen_ids)
-            if record is not None:
-                records.append(record)
+    for line_no, raw in enumerate(path.read_bytes().splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: line {line_no} is not UTF-8 text ({exc.reason})") from exc
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            errors.append(f"line {line_no}: invalid JSON ({exc.msg})")
+            continue
+        if not isinstance(obj, dict):
+            errors.append(f"line {line_no}: expected a JSON object, got {type(obj).__name__}")
+            continue
+        record = _parse_record(obj, base, line_no, errors, seen_ids)
+        if record is not None:
+            records.append(record)
 
     if errors:
         raise ValidationError(f"{path}: {len(errors)} invalid manifest line(s)\n" + "\n".join(errors))
@@ -223,13 +239,18 @@ def _parse_record(obj, base, line_no, errors, seen_ids):
     else:
         seen_ids[sample_id] = line_no
 
-    audio = obj.get("audio_paths", {})
-    visual = obj.get("visual_paths", {})
     resolved_audio, resolved_visual = {}, {}
-    for streams, src, dst, label in ((AUDIO_STREAMS, audio, resolved_audio, "audio"),
-                                     (VISUAL_STREAMS, visual, resolved_visual, "visual")):
+    for streams, key, dst, label in ((AUDIO_STREAMS, "audio_paths", resolved_audio, "audio"),
+                                     (VISUAL_STREAMS, "visual_paths", resolved_visual, "visual")):
+        src = _field(obj, key, dict, errors, line_no, {})
+        if src is None:
+            ok = False
+            continue
         for stream in streams:
             if not _require(stream in src, errors, line_no, f"missing {label} stream {stream!r}"):
+                ok = False
+                continue
+            if _field(src, stream, str, errors, line_no) is None:
                 ok = False
                 continue
             p = _resolve(base, src[stream])
@@ -237,8 +258,9 @@ def _parse_record(obj, base, line_no, errors, seen_ids):
                 ok = False
             dst[stream] = p
 
-    labels = obj.get("labels", {})
-    for task in TASKS:
+    labels = _field(obj, "labels", dict, errors, line_no, {})
+    ok = ok and labels is not None
+    for task in TASKS if labels is not None else ():
         if not _require(task in labels, errors, line_no, f"missing label for task {task!r}"):
             ok = False
             continue
@@ -256,6 +278,8 @@ def _parse_record(obj, base, line_no, errors, seen_ids):
 
     emb_path = None
     if obj.get("personality_embedding_path") is not None:
+        if _field(obj, "personality_embedding_path", str, errors, line_no) is None:
+            return None
         emb_path = _resolve(base, obj["personality_embedding_path"])
         if not _require(emb_path.exists(), errors, line_no,
                         f"personality embedding path does not exist: {emb_path}"):

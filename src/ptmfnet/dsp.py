@@ -105,8 +105,8 @@ def zero_crossing_rate(frames: np.ndarray) -> np.ndarray:
     Expects unwindowed frames (windowing corrupts sign structure); zero
     samples count as positive, so digital silence has rate 0.
     """
-    signs = np.where(frames >= 0.0, 1.0, -1.0)
-    changes = np.sum(signs[:, 1:] != signs[:, :-1], axis=1, keepdims=True)
+    negative = frames < 0.0
+    changes = np.sum(negative[:, 1:] != negative[:, :-1], axis=1, keepdims=True)
     return changes / float(frames.shape[1] - 1)
 
 
@@ -193,11 +193,13 @@ def read_wav(path) -> Waveform:
             width = fh.getsampwidth()
             rate = fh.getframerate()
             raw = fh.readframes(fh.getnframes())
-    except (wave.Error, EOFError) as exc:
-        raise DataFormatError(f"{path}: not a readable WAV file ({exc})") from exc
+    except (wave.Error, EOFError, RuntimeError) as exc:  # RuntimeError: a chunk size past EOF
+        raise DataFormatError(f"{path}: not a readable WAV file ({exc or type(exc).__name__})") from exc
     if channels != 1:
         raise DataFormatError(f"{path}: expected mono audio, found {channels} channels")
     if width != 2:
         raise DataFormatError(f"{path}: expected 16-bit PCM, found {8 * width}-bit")
+    if len(raw) % 2:
+        raise DataFormatError(f"{path}: sample data ends mid-sample ({len(raw)} bytes)")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return Waveform(samples, rate)

@@ -2,9 +2,9 @@
 pooling (ASP) from frame level to utterance level.
 
 Everything operates on (T, D) tape tensors and returns row vectors or
-sequences; batching is handled one sample at a time by the trainer. The
-LSTM is the fused `autodiff.lstm` op: one tape node per sequence, whatever
-its length.
+sequences; batching is handled one sample at a time by the trainer. Each
+block is one fused autodiff op, `lstm` and `attentive_stats`, so it records
+one tape node per sequence, whatever its length.
 """
 
 from __future__ import annotations
@@ -59,7 +59,8 @@ class AspPooling(Module):
 
     Scores e_t = tanh(h_t W + b) v feed a softmax over time; the output
     row is concat(mu, s) with s = sqrt(relu(E[h^2] - mu^2) + eps), so the
-    std half is never below sqrt(eps).
+    std half is never below sqrt(eps). The whole block is the fused
+    `autodiff.attentive_stats` op.
     """
 
     def __init__(self, hidden_dim: int, attn_dim: int, rng: np.random.Generator, eps: float = 1e-6):
@@ -74,22 +75,12 @@ class AspPooling(Module):
         self.b = ad.uniform_init(rng, (1, attn_dim), bound)
         self.v = ad.uniform_init(rng, (attn_dim, 1), bound)
 
-    def attention(self, h: Tensor) -> Tensor:
-        """Frame weights (T, 1); positive, summing to 1."""
-        proj = ad.tanh(ad.add(ad.matmul(h, self.W), self.b))
-        scores = ad.matmul(proj, self.v)
-        return ad.softmax(scores, axis=0)
-
     def forward(self, h: Tensor, trace=None) -> Tensor:
         """h: (T, H) -> (1, 2H) row of weighted mean then weighted std."""
         if h.shape[1] != self.hidden_dim:
             raise ValidationError(f"hidden dim {h.shape[1]} does not match pooling dim {self.hidden_dim}")
-        alpha = self.attention(h)
-        mu = ad.tsum(ad.mul(alpha, h), axis=0, keepdims=True)
-        second = ad.tsum(ad.mul(alpha, ad.square(h)), axis=0, keepdims=True)
-        var = ad.relu(ad.sub(second, ad.square(mu)))
-        s = ad.sqrt(ad.add(var, ad.constant(np.full((1, self.hidden_dim), self.eps))))
+        out, alpha = ad.attentive_stats(h, self.W, self.b, self.v, self.eps)
         if trace is not None:
-            trace.attention_rows.append(alpha.data.T.copy())
-            trace.asp_std.append(s.data[0].copy())
-        return ad.concat([mu, s], axis=1)
+            trace.attention_rows.append(alpha.T.copy())
+            trace.asp_std.append(out.data[0, self.hidden_dim:].copy())
+        return out

@@ -87,7 +87,6 @@ class TransformerLayer(Module):
         if d_model % n_heads:
             raise ValidationError(f"d_model={d_model} not divisible by n_heads={n_heads}")
         self.n_heads = n_heads
-        self.d_head = d_model // n_heads
         self.ln1_gain = Tensor(np.ones(d_model), requires_grad=True)
         self.ln1_bias = Tensor(np.zeros(d_model), requires_grad=True)
         self.q = Linear(d_model, d_model, rng)
@@ -101,12 +100,8 @@ class TransformerLayer(Module):
         self.dropout = dropout
 
     def _attend(self, x: Tensor, trace) -> Tensor:
-        q, k, v = self.q.forward(x), self.k.forward(x), self.v.forward(x)
-        heads = []
-        for h in range(self.n_heads):
-            sl = lambda t: ad.narrow(t, 1, h * self.d_head, self.d_head)
-            heads.append(attention(sl(q), sl(k), sl(v), trace))
-        return self.o.forward(ad.concat(heads, axis=1))
+        heads = attention(self.q.forward(x), self.k.forward(x), self.v.forward(x), trace, self.n_heads)
+        return self.o.forward(heads)
 
     def forward(self, x: Tensor, training: bool, rng, trace=None) -> Tensor:
         attn = self._attend(ad.layer_norm(x, self.ln1_gain, self.ln1_bias), trace)

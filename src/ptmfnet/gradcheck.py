@@ -35,7 +35,7 @@ class BatteryCase:
 
 def _projected(out: Tensor, rng: np.random.Generator) -> Tensor:
     r = rng.standard_normal(out.shape)
-    return ad.tsum(ad.mul(out, ad.constant(r)))
+    return ad.tsum(ad.mul(out, Tensor(r)))
 
 
 def run_battery(seed: int) -> list[BatteryCase]:
@@ -73,7 +73,7 @@ def run_battery(seed: int) -> list[BatteryCase]:
     pers = Tensor(rng.standard_normal((1, 5)))
     tokens = Tensor(rng.standard_normal((2, 6)))
     check("ptmfim", pim,
-          lambda: _projected(pim.forward(pers, tokens).out, np.random.default_rng(105)))
+          lambda: _projected(pim.forward(pers, tokens), np.random.default_rng(105)))
 
     head = ClassifierHead(6, 5, 3, rng)
     x_head = Tensor(rng.standard_normal((1, 6)))

@@ -1,4 +1,4 @@
-"""Shared network building blocks."""
+"""Shared network building blocks: `Linear`, multi-head `attention` (one fused op), `ForwardTrace`."""
 
 from __future__ import annotations
 
@@ -25,13 +25,14 @@ class Linear(Module):
         return ad.add(ad.matmul(x, self.weight), self.bias)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, trace=None) -> Tensor:
-    """Scaled dot-product attention softmax(q k^T / sqrt(q.shape[1])) v; the
-    attention matrix (one row per query) goes to `trace` when one is given."""
-    attn = ad.softmax(ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(q.shape[1])), axis=-1)
+def attention(q: Tensor, k: Tensor, v: Tensor, trace=None, n_heads: int = 1) -> Tensor:
+    """Multi-head scaled dot-product attention, the fused `autodiff.attention`
+    op; each head's attention matrix (one row per query) goes to `trace`, in
+    head order, when one is given."""
+    out, attn = ad.attention(q, k, v, n_heads)
     if trace is not None:
-        trace.attention_rows.append(attn.data.copy())
-    return ad.matmul(attn, v)
+        trace.attention_rows.extend(a.copy() for a in attn)
+    return out
 
 
 @dataclass

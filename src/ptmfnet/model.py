@@ -261,7 +261,7 @@ class DepressionModel(Module):
         tokens = self.fuse["tx"].forward(u_a, u_v, training=training, rng=rng, trace=trace)
         pers = Tensor(feats.personality[None, :])
         if self.cfg.ptmfim:
-            head_in = self.ptmfim.forward(pers, tokens, trace).out
+            head_in = self.ptmfim.forward(pers, tokens, trace)
         else:  # [audio row | visual row | personality]
             head_in = ad.concat([ad.reshape(tokens, (1, tokens.size)), pers], axis=1)
         return self.head.forward(head_in)

@@ -9,22 +9,12 @@ representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Module, Tensor
 from .errors import ValidationError
 from .layers import Linear, attention
-
-
-@dataclass
-class PtmfimOutput:
-    out: Tensor          # (1, d_h), classifier input
-    gate_values: Tensor  # (1, d_h), strictly inside (0, 1)
-    bca_tokens: Tensor   # binary correlation output
-    tia_tokens: Tensor   # triple interaction output
 
 
 class Ptmfim(Module):
@@ -57,18 +47,19 @@ class Ptmfim(Module):
         return attention(ad.matmul(p_tok, self.Q_t), ad.matmul(bca, self.K_t),
                          ad.matmul(bca, self.V_t), trace)
 
-    def gate(self, bca: Tensor, tia: Tensor, p_pooled: Tensor, trace=None) -> PtmfimOutput:
+    def gate(self, bca: Tensor, tia: Tensor, p_pooled: Tensor, trace=None) -> Tensor:
+        """(1, d_h) g * mean(tia) + p_pooled; the gate g goes to `trace` if given."""
         b_bar = ad.tmean(bca, axis=0, keepdims=True)
         t_bar = ad.tmean(tia, axis=0, keepdims=True)
         pre = ad.add(ad.matmul(ad.concat([b_bar, t_bar], axis=1), self.W_g), self.b_g)
         g = ad.sigmoid(pre)
         if trace is not None:
             trace.gates.append(g.data[0].copy())
-        out = ad.add(ad.mul(g, t_bar), p_pooled)
-        return PtmfimOutput(out=out, gate_values=g, bca_tokens=bca, tia_tokens=tia)
+        return ad.add(ad.mul(g, t_bar), p_pooled)
 
-    def forward(self, personality_embedding: Tensor, tokens: Tensor, trace=None) -> PtmfimOutput:
-        """`tokens` is the (2, d_multimodal) audio/visual token matrix."""
+    def forward(self, personality_embedding: Tensor, tokens: Tensor, trace=None) -> Tensor:
+        """`tokens` is the (2, d_multimodal) audio/visual token matrix; returns
+        the (1, d_h) classifier input."""
         p_tok = self.personality_tokens(personality_embedding)
         m_tok = self.mm_proj.forward(tokens)
         bca = self.binary_correlation(p_tok, m_tok, trace)

@@ -34,21 +34,43 @@ def test_matmul_shape_error_names_both_shapes():
         ad.matmul(t(np.zeros((2, 3))), t(np.zeros((2, 3))))
 
 
+def _pooling_weights(values):
+    """attentive_stats frame weights for frames h_t = values[t] with W = 1,
+    b = 0 and v = 1000, i.e. for scores 1000 tanh(values[t])."""
+    h = t(np.asarray(values, dtype=np.float64).reshape(-1, 1))
+    _, alpha = ad.attentive_stats(h, t([[1.0]]), t([[0.0]]), t([[1000.0]]), eps=1e-6)
+    return alpha[:, 0]
+
+
+def _attention_weights(scores):
+    """ad.attention weights of one query whose scores are `scores`: q = [1]
+    and k = scores as a column (d = 1, so the scale is 1)."""
+    k = t(np.asarray(scores, dtype=np.float64).reshape(-1, 1))
+    _, attn = ad.attention(t([[1.0]]), k, t(np.zeros((k.shape[0], 1))))
+    return attn[0, 0]
+
+
 def test_softmax_symmetry():
-    out = ad.softmax(t([[0.0, 0.0]]), axis=1)
-    np.testing.assert_allclose(out.data, [[0.5, 0.5]])
+    # equal scores give equal weights in both fused ops
+    np.testing.assert_allclose(_attention_weights([0.0, 0.0]), [0.5, 0.5])
+    q = t(np.ones((2, 4)))
+    _, attn = ad.attention(q, t(np.ones((3, 4))), t(np.zeros((3, 4))), n_heads=2)
+    np.testing.assert_allclose(attn, np.full((2, 2, 3), 1 / 3))
+    h = t(np.ones((4, 3)))  # a constant sequence scores every frame the same
+    _, alpha = ad.attentive_stats(h, t(np.ones((3, 2))), t(np.zeros((1, 2))), t(np.ones((2, 1))), eps=1e-6)
+    np.testing.assert_allclose(alpha, np.full((4, 1), 0.25))
 
 
 def test_softmax_large_inputs_no_overflow():
-    out = ad.softmax(t([[1000.0, 1000.0, 1000.0]]), axis=1)
-    np.testing.assert_allclose(out.data, [[1 / 3] * 3])
+    np.testing.assert_allclose(_attention_weights([1000.0] * 3), [1 / 3] * 3)
+    np.testing.assert_allclose(_pooling_weights([1000.0] * 3), [1 / 3] * 3)
 
 
 @given(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=20))
 def test_softmax_rows_sum_to_one(values):
-    out = ad.softmax(t([values]), axis=1)
-    assert out.data.min() >= 0.0
-    assert abs(out.data.sum() - 1.0) <= 1e-9
+    for weights in (_attention_weights(values), _pooling_weights(values)):
+        assert weights.min() >= 0.0
+        assert abs(weights.sum() - 1.0) <= 1e-9
 
 
 def test_sigmoid_at_zero():
@@ -63,11 +85,6 @@ def test_sigmoid_extreme_inputs_stable():
 def test_relu_definition():
     out = ad.relu(t([[-3.0, 3.0]]))
     np.testing.assert_array_equal(out.data, [[0.0, 3.0]])
-
-
-def test_sqrt_domain_error():
-    with pytest.raises(ValidationError):
-        ad.sqrt(t([[-1.0]]))
 
 
 def test_layer_norm_constant_row_is_zero():
@@ -134,7 +151,7 @@ def test_debug_mode_catches_op_overflow(monkeypatch):
 def test_backward_sum_of_squares_analytic():
     x = t([[1.0, -2.0, 3.0]], rg=True)
     with Tape():
-        loss = ad.tsum(ad.square(x))
+        loss = ad.tsum(ad.mul(x, x))
         ad.backward(loss)
     np.testing.assert_array_equal(x.grad, 2.0 * x.data)
 
@@ -143,7 +160,7 @@ def test_backward_disconnected_parameter_stays_zero():
     x = t([[1.0, 2.0]], rg=True)
     unused = t([[5.0]], rg=True)
     with Tape():
-        loss = ad.tsum(ad.square(x))
+        loss = ad.tsum(ad.mul(x, x))
         ad.backward(loss)
     np.testing.assert_array_equal(unused.grad, np.zeros((1, 1)))
 
@@ -151,7 +168,7 @@ def test_backward_disconnected_parameter_stays_zero():
 def test_backward_requires_scalar():
     x = t([[1.0, 2.0]], rg=True)
     with Tape():
-        y = ad.square(x)
+        y = ad.mul(x, x)
         with pytest.raises(ShapeError):
             ad.backward(y)
 
@@ -167,7 +184,8 @@ def test_backward_is_additive():
     x = t(rng.normal(size=(3, 2)), rg=True)
     w = t(rng.normal(size=(2, 2)), rg=True)
     with Tape():
-        loss = ad.tsum(ad.square(ad.matmul(x, w)))
+        y = ad.matmul(x, w)
+        loss = ad.tsum(ad.mul(y, y))
         ad.backward(loss)
         first = (x.grad.copy(), w.grad.copy())
         ad.backward(loss)
@@ -218,7 +236,7 @@ def test_forward_backward_bitwise_reproducible():
         w = t(rng.normal(size=(3, 2)), rg=True)
         with Tape():
             h = ad.dropout(ad.tanh(ad.matmul(x, w)), 0.3, training=True, rng=rng)
-            loss = ad.tsum(ad.square(h))
+            loss = ad.tsum(ad.mul(h, h))
             ad.backward(loss)
         return loss.item(), x.grad.copy(), w.grad.copy()
 
@@ -233,15 +251,28 @@ def test_forward_backward_bitwise_reproducible():
 # finite-difference checks: every differentiable op, >= 3 random shapes
 # ---------------------------------------------------------------------------
 
+
+def _pool(x):
+    """attentive_stats of the (T, H) sequence x, with fixed weights (A = 2)."""
+    rng = np.random.default_rng(x.shape[1])
+    w, b, v = (t(rng.normal(size=s)) for s in ((x.shape[1], 2), (1, 2), (2, 1)))
+    return ad.attentive_stats(x, w, b, v, eps=1e-6)[0]
+
+
+def _cross_attention(x):
+    """ad.attention from four fixed queries onto keys and values x."""
+    return ad.attention(t(np.random.default_rng(x.shape[1]).normal(size=(4, x.shape[1]))), x, x)[0]
+
+
 UNARY_OPS = [
     ad.sigmoid,
     ad.tanh,
-    ad.square,
-    lambda x: ad.softmax(x, axis=1),
+    _pool,
+    lambda x: ad.attention(x, x, x)[0],
     lambda x: ad.log_softmax(x, axis=1),
     lambda x: ad.scale(x, 1.7),
     lambda x: ad.reshape(x, (x.size, 1)),
-    ad.transpose,
+    _cross_attention,
     lambda x: ad.narrow(x, 1, 1, 1),
     lambda x: ad.tsum(x, axis=0, keepdims=True),
     lambda x: ad.tmean(x, axis=1, keepdims=True),
@@ -267,12 +298,15 @@ def test_gradcheck_unary_ops(op_idx, shape):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_gradcheck_relu_sqrt(seed):
-    # Positive-domain / kink-free inputs for relu and sqrt.
+    # Positive-domain / kink-free inputs for relu, and for the std half
+    # sqrt(relu(var) + eps) of attentive_stats, the one sqrt in the graph:
+    # distinct frames keep var away from 0.
     rng = np.random.default_rng(seed)
     x = t(rng.uniform(0.5, 2.0, size=(3, 4)), rg=True)
-    probe = t(rng.normal(size=(3, 4)))
-    for op in (ad.relu, ad.sqrt):
-        def f(op=op):
+    for op in (ad.relu, lambda v: ad.narrow(_pool(v), 1, 4, 4)):
+        probe = t(rng.normal(size=(3, 4) if op is ad.relu else (1, 4)))
+
+        def f(op=op, probe=probe):
             return ad.tsum(ad.mul(op(x), probe))
 
         report = ad.grad_check(f, [Parameter("x", x)], eps=1e-6)
@@ -280,7 +314,7 @@ def test_gradcheck_relu_sqrt(seed):
 
 
 @pytest.mark.parametrize("shapes", [((2, 3), (2, 3)), ((2, 3), (1, 3)), ((4, 1), (4, 5))])
-@pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul])
+@pytest.mark.parametrize("op", [ad.add, ad.mul])
 def test_gradcheck_binary_ops_with_broadcast(op, shapes):
     rng = np.random.default_rng(hash((shapes, op.__name__)) % 2**32)
     a = t(rng.normal(size=shapes[0]), rg=True)
@@ -326,6 +360,62 @@ def test_gradcheck_layer_norm(shape):
     assert report.passed(1e-4), report.entries
 
 
+@pytest.mark.parametrize("t_len", [1, 6])
+def test_gradcheck_attentive_stats(t_len):
+    rng = np.random.default_rng(30 + t_len)
+    h, w, b, v = (t(rng.normal(size=s), rg=True) for s in ((t_len, 3), (3, 2), (1, 2), (2, 1)))
+    probe = t(rng.normal(size=(1, 6)))
+
+    def f():
+        return ad.tsum(ad.mul(ad.attentive_stats(h, w, b, v, eps=1e-6)[0], probe))
+
+    params = [Parameter(name, x) for name, x in zip(("h", "W", "b", "v"), (h, w, b, v))]
+    report = ad.grad_check(f, params, eps=1e-5)
+    assert report.passed(1e-4), report.entries
+
+
+@pytest.mark.parametrize("n_heads", [1, 2])
+def test_gradcheck_attention(n_heads):
+    # three queries onto two keys, values wider than queries and keys
+    rng = np.random.default_rng(40 + n_heads)
+    q, k, v = (t(rng.normal(size=s), rg=True) for s in ((3, 4), (2, 4), (2, 6)))
+    probe = t(rng.normal(size=(3, 6)))
+
+    def f():
+        return ad.tsum(ad.mul(ad.attention(q, k, v, n_heads)[0], probe))
+
+    params = [Parameter("q", q), Parameter("k", k), Parameter("v", v)]
+    report = ad.grad_check(f, params, eps=1e-5)
+    assert report.passed(1e-4), report.entries
+
+
+def test_fused_pooling_and_attention_record_one_node_each():
+    rng = np.random.default_rng(50)
+    h, w, b, v = (t(rng.normal(size=s), rg=True) for s in ((9, 3), (3, 2), (1, 2), (2, 1)))
+    with Tape() as tape:
+        pooled, alpha = ad.attentive_stats(h, w, b, v, eps=1e-6)
+        out, attn = ad.attention(h, h, h, n_heads=3)
+    assert len(tape.nodes) == 2
+    assert pooled.shape == (1, 6) and alpha.shape == (9, 1)
+    assert out.shape == (9, 3) and attn.shape == (3, 9, 9)
+
+
+def test_fused_pooling_and_attention_reject_bad_shapes():
+    z = lambda *shape: t(np.zeros(shape))
+    with pytest.raises(ShapeError):
+        ad.attentive_stats(z(0, 3), z(3, 2), z(1, 2), z(2, 1), eps=1e-6)  # empty sequence
+    with pytest.raises(ShapeError):
+        ad.attentive_stats(z(4, 3), z(2, 2), z(1, 2), z(2, 1), eps=1e-6)
+    with pytest.raises(ValidationError):
+        ad.attentive_stats(z(4, 3), z(3, 2), z(1, 2), z(2, 1), eps=0.0)
+    with pytest.raises(ShapeError):
+        ad.attention(z(2, 4), z(3, 4), z(2, 4))  # a key without a value
+    with pytest.raises(ShapeError):
+        ad.attention(z(2, 4), z(2, 4), z(2, 3), n_heads=2)  # d_v not split evenly
+    with pytest.raises(ShapeError):
+        ad.attention(z(2, 4), z(2, 4), z(2, 4), n_heads=0)
+
+
 @pytest.mark.parametrize("shape", SHAPES)
 def test_gradcheck_concat(shape):
     rng = np.random.default_rng(shape[0] * 7)
@@ -365,8 +455,8 @@ def test_grad_check_quadratic_is_exact():
     q = rng.normal(size=(3, 3))
     q = t(q @ q.T)
 
-    def f():
-        return ad.matmul(ad.matmul(ad.transpose(x), q), x)
+    def f():  # x^T q x
+        return ad.tsum(ad.mul(x, ad.matmul(q, x)))
 
     report = ad.grad_check(f, [Parameter("x", x)], eps=1e-5)
     assert report.max_rel_err <= 1e-8

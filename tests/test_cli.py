@@ -108,6 +108,13 @@ def test_extract_stereo_is_io_error(tmp_path, capsys):
     assert main(["extract", str(path)]) == EXIT_IO
 
 
+def test_extract_wav_cut_mid_sample_is_io_error(tone_wav, capsys):
+    tone_wav.write_bytes(tone_wav.read_bytes()[:-1])
+    assert main(["extract", str(tone_wav)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "tone.wav" in err
+
+
 # ---------------------------------------------------------------------------
 # train / eval
 
@@ -133,6 +140,37 @@ def test_train_missing_manifest_exits_2_with_path(capsys):
     code = main(["train", "--manifest", "does/not/exist.jsonl"])
     assert code == EXIT_IO
     assert "does/not/exist.jsonl" in capsys.readouterr().err
+
+
+def _set_first_audio_path(record, value):
+    record["audio_paths"][next(iter(record["audio_paths"]))] = value
+    return record
+
+
+@pytest.mark.parametrize("edit,code", [
+    (lambda rec: [1, 2], EXIT_VALIDATION),
+    (lambda rec: 3, EXIT_VALIDATION),
+    (lambda rec: {**rec, "audio_paths": list(rec["audio_paths"])}, EXIT_VALIDATION),
+    (lambda rec: _set_first_audio_path(rec, 7), EXIT_VALIDATION),
+    (lambda rec: {**rec, "labels": "binary"}, EXIT_VALIDATION),
+    (None, EXIT_IO),
+], ids=["list_line", "number_line", "audio_paths_list", "int_path", "labels_string", "not_utf8"])
+def test_train_malformed_manifest_exits_with_one_error_line(synth_dir, tmp_path, capsys, edit, code):
+    first, second = (json.loads(line) for line in
+                     (synth_dir / "manifest.jsonl").read_text(encoding="utf-8").splitlines()[:2])
+    for record in (first, second):  # the copy lives in another directory
+        for key in ("audio_paths", "visual_paths"):
+            record[key] = {s: str(synth_dir / p) for s, p in record[key].items()}
+        if record.get("personality_embedding_path"):
+            record["personality_embedding_path"] = str(synth_dir / record["personality_embedding_path"])
+    manifest = tmp_path / "m.jsonl"
+    bad = b"\xff" if edit is None else json.dumps(edit(second)).encode("utf-8")
+    manifest.write_bytes(json.dumps(first).encode("utf-8") + b"\n" + bad + b"\n")
+    assert main(["train", "--manifest", str(manifest), "--epochs", "1"]) == code
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "m.jsonl" in errors[0]
+    assert "line 2" in err and "line 1" not in err
 
 
 def test_train_bitwise_deterministic_artifacts(synth_dir, tmp_path):

@@ -9,6 +9,7 @@ from ptmfnet import autodiff as ad
 from ptmfnet.autodiff import Tensor, collect_parameters
 from ptmfnet.encoders import AspPooling, LstmEncoder
 from ptmfnet.errors import ValidationError
+from ptmfnet.layers import ForwardTrace
 
 
 def _sigmoid(x):
@@ -52,8 +53,8 @@ def _taped_lstm(enc, x):
     frame, plus 3 a call), kept as an oracle in the same expression order."""
     h_dim = enc.hidden_dim
     xw = ad.add(ad.matmul(x, enc.W), enc.b)
-    h = ad.constant(np.zeros((1, h_dim)))
-    c = ad.constant(np.zeros((1, h_dim)))
+    h = Tensor(np.zeros((1, h_dim)))
+    c = Tensor(np.zeros((1, h_dim)))
     outputs = []
     for t in range(x.shape[0]):
         pre = ad.add(ad.narrow(xw, 0, t, 1), ad.matmul(h, enc.U))
@@ -156,7 +157,7 @@ def test_lstm_gradcheck_five_steps():
     rng = np.random.default_rng(6)
     enc = LstmEncoder(2, 3, rng)
     x = Tensor(rng.normal(size=(5, 2)))
-    probe = ad.constant(rng.normal(size=(5, 3)))
+    probe = Tensor(rng.normal(size=(5, 3)))
 
     def f():
         return ad.tsum(ad.mul(enc.forward(x), probe))
@@ -180,7 +181,7 @@ def test_fused_lstm_matches_taped_recurrence(t_len):
     rng = np.random.default_rng(40 + t_len)
     enc = LstmEncoder(3, 5, rng)
     x = Tensor(rng.normal(size=(t_len, 3)), requires_grad=True)
-    probe = ad.constant(rng.normal(size=(t_len, 5)))
+    probe = Tensor(rng.normal(size=(t_len, 5)))
     out, grads = _lstm_out_and_grads(enc.forward, enc, x, probe)
     ref_out, ref = _lstm_out_and_grads(lambda v: _taped_lstm(enc, v), enc, x, probe)
     np.testing.assert_array_equal(out, ref_out)
@@ -202,7 +203,7 @@ def test_lstm_gradcheck_input():
     rng = np.random.default_rng(15)
     enc = LstmEncoder(2, 3, rng)
     x = ad.Parameter("x", Tensor(rng.normal(size=(6, 2)), requires_grad=True))
-    probe = ad.constant(rng.normal(size=(6, 3)))
+    probe = Tensor(rng.normal(size=(6, 3)))
 
     def f():
         return ad.tsum(ad.mul(enc.forward(x.tensor), probe))
@@ -265,11 +266,14 @@ def test_asp_weights_simplex_and_std_floor(t_len, seed):
     rng = np.random.default_rng(seed)
     pool = AspPooling(3, 2, rng, eps=1e-6)
     h = rng.normal(size=(t_len, 3)) * 3.0
-    alpha = pool.attention(Tensor(h)).data
+    trace = ForwardTrace()
+    out = pool.forward(Tensor(h), trace).data[0]
+    (alpha,) = trace.attention_rows
+    assert alpha.shape == (1, t_len)
     assert np.all(alpha > 0)
     assert abs(alpha.sum() - 1.0) <= 1e-9
-    out = pool.forward(Tensor(h)).data[0]
     assert np.all(out[3:] >= math.sqrt(1e-6) - 1e-15)
+    np.testing.assert_array_equal(trace.asp_std, [out[3:]])
 
 
 def test_asp_mean_within_per_dim_envelope():
@@ -285,7 +289,7 @@ def test_asp_gradcheck():
     rng = np.random.default_rng(12)
     pool = AspPooling(3, 2, rng)
     h = Tensor(rng.normal(size=(5, 3)))
-    probe = ad.constant(rng.normal(size=(1, 6)))
+    probe = Tensor(rng.normal(size=(1, 6)))
 
     def f():
         return ad.tsum(ad.mul(pool.forward(h), probe))

@@ -147,7 +147,7 @@ def test_coatt_gradcheck():
     lld = Tensor(rng.normal(size=(3, 3)))
     mfcc = Tensor(rng.normal(size=(3, 3)))
     w2v = Tensor(rng.normal(size=(3, 4)))
-    probe = ad.constant(rng.normal(size=(3, 10)))
+    probe = Tensor(rng.normal(size=(3, 10)))
 
     def f():
         return ad.tsum(ad.mul(mod.forward(lld, mfcc, w2v), probe))
@@ -238,7 +238,7 @@ def test_tx_gradcheck_two_layers():
     rng = np.random.default_rng(28)
     u_a = Tensor(rng.normal(size=(1, 5)))
     u_v = Tensor(rng.normal(size=(1, 5)))
-    probe = ad.constant(rng.normal(size=(2, 6)))
+    probe = Tensor(rng.normal(size=(2, 6)))
 
     def f():
         return ad.tsum(ad.mul(mod.forward(u_a, u_v), probe))

@@ -50,10 +50,28 @@ def test_attention_gradcheck():
     rng = np.random.default_rng(6)
     q, k, v = (Tensor(rng.normal(size=shape), requires_grad=True)
                for shape in ((3, 4), (2, 4), (2, 5)))
-    probe = ad.constant(rng.normal(size=(3, 5)))
+    probe = Tensor(rng.normal(size=(3, 5)))
 
     def f():
         return ad.tsum(ad.mul(attention(q, k, v), probe))
 
     report = ad.grad_check(f, [Parameter("q", q), Parameter("k", k), Parameter("v", v)], eps=1e-5)
     assert report.passed(1e-4), report.entries
+
+
+@pytest.mark.parametrize("n_heads", [2, 4])
+def test_multi_head_attention_is_per_head_oracle_side_by_side(n_heads):
+    # head j attends with column block j of q, k and v, scaled by its own width;
+    # the outputs sit side by side and the trace holds one matrix per head, in order
+    rng = np.random.default_rng(7 + n_heads)
+    q, k, v = rng.normal(size=(3, 8)), rng.normal(size=(2, 8)), rng.normal(size=(2, 4 * n_heads))
+    trace = ForwardTrace()
+    out = attention(Tensor(q), Tensor(k), Tensor(v), trace, n_heads=n_heads)
+    assert out.shape == (3, 4 * n_heads)
+    assert len(trace.attention_rows) == n_heads
+    d, d_v = 8 // n_heads, 4
+    for j in range(n_heads):
+        ref_out, ref_weights = _ref_attention(q[:, j * d:(j + 1) * d], k[:, j * d:(j + 1) * d],
+                                              v[:, j * d_v:(j + 1) * d_v])
+        np.testing.assert_allclose(out.data[:, j * d_v:(j + 1) * d_v], ref_out, atol=1e-12)
+        np.testing.assert_allclose(trace.attention_rows[j], ref_weights, atol=1e-12)

@@ -119,10 +119,10 @@ def _op_name(vjp) -> str:
     return name
 
 
-def test_parameters_feed_only_matmul_add_layer_norm_lstm():
+def test_parameters_feed_no_glue_op():
     # parameters are stored in the layout their forward reads, so a training
-    # forward records no reshape, transpose or concat of a parameter; the LSTM
-    # weights go straight into the fused lstm op
+    # forward records no reshape or concat of a parameter; the LSTM and ASP
+    # weights go straight into their fused ops
     cfg = ModelConfig.compact()
     model = DepressionModel(cfg, np.random.default_rng(30))
     params = {id(p.tensor): p.name for p in collect_parameters(model)}
@@ -135,8 +135,22 @@ def test_parameters_feed_only_matmul_add_layer_norm_lstm():
             if id(t) in params:
                 uses.setdefault(params[id(t)], set()).add(_op_name(node.vjp))
     assert set(uses) == set(params.values())
-    bad = {name: ops for name, ops in uses.items() if not ops <= {"matmul", "add", "layer_norm", "lstm"}}
+    allowed = {"matmul", "add", "layer_norm", "lstm", "attentive_stats"}
+    bad = {name: ops for name, ops in uses.items() if not ops <= allowed}
     assert not bad, bad
+
+
+@pytest.mark.parametrize("cfg,limit", [(ModelConfig.compact(), 99), (ModelConfig(dropout=0.0), 100)],
+                         ids=["compact", "default_dropout_off"])
+def test_training_forward_and_loss_record_at_most_100_tape_nodes(cfg, limit):
+    # one node per LSTM, ASP and attention call, whatever T and the head count;
+    # dropout is off because each active dropout site records one more node
+    model = DepressionModel(cfg, np.random.default_rng(36))
+    for t_audio in (1, 40):
+        feats = make_feats(cfg, np.random.default_rng(t_audio), t_audio=t_audio, t_visual=t_audio + 3)
+        with ad.Tape() as tape:
+            cross_entropy(model.forward(feats, training=True, rng=np.random.default_rng(37)), feats.label)
+        assert len(tape.nodes) <= limit
 
 
 def _capture_tokens(model) -> dict:

@@ -17,6 +17,14 @@ def _module(d_p=5, d_m=6, d_h=4, n_p=3, seed=0):
     return Ptmfim(d_p, d_m, d_h, n_p, np.random.default_rng(seed))
 
 
+def _stages(mod, emb, tokens):
+    """Binary correlation and triple interaction outputs, each stage called on
+    its own as `forward` calls it."""
+    p_tok = mod.personality_tokens(emb)
+    bca = mod.binary_correlation(p_tok, mod.mm_proj.forward(tokens))
+    return bca, mod.triple_interaction(p_tok, bca)
+
+
 def _ref_forward(mod, emb, tok_a, tok_v):
     """Loop oracle over the whole module."""
 
@@ -157,10 +165,11 @@ def test_gate_zero_weights_is_half():
     bca = Tensor(rng.normal(size=(3, 4)))
     tia = Tensor(rng.normal(size=(3, 4)))
     p_pooled = Tensor(rng.normal(size=(1, 4)))
-    res = mod.gate(bca, tia, p_pooled)
-    np.testing.assert_array_equal(res.gate_values.data, np.full((1, 4), 0.5))
+    trace = ForwardTrace()
+    out = mod.gate(bca, tia, p_pooled, trace)
+    np.testing.assert_array_equal(trace.gates, [np.full(4, 0.5)])
     np.testing.assert_allclose(
-        res.out.data, 0.5 * tia.data.mean(axis=0, keepdims=True) + p_pooled.data, atol=1e-12)
+        out.data, 0.5 * tia.data.mean(axis=0, keepdims=True) + p_pooled.data, atol=1e-12)
 
 
 def test_gate_closes_at_large_negative_bias():
@@ -170,18 +179,20 @@ def test_gate_closes_at_large_negative_bias():
     bca = Tensor(rng.normal(size=(3, 4)))
     tia = Tensor(rng.normal(size=(3, 4)))
     p_pooled = Tensor(rng.normal(size=(1, 4)))
-    res = mod.gate(bca, tia, p_pooled)
-    np.testing.assert_allclose(res.out.data, p_pooled.data, atol=1e-9)
-    assert np.all(res.gate_values.data > 0.0)
+    trace = ForwardTrace()
+    out = mod.gate(bca, tia, p_pooled, trace)
+    np.testing.assert_allclose(out.data, p_pooled.data, atol=1e-9)
+    assert np.all(trace.gates[0] > 0.0)
 
 
 def test_gate_strictly_open_interval():
     rng = np.random.default_rng(17)
     for seed in range(20):
         mod = _module(seed=seed)
-        res = mod.forward(Tensor(rng.normal(size=(1, 5)) * 10),
-                          _tokens(rng.normal(size=6) * 10, rng.normal(size=6) * 10))
-        g = res.gate_values.data
+        trace = ForwardTrace()
+        mod.forward(Tensor(rng.normal(size=(1, 5)) * 10),
+                    _tokens(rng.normal(size=6) * 10, rng.normal(size=6) * 10), trace)
+        (g,) = trace.gates
         assert np.all(g > 0.0) and np.all(g < 1.0)
 
 
@@ -194,12 +205,15 @@ def test_forward_matches_loop_oracle():
     rng = np.random.default_rng(19)
     emb = rng.normal(size=5)
     tok_a, tok_v = rng.normal(size=6), rng.normal(size=6)
-    res = mod.forward(Tensor(emb[None, :]), _tokens(tok_a, tok_v))
+    trace = ForwardTrace()
+    out = mod.forward(Tensor(emb[None, :]), _tokens(tok_a, tok_v), trace)
+    bca, tia = _stages(mod, Tensor(emb[None, :]), _tokens(tok_a, tok_v))
     ref_out, ref_g, ref_bca, ref_tia = _ref_forward(mod, emb, tok_a, tok_v)
-    np.testing.assert_allclose(res.out.data[0], ref_out, atol=1e-12)
-    np.testing.assert_allclose(res.gate_values.data[0], ref_g, atol=1e-12)
-    np.testing.assert_allclose(res.bca_tokens.data, ref_bca, atol=1e-12)
-    np.testing.assert_allclose(res.tia_tokens.data, ref_tia, atol=1e-12)
+    assert out.shape == (1, 4)
+    np.testing.assert_allclose(out.data[0], ref_out, atol=1e-12)
+    np.testing.assert_allclose(trace.gates[0], ref_g, atol=1e-12)
+    np.testing.assert_allclose(bca.data, ref_bca, atol=1e-12)
+    np.testing.assert_allclose(tia.data, ref_tia, atol=1e-12)
 
 
 def test_zero_embedding_zero_bias_uniform_attention():
@@ -207,12 +221,12 @@ def test_zero_embedding_zero_bias_uniform_attention():
     mod.pers_proj.bias.data[...] = 0.0
     rng = np.random.default_rng(21)
     trace = ForwardTrace()
-    res = mod.forward(Tensor(np.zeros((1, 5))), _tokens(rng.normal(size=6), rng.normal(size=6)),
-                      trace=trace)
+    emb, tokens = Tensor(np.zeros((1, 5))), _tokens(rng.normal(size=6), rng.normal(size=6))
+    out = mod.forward(emb, tokens, trace=trace)
     np.testing.assert_allclose(trace.attention_rows[0], np.full((3, 2), 0.5), atol=1e-12)
     # p_pooled vanishes, so the output is exactly the gated tia mean
-    t_bar = res.tia_tokens.data.mean(axis=0)
-    np.testing.assert_allclose(res.out.data[0], res.gate_values.data[0] * t_bar, atol=1e-12)
+    t_bar = _stages(mod, emb, tokens)[1].data.mean(axis=0)
+    np.testing.assert_allclose(out.data[0], trace.gates[0] * t_bar, atol=1e-12)
 
 
 def test_zero_multimodal_keeps_personality_residual():
@@ -220,21 +234,22 @@ def test_zero_multimodal_keeps_personality_residual():
     mod.mm_proj.bias.data[...] = 0.0
     rng = np.random.default_rng(23)
     emb = rng.normal(size=(1, 5))
-    res = mod.forward(Tensor(emb), _tokens(np.zeros(6), np.zeros(6)))
+    out = mod.forward(Tensor(emb), _tokens(np.zeros(6), np.zeros(6)))
     p_pooled = mod.personality_tokens(Tensor(emb)).data.mean(axis=0)
     # bca and tia collapse to zero, so only the residual path remains
-    np.testing.assert_allclose(res.out.data[0], p_pooled, atol=1e-12)
-    assert np.any(res.out.data != 0.0)
+    np.testing.assert_allclose(out.data[0], p_pooled, atol=1e-12)
+    assert np.any(out.data != 0.0)
 
 
 def test_output_dims_across_configs():
     rng = np.random.default_rng(24)
     for d_h, n_p in ((2, 1), (4, 3), (8, 4)):
         mod = _module(d_p=5, d_m=6, d_h=d_h, n_p=n_p, seed=d_h + n_p)
-        res = mod.forward(Tensor(rng.normal(size=(1, 5))),
-                          _tokens(rng.normal(size=6), rng.normal(size=6)))
-        assert res.out.shape == (1, d_h)
-        assert res.gate_values.shape == (1, d_h)
+        trace = ForwardTrace()
+        out = mod.forward(Tensor(rng.normal(size=(1, 5))),
+                          _tokens(rng.normal(size=6), rng.normal(size=6)), trace)
+        assert out.shape == (1, d_h)
+        assert trace.gates[0].shape == (d_h,)
 
 
 def test_ptmfim_gradcheck():
@@ -242,10 +257,10 @@ def test_ptmfim_gradcheck():
     rng = np.random.default_rng(28)
     emb = Tensor(rng.normal(size=(1, 4)))
     tokens = _tokens(rng.normal(size=5), rng.normal(size=5))
-    probe = ad.constant(rng.normal(size=(1, 3)))
+    probe = Tensor(rng.normal(size=(1, 3)))
 
     def f():
-        return ad.tsum(ad.mul(mod.forward(emb, tokens).out, probe))
+        return ad.tsum(ad.mul(mod.forward(emb, tokens), probe))
 
     report = ad.grad_check(f, collect_parameters(mod), eps=1e-5)
     assert report.passed(1e-4), report.entries
