@@ -207,24 +207,16 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 
 def _sigmoid(d: np.ndarray) -> np.ndarray:
-    out = np.empty_like(d)
-    pos = d >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    e = np.exp(d[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # exp of -|d| never overflows; the quotient is 1 / (1 + exp(-d)) for
+    # d >= 0 and exp(d) / (1 + exp(d)) below, both to the last bit
+    e = np.exp(-np.abs(d))
+    return np.where(d >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(x: Tensor) -> Tensor:
     out = _result(_sigmoid(x.data), x.requires_grad)
     s = out.data
     return _record(out, (x,), lambda g: (g * s * (1.0 - s),))
-
-
-def tanh(x: Tensor) -> Tensor:
-    out = _result(np.tanh(x.data), x.requires_grad)
-    t = out.data
-    return _record(out, (x,), lambda g: (g * (1.0 - t * t),))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -240,18 +232,6 @@ def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
 
 def _softmax_vjp(g: np.ndarray, s: np.ndarray, axis: int) -> np.ndarray:
     return s * (g - (g * s).sum(axis=axis, keepdims=True))
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = _result(shifted - lse, x.requires_grad)
-    s = np.exp(out.data)
-
-    def vjp(g):
-        return (g - s * g.sum(axis=axis, keepdims=True),)
-
-    return _record(out, (x,), vjp)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -278,111 +258,178 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _record(out, (x, gain, bias), vjp)
 
 
-def lstm(x: Tensor, W: Tensor, U: Tensor, b: Tensor) -> Tensor:
-    """One LSTM layer over a (T, D) sequence -> hidden states (T, H), as one op.
+def _valid_frames(x: Tensor, lengths, op: str) -> np.ndarray:
+    """Check B zero-padded sequences stacked as (B*T, D) rows against their
+    lengths (B,); returns the (B, T, 1) mask of frames within each length."""
+    lengths = np.asarray(lengths)
+    n_seq = lengths.size
+    if x.data.ndim != 2 or lengths.ndim != 1 or n_seq < 1 or x.shape[0] % n_seq:
+        raise ShapeError(f"{op}: {x.shape} rows do not split into {lengths.shape} sequences")
+    t_len = x.shape[0] // n_seq
+    if lengths.dtype.kind not in "iu" or lengths.min() < 1 or lengths.max() > t_len:
+        raise ShapeError(f"{op}: lengths {lengths.tolist()} must lie in [1, {t_len}]")
+    return (np.arange(t_len) < lengths[:, None])[:, :, None]
 
+
+def lstm(x: Tensor, lengths, W: Tensor, U: Tensor, b: Tensor) -> Tensor:
+    """One LSTM layer over B zero-padded sequences, as one op.
+
+    x holds the sequences as (B*T, D) rows, batch-major (row b*T + t is step
+    t of sequence b), and lengths (B,) their step counts. Returns the hidden
+    states in the same (B*T, H) layout, zero past each sequence's length.
     W (D x 4H), U (H x 4H) and b (1 x 4H) hold gate columns i|f|o|g; h and c
-    start at zero. The VJP runs backpropagation through time: O(T) time and memory.
+    start at zero, and each step is one (B, H) @ (H, 4H) matmul. The VJP runs
+    backpropagation through time, O(T) steps and memory; it zeroes output
+    gradients past each length, so every padded step passes back exactly 0.
     """
-    (t_len, d), h_dim = x.shape, U.shape[0]
-    if t_len < 1 or W.shape != (d, 4 * h_dim) or U.shape != (h_dim, 4 * h_dim) or b.shape != (1, 4 * h_dim):
+    valid = _valid_frames(x, lengths, "lstm")
+    (n_seq, t_len, _), d, h_dim = valid.shape, x.shape[1], U.shape[0]
+    if W.shape != (d, 4 * h_dim) or U.shape != (h_dim, 4 * h_dim) or b.shape != (1, 4 * h_dim):
         raise ShapeError(f"lstm shapes disagree: x {x.shape}, W {W.shape}, U {U.shape}, b {b.shape}")
     k = 3 * h_dim  # i|f|o columns take the sigmoid, g the tanh
-    xw = x.data @ W.data + b.data
-    gates = np.empty((t_len, 4 * h_dim))
-    c, h = np.zeros((2, t_len + 1, h_dim))  # row t + 1 holds the state after step t
-    tc = np.empty((t_len, h_dim))  # tanh(c[1:])
+    xw = (x.data @ W.data + b.data).reshape(n_seq, t_len, 4 * h_dim).transpose(1, 0, 2)
+    gates = np.empty((t_len, n_seq, 4 * h_dim))  # time-major, so each step reads one block
+    per_gate = gates.reshape(t_len, n_seq, 4, h_dim).transpose(0, 2, 1, 3)  # [t] -> i, f, o, g views
+    c, h = np.zeros((2, t_len + 1, n_seq, h_dim))  # row t + 1 holds the state after step t
+    tc = np.empty((t_len, n_seq, h_dim))  # tanh(c[1:])
     for t in range(t_len):
-        pre = xw[t : t + 1] + h[t : t + 1] @ U.data
-        gates[t] = np.concatenate([_sigmoid(pre[:, :k]), np.tanh(pre[:, k:])], axis=1)
-        i, f, o, g = gates[t].reshape(4, 1, h_dim)
-        c[t + 1] = f * c[t : t + 1] + i * g
-        tc[t] = np.tanh(c[t + 1 : t + 2])
-        h[t + 1] = o * tc[t : t + 1]
-    out = _result(h[1:], x.requires_grad or W.requires_grad or U.requires_grad or b.requires_grad)
+        pre = xw[t] + h[t] @ U.data
+        gates[t, :, :k] = _sigmoid(pre[:, :k])
+        np.tanh(pre[:, k:], out=gates[t, :, k:])
+        i, f, o, g = per_gate[t]
+        c[t + 1] = f * c[t] + i * g
+        np.tanh(c[t + 1], out=tc[t])
+        np.multiply(o, tc[t], out=h[t + 1])
+    out = (h[1:].transpose(1, 0, 2) * valid).reshape(-1, h_dim)
+    out = _result(out, x.requires_grad or W.requires_grad or U.requires_grad or b.requires_grad)
 
     def vjp(gy):
+        gy = (gy.reshape(n_seq, t_len, h_dim) * valid).transpose(1, 0, 2)
         d_pre = np.empty_like(gates)
-        dh = dc = np.zeros((1, h_dim))
+        dh = dc = np.zeros((n_seq, h_dim))
         for t in range(t_len - 1, -1, -1):
-            i, f, o, g = gates[t].reshape(4, 1, h_dim)
-            dh = gy[t : t + 1] + dh
+            i, f, o, g = per_gate[t]
+            dh = gy[t] + dh
             dc = dc + dh * o * (1.0 - tc[t] * tc[t])
             d_ifo = np.concatenate([dc * g, dc * c[t], dh * tc[t]], axis=1)
-            d_pre[t, :k] = d_ifo * gates[t, :k] * (1.0 - gates[t, :k])
-            d_pre[t, k:] = dc * i * (1.0 - g * g)
-            dh = d_pre[t : t + 1] @ U.data.T
+            d_pre[t, :, :k] = d_ifo * gates[t, :, :k] * (1.0 - gates[t, :, :k])
+            d_pre[t, :, k:] = dc * i * (1.0 - g * g)
+            dh = d_pre[t] @ U.data.T
             dc = dc * f
-        return d_pre @ W.data.T, x.data.T @ d_pre, h[:-1].T @ d_pre, d_pre.sum(axis=0, keepdims=True)
+        d_rows = d_pre.transpose(1, 0, 2).reshape(-1, 4 * h_dim)  # back to batch-major rows
+        h_prev = h[:-1].transpose(1, 0, 2).reshape(-1, h_dim)
+        return (d_rows @ W.data.T, x.data.T @ d_rows, h_prev.T @ d_rows,
+                d_rows.sum(axis=0, keepdims=True))
 
     return _record(out, (x, W, U, b), vjp)
 
 
-def attentive_stats(h: Tensor, W: Tensor, b: Tensor, v: Tensor, eps: float) -> tuple[Tensor, np.ndarray]:
-    """Attentive statistics pooling of a (T, H) sequence, as one op.
+def attentive_stats(h: Tensor, lengths, W: Tensor, b: Tensor, v: Tensor,
+                    eps: float) -> tuple[Tensor, np.ndarray]:
+    """Attentive statistics pooling of B zero-padded sequences, as one op.
 
-    Frame weights alpha = softmax over t of tanh(h W + b) v, with W (H x A),
-    b (1 x A) and v (A x 1), give the weighted mean mu and the weighted std
-    s = sqrt(relu(sum_t alpha_t h_t^2 - mu^2) + eps). Returns the (1, 2H) row
-    [mu | s] and the (T, 1) weights as a plain array.
+    h holds the sequences as (B*T, H) rows, batch-major, and lengths (B,)
+    their frame counts. Frame weights alpha = softmax over the valid t of
+    tanh(h W + b) v, with W (H x A), b (1 x A) and v (A x 1); a padded
+    frame's score is -inf before the max shift, so its weight is exactly 0.
+    They give the weighted mean mu and the weighted std
+    s = sqrt(relu(sum_t alpha_t h_t^2 - mu^2) + eps). Returns the (B, 2H)
+    rows [mu | s] and the (B, T) weights as a plain array.
     """
-    (t_len, h_dim), a_dim = h.shape, W.shape[-1]
-    if t_len < 1 or W.shape != (h_dim, a_dim) or b.shape != (1, a_dim) or v.shape != (a_dim, 1):
+    valid = _valid_frames(h, lengths, "attentive_stats")
+    (n_seq, t_len, _), h_dim, a_dim = valid.shape, h.shape[1], W.shape[-1]
+    if W.shape != (h_dim, a_dim) or b.shape != (1, a_dim) or v.shape != (a_dim, 1):
         raise ShapeError(f"attentive_stats shapes disagree: h {h.shape}, W {W.shape}, b {b.shape}, v {v.shape}")
     if eps <= 0:
         raise ValidationError("attentive_stats eps must be positive")
+    hs = h.data.reshape(n_seq, t_len, h_dim)
     proj = np.tanh(h.data @ W.data + b.data)
-    alpha = _softmax(proj @ v.data, axis=0)
-    mu = (alpha * h.data).sum(axis=0, keepdims=True)
-    sq = h.data * h.data
-    diff = (alpha * sq).sum(axis=0, keepdims=True) - mu * mu
+    scores = (proj @ v.data).reshape(n_seq, t_len, 1)
+    alpha = _softmax(np.where(valid, scores, -np.inf), axis=1)
+    mu = (alpha * hs).sum(axis=1)
+    sq = hs * hs
+    diff = (alpha * sq).sum(axis=1) - mu * mu
     s = np.sqrt(np.maximum(diff, 0.0) + eps)
     out = _result(np.concatenate([mu, s], axis=1), any(t.requires_grad for t in (h, W, b, v)))
 
     def vjp(g):
-        g_diff = g[:, h_dim:] * 0.5 / s * (diff > 0)
-        g_mu = g[:, :h_dim] - g_diff * 2.0 * mu
-        d_alpha = (g_diff * sq).sum(axis=1, keepdims=True) + (g_mu * h.data).sum(axis=1, keepdims=True)
-        d_scores = _softmax_vjp(d_alpha, alpha, axis=0)
+        g_diff = (g[:, h_dim:] * 0.5 / s * (diff > 0))[:, None]
+        g_mu = g[:, None, :h_dim] - g_diff * 2.0 * mu[:, None]
+        d_alpha = (g_diff * sq).sum(axis=2, keepdims=True) + (g_mu * hs).sum(axis=2, keepdims=True)
+        d_scores = _softmax_vjp(d_alpha, alpha, axis=1).reshape(-1, 1)
         d_pre = d_scores @ v.data.T * (1.0 - proj * proj)
-        dh = g_diff * alpha * 2.0 * h.data + g_mu * alpha + d_pre @ W.data.T
+        dh = (g_diff * alpha * 2.0 * hs + g_mu * alpha).reshape(-1, h_dim) + d_pre @ W.data.T
         return dh, h.data.T @ d_pre, d_pre.sum(axis=0, keepdims=True), proj.T @ d_scores
 
-    return _record(out, (h, W, b, v), vjp), alpha
+    return _record(out, (h, W, b, v), vjp), alpha[:, :, 0]
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int = 1) -> tuple[Tensor, np.ndarray]:
-    """Multi-head scaled dot-product attention, as one op.
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int = 1,
+              batch: int = 1) -> tuple[Tensor, np.ndarray]:
+    """Multi-head scaled dot-product attention within each of `batch`
+    samples, as one op.
 
-    The columns of q (n_q x d), k (n_k x d) and v (n_k x d_v) split into
-    n_heads equal blocks; head j computes softmax(q_j k_j^T / sqrt(d / n_heads)) v_j,
-    and the heads' outputs sit side by side in head order. Returns the
-    (n_q, d_v) output and the (n_heads, n_q, n_k) weights as a plain array.
+    q (batch*n_q, d), k (batch*n_k, d) and v (batch*n_k, d_v) hold each
+    sample's rows in turn; a sample's queries attend only to its own keys.
+    The columns split into n_heads equal blocks; head j computes
+    softmax(q_j k_j^T / sqrt(d / n_heads)) v_j, and the heads' outputs sit
+    side by side in head order. Returns the (batch*n_q, d_v) output and the
+    (batch, n_heads, n_q, n_k) weights as a plain array.
     """
     if q.data.ndim != 2 or v.data.ndim != 2 or k.shape != (v.shape[0], q.shape[1]) \
-            or n_heads < 1 or q.shape[1] % n_heads or v.shape[1] % n_heads:
-        raise ShapeError(f"attention shapes disagree: q {q.shape}, k {k.shape}, v {v.shape}, {n_heads} heads")
+            or n_heads < 1 or q.shape[1] % n_heads or v.shape[1] % n_heads \
+            or batch < 1 or q.shape[0] % batch or k.shape[0] % batch:
+        raise ShapeError(f"attention shapes disagree: q {q.shape}, k {k.shape}, v {v.shape}, "
+                         f"{n_heads} heads, batch {batch}")
 
-    def split(x, width):  # (n, n_heads * width) -> (n_heads, n, width)
-        return np.ascontiguousarray(x.reshape(len(x), n_heads, width).transpose(1, 0, 2))
+    def split(x, width):  # (batch * n, n_heads * width) -> (batch, n_heads, n, width)
+        return np.ascontiguousarray(x.reshape(batch, -1, n_heads, width).transpose(0, 2, 1, 3))
 
-    def join(x):  # (n_heads, n, width) -> (n, n_heads * width)
-        return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
+    def join(x):  # (batch, n_heads, n, width) -> (batch * n, n_heads * width)
+        return x.transpose(0, 2, 1, 3).reshape(batch * x.shape[2], -1)
+
+    def tr(x):  # swap the last two axes
+        return x.transpose(0, 1, 3, 2)
 
     d, d_v = q.shape[1] // n_heads, v.shape[1] // n_heads  # per head
     qh, vh = split(q.data, d), split(v.data, d_v)
-    k_t = np.ascontiguousarray(split(k.data, d).transpose(0, 2, 1))
+    k_t = np.ascontiguousarray(tr(split(k.data, d)))
     c = 1.0 / np.sqrt(d)
     attn = _softmax(qh @ k_t * c, axis=-1)
     out = _result(join(attn @ vh), q.requires_grad or k.requires_grad or v.requires_grad)
 
     def vjp(g):
         gh = split(g, d_v)
-        d_scores = _softmax_vjp(gh @ vh.transpose(0, 2, 1), attn, axis=-1) * c
-        dq, d_k_t = d_scores @ k_t.transpose(0, 2, 1), qh.transpose(0, 2, 1) @ d_scores
-        return join(dq), join(d_k_t.transpose(0, 2, 1)), join(attn.transpose(0, 2, 1) @ gh)
+        d_scores = _softmax_vjp(gh @ tr(vh), attn, axis=-1) * c
+        return join(d_scores @ tr(k_t)), join(tr(tr(qh) @ d_scores)), join(tr(attn) @ gh)
 
     return _record(out, (q, k, v), vjp), attn
+
+
+def cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Mean over the rows of (B, C) logits of -log softmax(row)[label], as
+    one op returning a (1, 1) tensor; labels (B,) are ints in [0, C).
+    Log-sum-exp keeps huge logits finite."""
+    labels = np.asarray(labels)
+    if logits.data.ndim != 2 or labels.shape != logits.shape[:1] or not labels.size \
+            or labels.dtype.kind not in "iu":
+        raise ValidationError(f"need one integer label per row of logits {logits.shape}, got {labels.tolist()}")
+    n_rows, n_cls = logits.shape
+    if labels.min() < 0 or labels.max() >= n_cls:
+        raise ValidationError(f"label out of range for {n_cls} classes: {labels.tolist()}")
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    rows = np.arange(n_rows)
+    c = 1.0 / n_rows
+    out = _result(np.array([[-log_p[rows, labels].sum() * c]]), logits.requires_grad)
+
+    def vjp(g):
+        gc = g[0, 0] * c
+        d = np.exp(log_p) * gc
+        d[rows, labels] -= gc
+        return (d,)
+
+    return _record(out, (logits,), vjp)
 
 
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) -> Tensor:
@@ -421,24 +468,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         return tuple(pieces)
 
     return _record(out, tuple(tensors), vjp)
-
-
-def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice of `length` extents along one axis."""
-    rank = x.data.ndim
-    ax = axis % rank
-    if start < 0 or start + length > x.shape[ax]:
-        raise ShapeError(f"narrow [{start}:{start + length}) out of range for axis {ax} of {x.shape}")
-    idx = [slice(None)] * rank
-    idx[ax] = slice(start, start + length)
-    out = _result(x.data[tuple(idx)].copy(), x.requires_grad)
-
-    def vjp(g):
-        full = np.zeros_like(x.data)
-        full[tuple(idx)] = g
-        return (full,)
-
-    return _record(out, (x,), vjp)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:

@@ -11,7 +11,8 @@ fused LSTM gates (W: D x 4H, U: H x 4H, b: 1 x 4H), Linear weights as
 
 The reader checks every length, rank and extent against the bytes left in
 the file before reading, so a corrupt header fails with DataFormatError
-without allocating the payload it claims.
+without allocating the payload it claims. A payload holding NaN or Inf
+also fails with DataFormatError, naming its parameter.
 """
 
 from __future__ import annotations
@@ -77,6 +78,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, end, path, "extents"))
             payload = _read_exact(fh, 8 * math.prod(shape), end, path, f"payload of {name!r}")
             arr = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
+            if not np.all(np.isfinite(arr)):
+                raise DataFormatError(f"{path}: parameter {name!r} holds non-finite values")
             if name in out:
                 raise DataFormatError(f"{path}: duplicate parameter {name!r}")
             out[name] = arr

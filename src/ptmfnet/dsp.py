@@ -192,6 +192,7 @@ def read_wav(path) -> Waveform:
             channels = fh.getnchannels()
             width = fh.getsampwidth()
             rate = fh.getframerate()
+            declared = fh.getnframes() * channels * width
             raw = fh.readframes(fh.getnframes())
     except (wave.Error, EOFError, RuntimeError) as exc:  # RuntimeError: a chunk size past EOF
         raise DataFormatError(f"{path}: not a readable WAV file ({exc or type(exc).__name__})") from exc
@@ -199,7 +200,7 @@ def read_wav(path) -> Waveform:
         raise DataFormatError(f"{path}: expected mono audio, found {channels} channels")
     if width != 2:
         raise DataFormatError(f"{path}: expected 16-bit PCM, found {8 * width}-bit")
-    if len(raw) % 2:
-        raise DataFormatError(f"{path}: sample data ends mid-sample ({len(raw)} bytes)")
+    if len(raw) != declared:
+        raise DataFormatError(f"{path}: truncated sample data ({len(raw)} of {declared} bytes)")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return Waveform(samples, rate)

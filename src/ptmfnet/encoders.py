@@ -1,10 +1,10 @@
 """Sequence encoders: LSTM over frame features and attentive statistics
 pooling (ASP) from frame level to utterance level.
 
-Everything operates on (T, D) tape tensors and returns row vectors or
-sequences; batching is handled one sample at a time by the trainer. Each
-block is one fused autodiff op, `lstm` and `attentive_stats`, so it records
-one tape node per sequence, whatever its length.
+Both take a batch of B zero-padded sequences as (B*T, D) tape rows,
+batch-major, with one length per sequence, and return rows. Each block is
+one fused autodiff op, `lstm` and `attentive_stats`, so it records one tape
+node per batch, whatever B and T are.
 """
 
 from __future__ import annotations
@@ -46,12 +46,12 @@ class LstmEncoder(Module):
         self.U = Tensor(np.concatenate(u).T.copy(), requires_grad=True)
         self.b = Tensor(np.concatenate(b)[None, :], requires_grad=True)
 
-    def forward(self, x: Tensor) -> Tensor:
-        """x: (T, D) -> hidden sequence (T, H)."""
-        _, d = x.shape
-        if d != self.input_dim:
-            raise ValidationError(f"input dim {d} does not match encoder dim {self.input_dim}")
-        return ad.lstm(x, self.W, self.U, self.b)
+    def forward(self, x: Tensor, lengths) -> Tensor:
+        """x: (B*T, D) padded rows with lengths (B,) -> hidden rows (B*T, H),
+        zero past each sequence's length."""
+        if x.shape[-1] != self.input_dim:
+            raise ValidationError(f"input dim {x.shape[-1]} does not match encoder dim {self.input_dim}")
+        return ad.lstm(x, lengths, self.W, self.U, self.b)
 
 
 class AspPooling(Module):
@@ -75,12 +75,14 @@ class AspPooling(Module):
         self.b = ad.uniform_init(rng, (1, attn_dim), bound)
         self.v = ad.uniform_init(rng, (attn_dim, 1), bound)
 
-    def forward(self, h: Tensor, trace=None) -> Tensor:
-        """h: (T, H) -> (1, 2H) row of weighted mean then weighted std."""
-        if h.shape[1] != self.hidden_dim:
-            raise ValidationError(f"hidden dim {h.shape[1]} does not match pooling dim {self.hidden_dim}")
-        out, alpha = ad.attentive_stats(h, self.W, self.b, self.v, self.eps)
+    def forward(self, h: Tensor, lengths, trace=None) -> Tensor:
+        """h: (B*T, H) padded rows with lengths (B,) -> (B, 2H) rows of
+        weighted mean then weighted std. `trace` gets the (B, T) frame
+        weights, zero on padded frames, and one std row per sequence."""
+        if h.shape[-1] != self.hidden_dim:
+            raise ValidationError(f"hidden dim {h.shape[-1]} does not match pooling dim {self.hidden_dim}")
+        out, alpha = ad.attentive_stats(h, lengths, self.W, self.b, self.v, self.eps)
         if trace is not None:
-            trace.attention_rows.append(alpha.T.copy())
-            trace.asp_std.append(out.data[0, self.hidden_dim:].copy())
+            trace.attention_rows.append(alpha.copy())
+            trace.asp_std.extend(out.data[:, self.hidden_dim:].copy())
         return out

@@ -1,5 +1,5 @@
 """Fusion stages: audio co-attention, visual concatenation, and the
-2-token transformer that merges both branches into one token matrix.
+2-token transformer that merges both branches into token rows.
 """
 
 from __future__ import annotations
@@ -99,12 +99,15 @@ class TransformerLayer(Module):
         self.ffn2 = Linear(d_ffn, d_model, rng)
         self.dropout = dropout
 
-    def _attend(self, x: Tensor, trace) -> Tensor:
-        heads = attention(self.q.forward(x), self.k.forward(x), self.v.forward(x), trace, self.n_heads)
+    def _attend(self, x: Tensor, batch: int, trace) -> Tensor:
+        heads = attention(self.q.forward(x), self.k.forward(x), self.v.forward(x), trace,
+                          self.n_heads, batch)
         return self.o.forward(heads)
 
-    def forward(self, x: Tensor, training: bool, rng, trace=None) -> Tensor:
-        attn = self._attend(ad.layer_norm(x, self.ln1_gain, self.ln1_bias), trace)
+    def forward(self, x: Tensor, batch: int, training: bool, rng, trace=None) -> Tensor:
+        """x: the token rows of `batch` samples, each sample's in turn; a
+        token attends only to its own sample's tokens."""
+        attn = self._attend(ad.layer_norm(x, self.ln1_gain, self.ln1_bias), batch, trace)
         x = ad.add(x, ad.dropout(attn, self.dropout, training, rng))
         ffn = self.ffn2.forward(ad.relu(self.ffn1.forward(
             ad.layer_norm(x, self.ln2_gain, self.ln2_bias))))
@@ -112,9 +115,10 @@ class TransformerLayer(Module):
 
 
 class TransformerFusion(Module):
-    """Projects the two utterance vectors to d_model, tags them with
-    modality embeddings, and runs a 2-token pre-norm encoder stack. The
-    output is the (2, d_model) token matrix: audio row, then visual row."""
+    """Projects the two utterance vectors of each sample to d_model, tags
+    them with modality embeddings, and runs a 2-token pre-norm encoder stack.
+    The output is the (2B, d_model) token rows: audio row, then visual row,
+    for each sample in turn."""
 
     def __init__(self, d_audio: int, d_visual: int, d_model: int, n_layers: int,
                  n_heads: int, d_ffn: int, dropout: float, rng: np.random.Generator):
@@ -128,9 +132,11 @@ class TransformerFusion(Module):
 
     def forward(self, u_a: Tensor, u_v: Tensor, training: bool = False,
                 rng: np.random.Generator | None = None, trace=None) -> Tensor:
+        """u_a: (B, d_audio) and u_v: (B, d_visual) rows -> (2B, d_model)."""
+        batch, d_model = u_a.shape[0], self.m_a.shape[1]
         tok_a = ad.add(self.proj_a.forward(u_a), self.m_a)
         tok_v = ad.add(self.proj_v.forward(u_v), self.m_v)
-        x = ad.concat([tok_a, tok_v], axis=0)
+        x = ad.reshape(ad.concat([tok_a, tok_v], axis=1), (2 * batch, d_model))
         for layer in self.layers:
-            x = layer.forward(x, training, rng, trace)
+            x = layer.forward(x, batch, training, rng, trace)
         return x

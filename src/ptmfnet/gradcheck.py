@@ -1,9 +1,10 @@
 """Finite-difference gradient battery over every differentiable block.
 
-Each case builds one block with small dimensions, fixes its inputs, and
-compares tape gradients of a random linear functional of the output against
-central differences. The random projection (rather than a plain sum) keeps
-gradients from cancelling across symmetric outputs.
+Each case builds one block with small dimensions, fixes a batch of inputs
+(sequences of mixed lengths where the block pools over frames), and compares
+tape gradients of a random linear functional of the output against central
+differences. The random projection (rather than a plain sum) keeps gradients
+from cancelling across symmetric outputs.
 """
 
 from __future__ import annotations
@@ -48,12 +49,12 @@ def run_battery(seed: int) -> list[BatteryCase]:
         cases.append(BatteryCase(name, grad_check(f, params)))
 
     lstm = LstmEncoder(3, 4, rng)
-    x_seq = Tensor(rng.standard_normal((5, 3)))
-    check("lstm", lstm, lambda: _projected(lstm.forward(x_seq), np.random.default_rng(101)))
+    x_seq = Tensor(rng.standard_normal((3 * 5, 3)))  # three sequences padded to T = 5
+    check("lstm", lstm, lambda: _projected(lstm.forward(x_seq, [5, 2, 4]), np.random.default_rng(101)))
 
     asp = AspPooling(4, 3, rng)
-    h_seq = Tensor(rng.standard_normal((6, 4)))
-    check("asp", asp, lambda: _projected(asp.forward(h_seq), np.random.default_rng(102)))
+    h_seq = Tensor(rng.standard_normal((3 * 6, 4)))
+    check("asp", asp, lambda: _projected(asp.forward(h_seq, [6, 1, 3]), np.random.default_rng(102)))
 
     coatt = CoAttentionFusion(3, 3, 4, 3, 3, 4, dropout=0.0, rng=rng)
     lld = Tensor(rng.standard_normal((4, 3)))
@@ -64,19 +65,19 @@ def run_battery(seed: int) -> list[BatteryCase]:
 
     tx = TransformerFusion(d_audio=6, d_visual=6, d_model=8, n_layers=2,
                            n_heads=2, d_ffn=12, dropout=0.0, rng=rng)
-    u_a = Tensor(rng.standard_normal((1, 6)))
-    u_v = Tensor(rng.standard_normal((1, 6)))
+    u_a = Tensor(rng.standard_normal((2, 6)))
+    u_v = Tensor(rng.standard_normal((2, 6)))
     check("transformer_fusion", tx,
           lambda: _projected(tx.forward(u_a, u_v), np.random.default_rng(104)))
 
     pim = Ptmfim(d_personality=5, d_multimodal=6, d_h=8, n_p=2, rng=rng)
-    pers = Tensor(rng.standard_normal((1, 5)))
-    tokens = Tensor(rng.standard_normal((2, 6)))
+    pers = Tensor(rng.standard_normal((2, 5)))
+    tokens = Tensor(rng.standard_normal((4, 6)))
     check("ptmfim", pim,
           lambda: _projected(pim.forward(pers, tokens), np.random.default_rng(105)))
 
     head = ClassifierHead(6, 5, 3, rng)
-    x_head = Tensor(rng.standard_normal((1, 6)))
+    x_head = Tensor(rng.standard_normal((2, 6)))
     check("classifier_head", head,
           lambda: _projected(head.forward(x_head), np.random.default_rng(106)))
 

@@ -25,13 +25,15 @@ class Linear(Module):
         return ad.add(ad.matmul(x, self.weight), self.bias)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, trace=None, n_heads: int = 1) -> Tensor:
-    """Multi-head scaled dot-product attention, the fused `autodiff.attention`
-    op; each head's attention matrix (one row per query) goes to `trace`, in
-    head order, when one is given."""
-    out, attn = ad.attention(q, k, v, n_heads)
+def attention(q: Tensor, k: Tensor, v: Tensor, trace=None, n_heads: int = 1,
+              batch: int = 1) -> Tensor:
+    """Multi-head scaled dot-product attention within each of `batch`
+    samples, the fused `autodiff.attention` op; each (sample, head)
+    attention matrix (one row per query) goes to `trace`, sample by sample
+    and in head order, when one is given."""
+    out, attn = ad.attention(q, k, v, n_heads, batch)
     if trace is not None:
-        trace.attention_rows.extend(a.copy() for a in attn)
+        trace.attention_rows.extend(attn.reshape(-1, *attn.shape[2:]).copy())
     return out
 
 
@@ -40,8 +42,10 @@ class ForwardTrace:
     """Per-forward diagnostics captured when a trace object is passed in.
 
     attention_rows holds matrices whose rows must each sum to 1 (softmax
-    outputs, with ASP frame weights stored transposed); gates holds raw
-    gate activations; asp_std holds the std halves of ASP outputs.
+    outputs: one (B, T) matrix of ASP frame weights per pooling call, one
+    matrix per sample and head per attention call); gates holds one row of
+    raw gate activations per sample; asp_std holds one std half of an ASP
+    output per sequence.
     """
 
     attention_rows: list = field(default_factory=list)

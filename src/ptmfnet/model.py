@@ -1,12 +1,14 @@
 """Full network assembly: per-stream encoders, fusion stages, the
 personality interaction module, and the classifier head, wired according
-to a ModelConfig whose ablation flags prune whole branches.
+to a ModelConfig whose ablation flags prune whole branches. The network
+runs on collated batches of samples; a single sample is a batch of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -169,6 +171,59 @@ def load_sample_features(record, cfg: ModelConfig) -> SampleFeatures:
                           label=record.label(cfg.task))
 
 
+@dataclass
+class Batch:
+    """B samples collated for one forward pass.
+
+    Each frame stream is zero-padded to the batch's longest sample and
+    stacked as (B*T, D) rows, batch-major: row b*T + t is frame t of sample
+    b. The audio streams share one length per sample, and so do the visual
+    streams, stacked frame-wise into one matrix.
+    """
+
+    audio: dict  # stream -> (B*T_a, D) rows, for the streams the config reads
+    audio_lengths: np.ndarray  # (B,)
+    visual: np.ndarray  # (B*T_v, D_v) rows
+    visual_lengths: np.ndarray  # (B,)
+    personality: np.ndarray  # (B, d_p)
+    labels: np.ndarray  # (B,)
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+
+def _pad_rows(seqs: list, name: str) -> np.ndarray:
+    """Zero-pad (T_i, D) arrays to the longest and stack them as (B*T, D) rows."""
+    widths = sorted({a.shape[1] for a in seqs})
+    if len(widths) > 1:
+        raise ValidationError(f"{name} frames have different widths across the batch: {widths}")
+    out = np.zeros((len(seqs), max(len(a) for a in seqs), widths[0]))
+    for row, a in zip(out, seqs):
+        row[: len(a)] = a
+    return out.reshape(-1, widths[0])
+
+
+def collate(samples: Sequence[SampleFeatures], cfg: ModelConfig) -> Batch:
+    """Align each sample's streams to its shortest one, then pad every
+    stream to the batch's longest sample. Only the streams `cfg` reads are
+    kept: wav2vec alone without multi_audio, openface alone without
+    multi_visual."""
+    if not samples:
+        raise ValidationError("cannot collate an empty batch")
+    audio_streams = AUDIO_STREAMS if cfg.multi_audio else ("wav2vec",)
+    audio = [align_streams([f.audio[s] for s in audio_streams]) for f in samples]
+    if cfg.multi_visual:
+        visual = [visual_concat(*align_streams([f.visual[s] for s in VISUAL_STREAMS])) for f in samples]
+    else:
+        visual = [f.visual["openface"] for f in samples]
+    return Batch(audio={s: _pad_rows([a[j] for a in audio], s) for j, s in enumerate(audio_streams)},
+                 audio_lengths=np.array([len(a[0]) for a in audio]),
+                 visual=_pad_rows(visual, "visual"),
+                 visual_lengths=np.array([len(v) for v in visual]),
+                 personality=_pad_rows([f.personality[None, :] for f in samples], "personality"),
+                 labels=np.array([f.label for f in samples]))
+
+
 class ClassifierHead(Module):
     """Two-layer MLP producing class logits."""
 
@@ -232,40 +287,29 @@ class DepressionModel(Module):
 
     # ------------------------------------------------------------------
 
-    def _audio_branch(self, feats: SampleFeatures, training, rng, trace) -> Tensor:
-        cfg = self.cfg
-        if cfg.multi_audio:
-            aligned = align_streams([feats.audio[s] for s in AUDIO_STREAMS])
-            hidden = {s: self.enc[s]["lstm"].forward(Tensor(a))
-                      for s, a in zip(AUDIO_STREAMS, aligned)}
+    def _audio_branch(self, batch: Batch, training, rng, trace) -> Tensor:
+        lengths = batch.audio_lengths
+        hidden = {s: self.enc[s]["lstm"].forward(Tensor(a), lengths) for s, a in batch.audio.items()}
+        if self.cfg.multi_audio:
             seq = self.fuse["coatt"].forward(hidden["lld"], hidden["mfcc"], hidden["wav2vec"],
-                                             training=training, rng=rng, weighting=cfg.co_att)
+                                             training=training, rng=rng, weighting=self.cfg.co_att)
         else:
-            seq = self.enc["wav2vec"]["lstm"].forward(Tensor(feats.audio["wav2vec"]))
-        return self.enc["audio"]["asp"].forward(seq, trace)
+            seq = hidden["wav2vec"]
+        return self.enc["audio"]["asp"].forward(seq, lengths, trace)
 
-    def _visual_branch(self, feats: SampleFeatures, trace) -> Tensor:
-        if self.cfg.multi_visual:
-            aligned = align_streams([feats.visual[s] for s in VISUAL_STREAMS])
-            stacked = visual_concat(*aligned)
-        else:
-            stacked = feats.visual["openface"]
-        hidden = self.enc["visual"]["lstm"].forward(Tensor(stacked))
-        return self.enc["visual"]["asp"].forward(hidden, trace)
+    def _visual_branch(self, batch: Batch, trace) -> Tensor:
+        hidden = self.enc["visual"]["lstm"].forward(Tensor(batch.visual), batch.visual_lengths)
+        return self.enc["visual"]["asp"].forward(hidden, batch.visual_lengths, trace)
 
-    def forward(self, feats: SampleFeatures, training: bool = False,
+    def forward(self, batch: Batch, training: bool = False,
                 rng: np.random.Generator | None = None, trace=None) -> Tensor:
-        """Returns class logits of shape (1, n_classes)."""
-        u_a = self._audio_branch(feats, training, rng, trace)
-        u_v = self._visual_branch(feats, trace)
+        """Returns class logits of shape (B, n_classes), one row per sample."""
+        u_a = self._audio_branch(batch, training, rng, trace)
+        u_v = self._visual_branch(batch, trace)
         tokens = self.fuse["tx"].forward(u_a, u_v, training=training, rng=rng, trace=trace)
-        pers = Tensor(feats.personality[None, :])
+        pers = Tensor(batch.personality)
         if self.cfg.ptmfim:
             head_in = self.ptmfim.forward(pers, tokens, trace)
-        else:  # [audio row | visual row | personality]
-            head_in = ad.concat([ad.reshape(tokens, (1, tokens.size)), pers], axis=1)
+        else:  # [audio row | visual row | personality] per sample
+            head_in = ad.concat([ad.reshape(tokens, (len(batch), 2 * self.cfg.d_model)), pers], axis=1)
         return self.head.forward(head_in)
-
-    def predict(self, feats: SampleFeatures) -> int:
-        return int(np.argmax(self.forward(feats, training=False).data[0]))
-

@@ -36,33 +36,37 @@ class Ptmfim(Module):
         self.b_g = ad.uniform_init(rng, (1, d_h), bound)
 
     def personality_tokens(self, embedding: Tensor) -> Tensor:
-        """(1, d_p) embedding -> (n_p, d_h) token matrix."""
-        return ad.reshape(self.pers_proj.forward(embedding), (self.n_p, self.d_h))
+        """(B, d_p) embeddings -> (B*n_p, d_h) token rows, n_p per sample."""
+        return ad.reshape(self.pers_proj.forward(embedding), (-1, self.d_h))
+
+    def _token_mean(self, tokens: Tensor) -> Tensor:
+        """(B*n_p, d_h) rows -> (B, d_h) mean over each sample's n_p rows."""
+        return ad.tmean(ad.reshape(tokens, (-1, self.n_p, self.d_h)), axis=1)
 
     def binary_correlation(self, p_tok: Tensor, m_tok: Tensor, trace=None) -> Tensor:
         return attention(ad.matmul(p_tok, self.Q_b), ad.matmul(m_tok, self.K_b),
-                         ad.matmul(m_tok, self.V_b), trace)
+                         ad.matmul(m_tok, self.V_b), trace, batch=p_tok.shape[0] // self.n_p)
 
     def triple_interaction(self, p_tok: Tensor, bca: Tensor, trace=None) -> Tensor:
         return attention(ad.matmul(p_tok, self.Q_t), ad.matmul(bca, self.K_t),
-                         ad.matmul(bca, self.V_t), trace)
+                         ad.matmul(bca, self.V_t), trace, batch=p_tok.shape[0] // self.n_p)
 
     def gate(self, bca: Tensor, tia: Tensor, p_pooled: Tensor, trace=None) -> Tensor:
-        """(1, d_h) g * mean(tia) + p_pooled; the gate g goes to `trace` if given."""
-        b_bar = ad.tmean(bca, axis=0, keepdims=True)
-        t_bar = ad.tmean(tia, axis=0, keepdims=True)
+        """(B, d_h) g * mean(tia) + p_pooled, means taken per sample; each
+        sample's gate row g goes to `trace` if given."""
+        b_bar = self._token_mean(bca)
+        t_bar = self._token_mean(tia)
         pre = ad.add(ad.matmul(ad.concat([b_bar, t_bar], axis=1), self.W_g), self.b_g)
         g = ad.sigmoid(pre)
         if trace is not None:
-            trace.gates.append(g.data[0].copy())
+            trace.gates.extend(g.data.copy())
         return ad.add(ad.mul(g, t_bar), p_pooled)
 
     def forward(self, personality_embedding: Tensor, tokens: Tensor, trace=None) -> Tensor:
-        """`tokens` is the (2, d_multimodal) audio/visual token matrix; returns
-        the (1, d_h) classifier input."""
+        """(B, d_p) embeddings and the (2B, d_multimodal) audio/visual token
+        rows, two per sample -> the (B, d_h) classifier input rows."""
         p_tok = self.personality_tokens(personality_embedding)
         m_tok = self.mm_proj.forward(tokens)
         bca = self.binary_correlation(p_tok, m_tok, trace)
         tia = self.triple_interaction(p_tok, bca, trace)
-        p_pooled = ad.tmean(p_tok, axis=0, keepdims=True)
-        return self.gate(bca, tia, p_pooled, trace)
+        return self.gate(bca, tia, self._token_mean(p_tok), trace)

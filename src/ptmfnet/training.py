@@ -1,6 +1,10 @@
 """Training harness: objective, optimizer, class rebalancing, stratified
 splitting, the epoch loop with best-snapshot selection, and evaluation.
 
+Each training step collates its mini-batch into one padded batch and
+records one tape: one forward pass and one loss op, whatever the batch
+size. Evaluation runs the same forward on batches of `batch_size` samples.
+
 Runs are bitwise deterministic for a fixed config: every random choice
 (init, split, resampling, dropout) draws from independent generators
 spawned off the config seed, in a fixed order.
@@ -16,19 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, Tape, Tensor, collect_parameters
+from .autodiff import Parameter, Tape, Tensor, collect_parameters, cross_entropy
 from .errors import ValidationError
 from .metrics import MetricsReport, compute_metrics
-from .model import DepressionModel, ModelConfig, SampleFeatures, load_sample_features
-
-
-def cross_entropy(logits: Tensor, label: int) -> Tensor:
-    """Negative log-likelihood of `label` under softmax(logits), computed
-    via log-sum-exp so huge logits stay finite."""
-    n = logits.shape[-1]
-    if not 0 <= label < n:
-        raise ValidationError(f"label {label} out of range for {n} classes")
-    return ad.scale(ad.narrow(ad.log_softmax(logits, axis=-1), 1, label, 1), -1.0)
+from .model import DepressionModel, ModelConfig, SampleFeatures, collate, load_sample_features
 
 
 class Adam:
@@ -148,8 +143,11 @@ class TrainState:
 
 
 def evaluate(model: DepressionModel, samples: list[SampleFeatures]) -> MetricsReport:
-    """Deterministic inference (dropout off) over a feature list."""
-    preds = [model.predict(f) for f in samples]
+    """Deterministic inference (dropout off, no random draws) over a feature
+    list, in batches of `batch_size` samples taken in input order."""
+    preds = []
+    for chunk in _batches(samples, model.cfg.batch_size):
+        preds.extend(np.argmax(model.forward(collate(chunk, model.cfg)).data, axis=1).tolist())
     return compute_metrics([f.label for f in samples], preds, model.cfg.n_classes)
 
 
@@ -197,18 +195,18 @@ def train(cfg: ModelConfig, records, log_path=None) -> TrainState:
     for epoch in range(cfg.epochs):
         order = _resample_indices(labels, cfg.n_classes, rng_sample)
         loss_sum = 0.0
-        for step, batch in enumerate(_batches(order, cfg.batch_size)):
-            with Tape():
-                losses = [cross_entropy(
-                    model.forward(train_feats[i], training=True, rng=rng_drop),
-                    train_feats[i].label) for i in batch]
-                total = losses[0]
-                for extra in losses[1:]:
-                    total = ad.add(total, extra)
-                batch_loss = ad.scale(total, 1.0 / len(batch))
+        for step, indices in enumerate(_batches(order, cfg.batch_size)):
+            batch = collate([train_feats[i] for i in indices], cfg)
+            with Tape() as tape:
+                batch_loss = cross_entropy(model.forward(batch, training=True, rng=rng_drop),
+                                           batch.labels)
                 for p in params:
                     p.tensor.zero_grad()
                 ad.backward(batch_loss)
+            # The tape and the tensors it recorded refer to each other. Emptying
+            # it lets reference counting free the step's buffers now, rather
+            # than whenever the cycle collector next runs.
+            tape.nodes.clear()
             _check_finite(batch_loss, params, epoch, step)
             optimizer.step()
             loss_sum += batch_loss.item() * len(batch)

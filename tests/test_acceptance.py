@@ -26,7 +26,7 @@ from ptmfnet.dsp import Waveform, short_term_energy, zero_crossing_rate
 from ptmfnet.gradcheck import run_full_battery
 from ptmfnet.layers import ForwardTrace
 from ptmfnet.metrics import compute_metrics
-from ptmfnet.model import DepressionModel, ModelConfig, SampleFeatures, load_sample_features
+from ptmfnet.model import DepressionModel, ModelConfig, SampleFeatures, collate, load_sample_features
 from ptmfnet.training import evaluate, train
 
 
@@ -65,7 +65,7 @@ def test_criterion_2_attention_gate_invariants():
                 personality=rng.standard_normal(cfg.personality_dim) * 3,
                 label=0)
             trace = ForwardTrace()
-            model.forward(feats, trace=trace)
+            model.forward(collate([feats], cfg), trace=trace)
             assert trace.attention_rows and trace.gates and trace.asp_std
             for rows in trace.attention_rows:
                 assert np.max(np.abs(rows.sum(axis=-1) - 1.0)) <= 1e-9

@@ -38,8 +38,8 @@ def _pooling_weights(values):
     """attentive_stats frame weights for frames h_t = values[t] with W = 1,
     b = 0 and v = 1000, i.e. for scores 1000 tanh(values[t])."""
     h = t(np.asarray(values, dtype=np.float64).reshape(-1, 1))
-    _, alpha = ad.attentive_stats(h, t([[1.0]]), t([[0.0]]), t([[1000.0]]), eps=1e-6)
-    return alpha[:, 0]
+    _, alpha = ad.attentive_stats(h, [h.shape[0]], t([[1.0]]), t([[0.0]]), t([[1000.0]]), eps=1e-6)
+    return alpha[0]
 
 
 def _attention_weights(scores):
@@ -47,7 +47,7 @@ def _attention_weights(scores):
     and k = scores as a column (d = 1, so the scale is 1)."""
     k = t(np.asarray(scores, dtype=np.float64).reshape(-1, 1))
     _, attn = ad.attention(t([[1.0]]), k, t(np.zeros((k.shape[0], 1))))
-    return attn[0, 0]
+    return attn[0, 0, 0]
 
 
 def test_softmax_symmetry():
@@ -55,10 +55,11 @@ def test_softmax_symmetry():
     np.testing.assert_allclose(_attention_weights([0.0, 0.0]), [0.5, 0.5])
     q = t(np.ones((2, 4)))
     _, attn = ad.attention(q, t(np.ones((3, 4))), t(np.zeros((3, 4))), n_heads=2)
-    np.testing.assert_allclose(attn, np.full((2, 2, 3), 1 / 3))
+    np.testing.assert_allclose(attn, np.full((1, 2, 2, 3), 1 / 3))
     h = t(np.ones((4, 3)))  # a constant sequence scores every frame the same
-    _, alpha = ad.attentive_stats(h, t(np.ones((3, 2))), t(np.zeros((1, 2))), t(np.ones((2, 1))), eps=1e-6)
-    np.testing.assert_allclose(alpha, np.full((4, 1), 0.25))
+    _, alpha = ad.attentive_stats(h, [4], t(np.ones((3, 2))), t(np.zeros((1, 2))), t(np.ones((2, 1))),
+                                  eps=1e-6)
+    np.testing.assert_allclose(alpha, np.full((1, 4), 0.25))
 
 
 def test_softmax_large_inputs_no_overflow():
@@ -75,6 +76,26 @@ def test_softmax_rows_sum_to_one(values):
 
 def test_sigmoid_at_zero():
     assert ad.sigmoid(t([[0.0]])).item() == 0.5
+
+
+def _two_branch_sigmoid(d):
+    """The masked-indexing form the sigmoid used before: 1 / (1 + exp(-d)) on
+    d >= 0 and exp(d) / (1 + exp(d)) elsewhere."""
+    out = np.empty_like(d)
+    pos = d >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    e = np.exp(d[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def test_sigmoid_bitwise_equal_to_two_branch_form():
+    rng = np.random.default_rng(60)
+    d = np.concatenate([rng.normal(size=200_000) * 20.0,
+                        [0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300, 36.0, -36.0, 745.0, -745.0]])
+    got = ad.sigmoid(t(d[None, :])).data[0]
+    want = _two_branch_sigmoid(d)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_sigmoid_extreme_inputs_stable():
@@ -235,7 +256,7 @@ def test_forward_backward_bitwise_reproducible():
         x = t(rng.normal(size=(4, 3)), rg=True)
         w = t(rng.normal(size=(3, 2)), rg=True)
         with Tape():
-            h = ad.dropout(ad.tanh(ad.matmul(x, w)), 0.3, training=True, rng=rng)
+            h = ad.dropout(ad.sigmoid(ad.matmul(x, w)), 0.3, training=True, rng=rng)
             loss = ad.tsum(ad.mul(h, h))
             ad.backward(loss)
         return loss.item(), x.grad.copy(), w.grad.copy()
@@ -252,11 +273,25 @@ def test_forward_backward_bitwise_reproducible():
 # ---------------------------------------------------------------------------
 
 
-def _pool(x):
-    """attentive_stats of the (T, H) sequence x, with fixed weights (A = 2)."""
+def _mixed_lengths(rows):
+    """Two sequences, the second one frame long, when `rows` splits evenly;
+    one full-length sequence otherwise."""
+    return [rows // 2, 1] if rows % 2 == 0 else [rows]
+
+
+def _pool(x, lengths=None):
+    """attentive_stats of the sequence rows x (one sequence unless `lengths`
+    says otherwise), with fixed weights (A = 2)."""
     rng = np.random.default_rng(x.shape[1])
     w, b, v = (t(rng.normal(size=s)) for s in ((x.shape[1], 2), (1, 2), (2, 1)))
-    return ad.attentive_stats(x, w, b, v, eps=1e-6)[0]
+    return ad.attentive_stats(x, [x.shape[0]] if lengths is None else lengths, w, b, v, eps=1e-6)[0]
+
+
+def _lstm(x):
+    """ad.lstm over the rows of x as _mixed_lengths sequences, with fixed weights (H = 2)."""
+    rng = np.random.default_rng(x.shape[1] + 1)
+    w, u, b = (t(rng.normal(size=s)) for s in ((x.shape[1], 8), (2, 8), (1, 8)))
+    return ad.lstm(x, _mixed_lengths(x.shape[0]), w, u, b)
 
 
 def _cross_attention(x):
@@ -266,14 +301,14 @@ def _cross_attention(x):
 
 UNARY_OPS = [
     ad.sigmoid,
-    ad.tanh,
+    _lstm,
     _pool,
     lambda x: ad.attention(x, x, x)[0],
-    lambda x: ad.log_softmax(x, axis=1),
+    lambda x: ad.cross_entropy(x, np.arange(x.shape[0]) % x.shape[1]),
     lambda x: ad.scale(x, 1.7),
     lambda x: ad.reshape(x, (x.size, 1)),
     _cross_attention,
-    lambda x: ad.narrow(x, 1, 1, 1),
+    lambda x: _pool(x, _mixed_lengths(x.shape[0])),
     lambda x: ad.tsum(x, axis=0, keepdims=True),
     lambda x: ad.tmean(x, axis=1, keepdims=True),
 ]
@@ -303,8 +338,10 @@ def test_gradcheck_relu_sqrt(seed):
     # distinct frames keep var away from 0.
     rng = np.random.default_rng(seed)
     x = t(rng.uniform(0.5, 2.0, size=(3, 4)), rg=True)
-    for op in (ad.relu, lambda v: ad.narrow(_pool(v), 1, 4, 4)):
-        probe = t(rng.normal(size=(3, 4) if op is ad.relu else (1, 4)))
+    for op in (ad.relu, _pool):
+        # the pooling probe reads only the std half [4:] of [mu | s]
+        probe = t(rng.normal(size=(3, 4)) if op is ad.relu
+                  else np.concatenate([np.zeros((1, 4)), rng.normal(size=(1, 4))], axis=1))
 
         def f(op=op, probe=probe):
             return ad.tsum(ad.mul(op(x), probe))
@@ -367,7 +404,7 @@ def test_gradcheck_attentive_stats(t_len):
     probe = t(rng.normal(size=(1, 6)))
 
     def f():
-        return ad.tsum(ad.mul(ad.attentive_stats(h, w, b, v, eps=1e-6)[0], probe))
+        return ad.tsum(ad.mul(ad.attentive_stats(h, [t_len], w, b, v, eps=1e-6)[0], probe))
 
     params = [Parameter(name, x) for name, x in zip(("h", "W", "b", "v"), (h, w, b, v))]
     report = ad.grad_check(f, params, eps=1e-5)
@@ -389,31 +426,95 @@ def test_gradcheck_attention(n_heads):
     assert report.passed(1e-4), report.entries
 
 
+# the widened ops on a batch of three samples of mixed lengths, padded to T = 4
+MIXED = [4, 1, 3]
+
+
+def _batched_lstm(params):
+    x, w, u, b = (p.tensor for p in params)
+    return ad.lstm(x, MIXED, w, u, b)
+
+
+def _batched_pool(params):
+    h, w, b, v = (p.tensor for p in params)
+    return ad.attentive_stats(h, MIXED, w, b, v, eps=1e-6)[0]
+
+
+def _batched_attention(params):
+    q, k, v = (p.tensor for p in params)
+    return ad.attention(q, k, v, n_heads=2, batch=3)[0]
+
+
+BATCHED_OPS = {
+    # op -> (input shapes, forward)
+    "lstm": (((12, 2), (2, 12), (3, 12), (1, 12)), _batched_lstm),
+    "attentive_stats": (((12, 3), (3, 2), (1, 2), (2, 1)), _batched_pool),
+    "attention": (((6, 4), (9, 4), (9, 6)), _batched_attention),  # 2 queries onto 3 keys per sample
+}
+
+
+@pytest.mark.parametrize("op", sorted(BATCHED_OPS))
+def test_gradcheck_batched_ops_with_mixed_lengths(op):
+    shapes, forward = BATCHED_OPS[op]
+    rng = np.random.default_rng(len(op))
+    params = [Parameter(f"in{i}", t(rng.normal(size=s), rg=True)) for i, s in enumerate(shapes)]
+    probe = t(rng.normal(size=forward(params).shape))
+
+    def f():
+        return ad.tsum(ad.mul(forward(params), probe))
+
+    report = ad.grad_check(f, params, eps=1e-5)
+    assert report.passed(1e-4), report.entries
+
+
+def test_padded_steps_and_frames_pass_nothing():
+    # outputs past a length are zero and pass back no gradient; a padded
+    # frame gets pooling weight exactly 0, whatever values sit in it
+    rng = np.random.default_rng(61)
+    x = t(rng.normal(size=(12, 3)) * 5.0, rg=True)
+    w, u, b = (t(rng.normal(size=s)) for s in ((3, 8), (2, 8), (1, 8)))
+    with Tape():
+        h = ad.lstm(x, MIXED, w, u, b)
+        ad.backward(ad.tsum(ad.mul(h, t(rng.normal(size=h.shape)))))
+    _, alpha = ad.attentive_stats(x, MIXED, *(t(rng.normal(size=s)) for s in ((3, 2), (1, 2), (2, 1))),
+                                  eps=1e-6)
+    pad = np.arange(4) >= np.array(MIXED)[:, None]
+    assert np.all(h.data[pad.reshape(-1)] == 0.0) and np.all(x.grad[pad.reshape(-1)] == 0.0)
+    assert np.all(alpha[pad] == 0.0) and np.all(alpha[~pad] > 0.0)
+    np.testing.assert_allclose(alpha.sum(axis=1), 1.0, rtol=1e-12)
+
+
 def test_fused_pooling_and_attention_record_one_node_each():
     rng = np.random.default_rng(50)
     h, w, b, v = (t(rng.normal(size=s), rg=True) for s in ((9, 3), (3, 2), (1, 2), (2, 1)))
     with Tape() as tape:
-        pooled, alpha = ad.attentive_stats(h, w, b, v, eps=1e-6)
-        out, attn = ad.attention(h, h, h, n_heads=3)
+        pooled, alpha = ad.attentive_stats(h, [3, 1, 2], w, b, v, eps=1e-6)
+        out, attn = ad.attention(h, h, h, n_heads=3, batch=3)
     assert len(tape.nodes) == 2
-    assert pooled.shape == (1, 6) and alpha.shape == (9, 1)
-    assert out.shape == (9, 3) and attn.shape == (3, 9, 9)
+    assert pooled.shape == (3, 6) and alpha.shape == (3, 3)
+    assert out.shape == (9, 3) and attn.shape == (3, 3, 3, 3)
 
 
 def test_fused_pooling_and_attention_reject_bad_shapes():
     z = lambda *shape: t(np.zeros(shape))
     with pytest.raises(ShapeError):
-        ad.attentive_stats(z(0, 3), z(3, 2), z(1, 2), z(2, 1), eps=1e-6)  # empty sequence
+        ad.attentive_stats(z(0, 3), [0], z(3, 2), z(1, 2), z(2, 1), eps=1e-6)  # empty sequence
     with pytest.raises(ShapeError):
-        ad.attentive_stats(z(4, 3), z(2, 2), z(1, 2), z(2, 1), eps=1e-6)
+        ad.attentive_stats(z(4, 3), [4], z(2, 2), z(1, 2), z(2, 1), eps=1e-6)
+    with pytest.raises(ShapeError):
+        ad.attentive_stats(z(6, 3), [2, 4], z(3, 2), z(1, 2), z(2, 1), eps=1e-6)  # a length past T = 3
+    with pytest.raises(ShapeError):
+        ad.attentive_stats(z(5, 3), [2, 2], z(3, 2), z(1, 2), z(2, 1), eps=1e-6)  # 5 rows, 2 sequences
     with pytest.raises(ValidationError):
-        ad.attentive_stats(z(4, 3), z(3, 2), z(1, 2), z(2, 1), eps=0.0)
+        ad.attentive_stats(z(4, 3), [4], z(3, 2), z(1, 2), z(2, 1), eps=0.0)
     with pytest.raises(ShapeError):
         ad.attention(z(2, 4), z(3, 4), z(2, 4))  # a key without a value
     with pytest.raises(ShapeError):
         ad.attention(z(2, 4), z(2, 4), z(2, 3), n_heads=2)  # d_v not split evenly
     with pytest.raises(ShapeError):
         ad.attention(z(2, 4), z(2, 4), z(2, 4), n_heads=0)
+    with pytest.raises(ShapeError):
+        ad.attention(z(3, 4), z(2, 4), z(2, 4), batch=2)  # 3 queries do not split into 2 samples
 
 
 @pytest.mark.parametrize("shape", SHAPES)

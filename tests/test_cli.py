@@ -261,6 +261,22 @@ def test_eval_v1_checkpoint_exits_2_naming_version(trained, synth_dir, tmp_path,
     assert last.startswith("error: ") and "version 1" in last
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_eval_non_finite_checkpoint_exits_2_naming_the_parameter(trained, synth_dir, tmp_path, capsys,
+                                                                 bad):
+    raw = bytearray(trained.read_bytes())
+    raw[-8:] = np.array([bad], dtype="<f8").tobytes()  # the last payload value of the last parameter
+    ckpt = tmp_path / "bad.ptmf"
+    ckpt.write_bytes(bytes(raw))
+    (tmp_path / "bad.ptmf.json").write_text((trained.parent / (trained.name + ".json")).read_text())
+    assert main(["eval", "--checkpoint", str(ckpt),
+                 "--manifest", str(synth_dir / "manifest.jsonl")]) == EXIT_IO
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and "head.fc2.bias" in errors[0] and "non-finite" in errors[0]
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # config file resolution
 

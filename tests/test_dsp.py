@@ -335,3 +335,20 @@ def test_read_wav_rejects_stereo(tmp_path):
         fh.writeframes(np.zeros(400, dtype=np.int16).tobytes())
     with pytest.raises(DataFormatError):
         dsp.read_wav(path)
+
+
+def test_read_wav_rejects_data_shorter_than_its_header_declares(tmp_path):
+    # an even cut keeps whole samples, so only the declared size can tell
+    import wave as wavmod
+
+    from ptmfnet.errors import DataFormatError
+
+    path = tmp_path / "cut.wav"
+    with wavmod.open(str(path), "wb") as fh:
+        fh.setnchannels(1)
+        fh.setsampwidth(2)
+        fh.setframerate(16000)
+        fh.writeframes(np.arange(800, dtype=np.int16).tobytes())
+    path.write_bytes(path.read_bytes()[:-600])
+    with pytest.raises(DataFormatError, match="truncated.*1000 of 1600 bytes"):
+        dsp.read_wav(path)

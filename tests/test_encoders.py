@@ -48,6 +48,28 @@ def _ref_lstm(enc, x, out_gates=None):
     return np.stack(out)
 
 
+def _tanh(x):
+    """Taped elementwise tanh; only the oracle below needs it."""
+    out = ad._result(np.tanh(x.data), x.requires_grad)
+    t = out.data
+    return ad._record(out, (x,), lambda g: (g * (1.0 - t * t),))
+
+
+def _narrow(x, axis, start, length):
+    """Taped contiguous slice of `length` extents along one axis of a 2-D tensor."""
+    idx = [slice(None), slice(None)]
+    idx[axis] = slice(start, start + length)
+    idx = tuple(idx)
+    out = ad._result(x.data[idx].copy(), x.requires_grad)
+
+    def vjp(g):
+        full = np.zeros_like(x.data)
+        full[idx] = g
+        return (full,)
+
+    return ad._record(out, (x,), vjp)
+
+
 def _taped_lstm(enc, x):
     """The op-by-op recurrence the fused `ad.lstm` replaced (15 recorded ops a
     frame, plus 3 a call), kept as an oracle in the same expression order."""
@@ -57,16 +79,21 @@ def _taped_lstm(enc, x):
     c = Tensor(np.zeros((1, h_dim)))
     outputs = []
     for t in range(x.shape[0]):
-        pre = ad.add(ad.narrow(xw, 0, t, 1), ad.matmul(h, enc.U))
-        gates = ad.sigmoid(ad.narrow(pre, 1, 0, 3 * h_dim))
-        i = ad.narrow(gates, 1, 0, h_dim)
-        f = ad.narrow(gates, 1, h_dim, h_dim)
-        o = ad.narrow(gates, 1, 2 * h_dim, h_dim)
-        g = ad.tanh(ad.narrow(pre, 1, 3 * h_dim, h_dim))
+        pre = ad.add(_narrow(xw, 0, t, 1), ad.matmul(h, enc.U))
+        gates = ad.sigmoid(_narrow(pre, 1, 0, 3 * h_dim))
+        i = _narrow(gates, 1, 0, h_dim)
+        f = _narrow(gates, 1, h_dim, h_dim)
+        o = _narrow(gates, 1, 2 * h_dim, h_dim)
+        g = _tanh(_narrow(pre, 1, 3 * h_dim, h_dim))
         c = ad.add(ad.mul(f, c), ad.mul(i, g))
-        h = ad.mul(o, ad.tanh(c))
+        h = ad.mul(o, _tanh(c))
         outputs.append(h)
     return ad.concat(outputs, axis=0)
+
+
+def _one(x):
+    """Lengths of a single sequence holding every row of x."""
+    return [x.shape[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -76,14 +103,14 @@ def _taped_lstm(enc, x):
 def test_zero_weights_zero_input_fixed_point():
     enc = LstmEncoder(2, 3, np.random.default_rng(0))
     _zero_params(enc)
-    h = enc.forward(Tensor(np.zeros((4, 2))))
-    np.testing.assert_array_equal(h.data, np.zeros((4, 3)))
+    h = enc.forward(Tensor(np.zeros((8, 2))), [4, 1])
+    np.testing.assert_array_equal(h.data, np.zeros((8, 3)))
 
 
 def test_single_step_matches_hand_cell():
     enc = LstmEncoder(2, 2, np.random.default_rng(1))
     x = np.array([[0.3, -0.7]])
-    got = enc.forward(Tensor(x)).data
+    got = enc.forward(Tensor(x), _one(x)).data
     expected = _ref_lstm(enc, x)
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
@@ -92,7 +119,7 @@ def test_sequence_matches_reference_recurrence():
     rng = np.random.default_rng(2)
     enc = LstmEncoder(3, 4, rng)
     x = rng.normal(size=(6, 3))
-    np.testing.assert_allclose(enc.forward(Tensor(x)).data, _ref_lstm(enc, x), atol=1e-12)
+    np.testing.assert_allclose(enc.forward(Tensor(x), _one(x)).data, _ref_lstm(enc, x), atol=1e-12)
 
 
 def test_forget_bias_initialized_to_one():
@@ -131,7 +158,7 @@ def test_parameter_shapes_and_names():
 def test_dimension_mismatch_rejected():
     enc = LstmEncoder(3, 4, np.random.default_rng(5))
     with pytest.raises(ValidationError):
-        enc.forward(Tensor(np.zeros((5, 2))))
+        enc.forward(Tensor(np.zeros((5, 2))), [5])
 
 
 @given(st.integers(0, 2**31))
@@ -144,7 +171,7 @@ def test_hidden_states_strictly_bounded(seed):
     for p in enc.named_parameters():
         p.tensor.data[...] *= 20.0
     x = rng.normal(size=(50, 2)) * 5.0
-    h = np.abs(enc.forward(Tensor(x)).data)
+    h = np.abs(enc.forward(Tensor(x), _one(x)).data)
     assert np.all(h <= 1.0)
     # float64 keeps |h| < 1 wherever the output gate stays below 1: fl(o * t) <= o < 1
     out_gates = []
@@ -160,7 +187,7 @@ def test_lstm_gradcheck_five_steps():
     probe = Tensor(rng.normal(size=(5, 3)))
 
     def f():
-        return ad.tsum(ad.mul(enc.forward(x), probe))
+        return ad.tsum(ad.mul(enc.forward(x, [5]), probe))
 
     report = ad.grad_check(f, collect_parameters(enc), eps=1e-5)
     assert report.passed(1e-4), report.entries
@@ -182,7 +209,7 @@ def test_fused_lstm_matches_taped_recurrence(t_len):
     enc = LstmEncoder(3, 5, rng)
     x = Tensor(rng.normal(size=(t_len, 3)), requires_grad=True)
     probe = Tensor(rng.normal(size=(t_len, 5)))
-    out, grads = _lstm_out_and_grads(enc.forward, enc, x, probe)
+    out, grads = _lstm_out_and_grads(lambda v: enc.forward(v, [t_len]), enc, x, probe)
     ref_out, ref = _lstm_out_and_grads(lambda v: _taped_lstm(enc, v), enc, x, probe)
     np.testing.assert_array_equal(out, ref_out)
     for name in ("W", "b", "x"):
@@ -195,7 +222,7 @@ def test_fused_lstm_matches_taped_recurrence(t_len):
 def test_lstm_forward_records_one_tape_node(t_len):
     enc = LstmEncoder(2, 3, np.random.default_rng(13))
     with ad.Tape() as tape:
-        enc.forward(Tensor(np.random.default_rng(14).normal(size=(t_len, 2))))
+        enc.forward(Tensor(np.random.default_rng(14).normal(size=(2 * t_len, 2))), [t_len, 1])
     assert len(tape.nodes) == 1
 
 
@@ -206,7 +233,7 @@ def test_lstm_gradcheck_input():
     probe = Tensor(rng.normal(size=(6, 3)))
 
     def f():
-        return ad.tsum(ad.mul(enc.forward(x.tensor), probe))
+        return ad.tsum(ad.mul(enc.forward(x.tensor, [6]), probe))
 
     report = ad.grad_check(f, [x], eps=1e-5)
     assert report.passed(1e-4), report.entries
@@ -215,13 +242,51 @@ def test_lstm_gradcheck_input():
 def test_fused_lstm_rejects_empty_sequence_and_bad_shapes():
     enc = LstmEncoder(2, 3, np.random.default_rng(16))
     with pytest.raises(ad.ShapeError):
-        ad.lstm(Tensor(np.zeros((0, 2))), enc.W, enc.U, enc.b)
+        ad.lstm(Tensor(np.zeros((0, 2))), [0], enc.W, enc.U, enc.b)
     with pytest.raises(ad.ShapeError):
-        ad.lstm(Tensor(np.zeros((4, 2))), enc.W, enc.W, enc.b)
+        ad.lstm(Tensor(np.zeros((4, 2))), [4], enc.W, enc.W, enc.b)
+    with pytest.raises(ad.ShapeError):
+        ad.lstm(Tensor(np.zeros((4, 2))), [2, 3], enc.W, enc.U, enc.b)  # a length past T = 2
+    with pytest.raises(ad.ShapeError):
+        ad.lstm(Tensor(np.zeros((4, 2))), [4.0], enc.W, enc.U, enc.b)  # lengths must be integers
+
+
+def _padded(seqs, fill=0.0):
+    """Sequences padded to the longest with `fill`, as (B*T, D) rows, and their lengths."""
+    t_max = max(len(x) for x in seqs)
+    rows = np.concatenate([np.pad(x, ((0, t_max - len(x)), (0, 0)), constant_values=fill) for x in seqs])
+    return rows, [len(x) for x in seqs]
+
+
+def test_batched_lstm_matches_each_sequence_alone():
+    rng = np.random.default_rng(17)
+    enc = LstmEncoder(3, 4, rng)
+    seqs = [rng.normal(size=(t, 3)) for t in (1, 9, 4)]
+    rows, lengths = _padded(seqs)
+    out = enc.forward(Tensor(rows), lengths).data.reshape(3, 9, 4)
+    for b, x in enumerate(seqs):
+        alone = enc.forward(Tensor(x), _one(x)).data
+        assert np.max(np.abs(out[b, : len(x)] - alone)) <= 1e-12 * np.max(np.abs(alone))
+        assert np.all(out[b, len(x):] == 0.0)
 
 
 # ---------------------------------------------------------------------------
 # ASP
+
+
+def test_batched_asp_matches_each_sequence_alone():
+    rng = np.random.default_rng(18)
+    pool = AspPooling(3, 2, rng)
+    seqs = [rng.normal(size=(t, 3)) for t in (6, 1, 3)]
+    rows, lengths = _padded(seqs, fill=7.0)  # padded frames must not count, whatever they hold
+    trace = ForwardTrace()
+    out = pool.forward(Tensor(rows), lengths, trace).data
+    (alpha,) = trace.attention_rows
+    assert alpha.shape == (3, 6) and len(trace.asp_std) == 3
+    for b, h in enumerate(seqs):
+        np.testing.assert_allclose(out[b], _ref_asp(pool, h), rtol=1e-12, atol=1e-15)
+        assert np.all(alpha[b, len(h):] == 0.0)
+        np.testing.assert_array_equal(trace.asp_std[b], out[b, 3:])
 
 
 def _ref_asp(pool, h):
@@ -239,7 +304,7 @@ def _ref_asp(pool, h):
 def test_asp_constant_sequence():
     pool = AspPooling(3, 2, np.random.default_rng(7), eps=1e-6)
     u = np.array([0.4, -1.2, 2.0])
-    out = pool.forward(Tensor(np.tile(u, (5, 1)))).data[0]
+    out = pool.forward(Tensor(np.tile(u, (5, 1))), [5]).data[0]
     np.testing.assert_allclose(out[:3], u, atol=1e-12)
     np.testing.assert_allclose(out[3:], math.sqrt(1e-6) * np.ones(3), atol=1e-12)
 
@@ -247,7 +312,7 @@ def test_asp_constant_sequence():
 def test_asp_single_frame():
     pool = AspPooling(4, 3, np.random.default_rng(8), eps=1e-6)
     h = np.random.default_rng(9).normal(size=(1, 4))
-    out = pool.forward(Tensor(h)).data[0]
+    out = pool.forward(Tensor(h), [1]).data[0]
     np.testing.assert_allclose(out[:4], h[0], atol=1e-12)
     np.testing.assert_allclose(out[4:], math.sqrt(1e-6) * np.ones(4), atol=1e-12)
 
@@ -256,7 +321,7 @@ def test_asp_matches_loop_oracle():
     rng = np.random.default_rng(10)
     pool = AspPooling(4, 3, rng)
     h = rng.normal(size=(7, 4))
-    got = pool.forward(Tensor(h)).data[0]
+    got = pool.forward(Tensor(h), _one(h)).data[0]
     np.testing.assert_allclose(got, _ref_asp(pool, h), atol=1e-12)
 
 
@@ -267,7 +332,7 @@ def test_asp_weights_simplex_and_std_floor(t_len, seed):
     pool = AspPooling(3, 2, rng, eps=1e-6)
     h = rng.normal(size=(t_len, 3)) * 3.0
     trace = ForwardTrace()
-    out = pool.forward(Tensor(h), trace).data[0]
+    out = pool.forward(Tensor(h), _one(h), trace).data[0]
     (alpha,) = trace.attention_rows
     assert alpha.shape == (1, t_len)
     assert np.all(alpha > 0)
@@ -280,7 +345,7 @@ def test_asp_mean_within_per_dim_envelope():
     rng = np.random.default_rng(11)
     pool = AspPooling(3, 4, rng)
     h = rng.normal(size=(9, 3))
-    mu = pool.forward(Tensor(h)).data[0, :3]
+    mu = pool.forward(Tensor(h), _one(h)).data[0, :3]
     assert np.all(mu >= h.min(axis=0) - 1e-12)
     assert np.all(mu <= h.max(axis=0) + 1e-12)
 
@@ -292,7 +357,7 @@ def test_asp_gradcheck():
     probe = Tensor(rng.normal(size=(1, 6)))
 
     def f():
-        return ad.tsum(ad.mul(pool.forward(h), probe))
+        return ad.tsum(ad.mul(pool.forward(h, [5]), probe))
 
     report = ad.grad_check(f, collect_parameters(pool), eps=1e-5)
     assert report.passed(1e-4), report.entries
@@ -303,4 +368,4 @@ def test_asp_rejects_bad_eps_and_dims():
         AspPooling(3, 2, np.random.default_rng(0), eps=0.0)
     pool = AspPooling(3, 2, np.random.default_rng(0))
     with pytest.raises(ValidationError):
-        pool.forward(Tensor(np.zeros((4, 5))))
+        pool.forward(Tensor(np.zeros((4, 5))), [4])

@@ -228,6 +228,21 @@ def test_tx_deterministic_without_dropout():
     np.testing.assert_array_equal(a, b)
 
 
+def test_tx_batched_rows_match_each_sample_alone():
+    # rows come out audio, visual per sample in turn, and no token attends
+    # to another sample's tokens
+    mod = _tx(n_layers=2)
+    rng = np.random.default_rng(29)
+    u_a, u_v = rng.normal(size=(3, 5)), rng.normal(size=(3, 5))
+    trace = ForwardTrace()
+    out = mod.forward(Tensor(u_a), Tensor(u_v), trace=trace).data
+    assert out.shape == (6, 8)
+    assert len(trace.attention_rows) == 2 * 3 * 2  # layers x samples x heads
+    for b in range(3):
+        alone = mod.forward(Tensor(u_a[b:b + 1]), Tensor(u_v[b:b + 1])).data
+        np.testing.assert_allclose(out[2 * b:2 * b + 2], alone, rtol=1e-12, atol=1e-15)
+
+
 def test_tx_rejects_indivisible_heads():
     with pytest.raises(ValidationError):
         _tx(d_model=9)

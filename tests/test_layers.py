@@ -75,3 +75,20 @@ def test_multi_head_attention_is_per_head_oracle_side_by_side(n_heads):
                                               v[:, j * d_v:(j + 1) * d_v])
         np.testing.assert_allclose(out.data[:, j * d_v:(j + 1) * d_v], ref_out, atol=1e-12)
         np.testing.assert_allclose(trace.attention_rows[j], ref_weights, atol=1e-12)
+
+
+def test_batched_attention_is_per_sample_oracle():
+    # a sample's queries attend only to its own keys; the trace holds one
+    # matrix per sample and head, sample by sample
+    rng = np.random.default_rng(12)
+    q, k, v = rng.normal(size=(3 * 4, 6)), rng.normal(size=(3 * 2, 6)), rng.normal(size=(3 * 2, 4))
+    trace = ForwardTrace()
+    out = attention(Tensor(q), Tensor(k), Tensor(v), trace, n_heads=2, batch=3)
+    assert out.shape == (12, 4) and len(trace.attention_rows) == 6
+    for b in range(3):
+        qb, kb, vb = q[4 * b:4 * b + 4], k[2 * b:2 * b + 2], v[2 * b:2 * b + 2]
+        for j in range(2):
+            ref_out, ref_weights = _ref_attention(qb[:, 3 * j:3 * j + 3], kb[:, 3 * j:3 * j + 3],
+                                                  vb[:, 2 * j:2 * j + 2])
+            np.testing.assert_allclose(out.data[4 * b:4 * b + 4, 2 * j:2 * j + 2], ref_out, atol=1e-12)
+            np.testing.assert_allclose(trace.attention_rows[2 * b + j], ref_weights, atol=1e-12)

@@ -12,7 +12,7 @@ from ptmfnet.dataio import (AUDIO_STREAMS, VISUAL_STREAMS, PersonalityProfile,
 from ptmfnet.errors import ValidationError
 from ptmfnet.layers import ForwardTrace
 from ptmfnet.model import (ClassifierHead, DepressionModel, ModelConfig,
-                           SampleFeatures, load_sample_features)
+                           SampleFeatures, collate, load_sample_features)
 from ptmfnet.training import cross_entropy
 
 SMALL = dict(audio_hidden=4, visual_hidden=4, coatt_lld_dim=4, coatt_mfcc_dim=4,
@@ -34,6 +34,17 @@ def make_feats(cfg: ModelConfig, rng: np.random.Generator, label: int = 0,
                           label=label)
 
 
+def logits_of(model, feats, **kw):
+    """Forward one sample as a batch of one."""
+    return model.forward(collate([feats], model.cfg), **kw)
+
+
+def step_loss(model, feats, rng):
+    """Training forward and loss of one sample as a batch of one."""
+    batch = collate([feats], model.cfg)
+    return cross_entropy(model.forward(batch, training=True, rng=rng), batch.labels)
+
+
 # ---------------------------------------------------------------------------
 # forward shapes and probabilities
 
@@ -43,25 +54,17 @@ def test_forward_logit_shape_per_task(task, n_cls):
     cfg = make_cfg(task=task)
     rng = np.random.default_rng(1)
     model = DepressionModel(cfg, rng)
-    logits = model.forward(make_feats(cfg, rng))
+    logits = logits_of(model, make_feats(cfg, rng))
     assert logits.shape == (1, n_cls)
     assert np.all(np.isfinite(logits.data))
     assert cfg.n_classes == n_cls
 
 
-def test_predict_matches_argmax_of_logits():
-    cfg = make_cfg()
-    rng = np.random.default_rng(3)
-    model = DepressionModel(cfg, rng)
-    feats = make_feats(cfg, rng)
-    assert model.predict(feats) == int(np.argmax(model.forward(feats).data[0]))
-
-
 def test_forward_deterministic_across_constructions():
     cfg = make_cfg(seed=11)
     feats = make_feats(cfg, np.random.default_rng(4))
-    out1 = DepressionModel(cfg).forward(feats).data
-    out2 = DepressionModel(cfg).forward(feats).data
+    out1 = logits_of(DepressionModel(cfg), feats).data
+    out2 = logits_of(DepressionModel(cfg), feats).data
     assert np.array_equal(out1, out2)
 
 
@@ -70,11 +73,11 @@ def test_training_dropout_changes_output_inference_ignores_rng():
     rng = np.random.default_rng(5)
     model = DepressionModel(cfg, rng)
     feats = make_feats(cfg, rng)
-    a = model.forward(feats, training=True, rng=np.random.default_rng(0)).data
-    b = model.forward(feats, training=True, rng=np.random.default_rng(1)).data
+    a = logits_of(model, feats, training=True, rng=np.random.default_rng(0)).data
+    b = logits_of(model, feats, training=True, rng=np.random.default_rng(1)).data
     assert not np.array_equal(a, b)
-    c = model.forward(feats, training=False).data
-    d = model.forward(feats, training=False).data
+    c = logits_of(model, feats, training=False).data
+    d = logits_of(model, feats, training=False).data
     assert np.array_equal(c, d)
 
 
@@ -128,7 +131,7 @@ def test_parameters_feed_no_glue_op():
     params = {id(p.tensor): p.name for p in collect_parameters(model)}
     feats = make_feats(cfg, np.random.default_rng(31))
     with ad.Tape() as tape:
-        cross_entropy(model.forward(feats, training=True, rng=np.random.default_rng(32)), feats.label)
+        step_loss(model, feats, np.random.default_rng(32))
     uses = {}
     for node in tape.nodes:
         for t in node.inputs:
@@ -149,7 +152,7 @@ def test_training_forward_and_loss_record_at_most_100_tape_nodes(cfg, limit):
     for t_audio in (1, 40):
         feats = make_feats(cfg, np.random.default_rng(t_audio), t_audio=t_audio, t_visual=t_audio + 3)
         with ad.Tape() as tape:
-            cross_entropy(model.forward(feats, training=True, rng=np.random.default_rng(37)), feats.label)
+            step_loss(model, feats, np.random.default_rng(37))
         assert len(tape.nodes) <= limit
 
 
@@ -169,7 +172,7 @@ def test_transformer_tokens_reach_ptmfim_without_glue_ops():
     seen = _capture_tokens(model)
     feats = make_feats(cfg, np.random.default_rng(34))
     with ad.Tape() as tape:
-        cross_entropy(model.forward(feats, training=True, rng=np.random.default_rng(35)), feats.label)
+        step_loss(model, feats, np.random.default_rng(35))
     tokens = seen["tokens"]
     assert tokens.shape == (2, cfg.d_model)
     consumers = [_op_name(node.vjp) for node in tape.nodes
@@ -197,7 +200,7 @@ def test_wo_ptmfim_has_zero_ptmfim_parameters():
     # head consumes the fused vector concatenated with the raw embedding
     fc1 = dict(collect_parameters(model))["head.fc1.weight"]
     assert fc1.data.shape[0] == 2 * cfg.d_model + cfg.personality_dim
-    logits = model.forward(make_feats(cfg, np.random.default_rng(8)))
+    logits = logits_of(model, make_feats(cfg, np.random.default_rng(8)))
     assert logits.shape == (1, cfg.n_classes)
 
 
@@ -208,7 +211,7 @@ def test_wo_ptmfim_head_input_is_token_rows_then_personality():
     head_forward = model.head.forward
     model.head.forward = lambda x: head_forward(seen.setdefault("head_in", x))
     feats = make_feats(cfg, np.random.default_rng(37))
-    model.forward(feats)
+    logits_of(model, feats)
     tokens = seen["tokens"].data
     expected = np.concatenate([tokens[0], tokens[1], feats.personality])[None, :]
     np.testing.assert_array_equal(seen["head_in"].data, expected)
@@ -229,7 +232,7 @@ def test_wo_multi_audio_keeps_only_wav2vec_audio():
     # ASP then attends over the single-stream hidden width
     asp_w = dict(collect_parameters(model))["enc.audio.asp.W"]
     assert asp_w.data.shape == (cfg.audio_hidden, cfg.asp_attn_dim)
-    assert model.forward(make_feats(cfg, np.random.default_rng(10))).shape == (1, 2)
+    assert logits_of(model, make_feats(cfg, np.random.default_rng(10))).shape == (1, 2)
 
 
 def test_wo_co_att_keeps_transforms_but_skips_weighting():
@@ -238,8 +241,8 @@ def test_wo_co_att_keeps_transforms_but_skips_weighting():
     plain = DepressionModel(make_cfg(seed=seed, co_att=False))
     assert _names(full) == _names(plain)
     feats = make_feats(full.cfg, np.random.default_rng(11))
-    out_full = full.forward(feats).data
-    out_plain = plain.forward(feats).data
+    out_full = logits_of(full, feats).data
+    out_plain = logits_of(plain, feats).data
     assert out_full.shape == out_plain.shape
     assert not np.array_equal(out_full, out_plain)
 
@@ -249,13 +252,13 @@ def test_wo_multi_visual_uses_only_openface():
     model = DepressionModel(cfg, np.random.default_rng(12))
     w = dict(collect_parameters(model))["enc.visual.lstm.W"]
     assert w.data.shape == (cfg.visual_dims["openface"], 4 * cfg.visual_hidden)
-    assert model.forward(make_feats(cfg, np.random.default_rng(13))).shape == (1, 2)
+    assert logits_of(model, make_feats(cfg, np.random.default_rng(13))).shape == (1, 2)
 
 
 def test_all_ablations_off_still_runs():
     cfg = make_cfg(multi_audio=False, co_att=False, multi_visual=False, ptmfim=False)
     model = DepressionModel(cfg, np.random.default_rng(14))
-    logits = model.forward(make_feats(cfg, np.random.default_rng(15)))
+    logits = logits_of(model, make_feats(cfg, np.random.default_rng(15)))
     assert logits.shape == (1, 2)
     assert np.all(np.isfinite(logits.data))
 
@@ -269,7 +272,7 @@ def test_trace_collects_attention_rows_and_std_floors():
     rng = np.random.default_rng(16)
     model = DepressionModel(cfg, rng)
     trace = ForwardTrace()
-    model.forward(make_feats(cfg, rng), trace=trace)
+    logits_of(model, make_feats(cfg, rng), trace=trace)
     # 2 ASP rows + 2 layers * 2 heads + PTMFIM's BCA and TIA maps
     assert len(trace.attention_rows) >= 6
     for rows in trace.attention_rows:

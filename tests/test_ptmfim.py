@@ -216,6 +216,21 @@ def test_forward_matches_loop_oracle():
     np.testing.assert_allclose(tia.data, ref_tia, atol=1e-12)
 
 
+def test_batched_forward_matches_each_sample_alone():
+    mod = _module(d_p=5, d_m=6, d_h=4, n_p=3, seed=25)
+    rng = np.random.default_rng(26)
+    emb = rng.normal(size=(3, 5))
+    tok = rng.normal(size=(3, 2, 6))  # audio, visual token per sample
+    trace = ForwardTrace()
+    out = mod.forward(Tensor(emb), Tensor(tok.reshape(6, 6)), trace).data
+    assert out.shape == (3, 4) and len(trace.gates) == 3
+    assert len(trace.attention_rows) == 6  # BCA then TIA, one per sample each
+    for b in range(3):
+        ref_out, ref_g, _, _ = _ref_forward(mod, emb[b], tok[b, 0], tok[b, 1])
+        np.testing.assert_allclose(out[b], ref_out, atol=1e-12)
+        np.testing.assert_allclose(trace.gates[b], ref_g, atol=1e-12)
+
+
 def test_zero_embedding_zero_bias_uniform_attention():
     mod = _module(seed=20)
     mod.pers_proj.bias.data[...] = 0.0

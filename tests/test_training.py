@@ -1,6 +1,7 @@
 """Training-harness tests: loss oracle and closed-form gradient, Adam
 behavior, rebalancing/splitting invariants, and end-to-end determinism."""
 
+import gc
 import json
 import math
 from dataclasses import dataclass
@@ -12,7 +13,7 @@ from ptmfnet import autodiff as ad
 from ptmfnet.autodiff import Tape, Tensor, collect_parameters
 from ptmfnet.dataio import SynthSpec, load_manifest, synth_dataset
 from ptmfnet.errors import ValidationError
-from ptmfnet.model import DepressionModel, ModelConfig, load_sample_features
+from ptmfnet.model import DepressionModel, ModelConfig, collate, load_sample_features
 from ptmfnet.training import (Adam, TrainState, cross_entropy, evaluate,
                               resample_epoch, split_train_val, train)
 
@@ -37,8 +38,8 @@ class _Rec:
 
 def test_cross_entropy_uniform_logits_is_log_n():
     for n in (2, 3, 5):
-        loss = cross_entropy(Tensor(np.zeros((1, n))), 0)
-        assert loss.data == pytest.approx(math.log(n), rel=1e-15)
+        loss = cross_entropy(Tensor(np.zeros((1, n))), [0])
+        assert loss.item() == pytest.approx(math.log(n), rel=1e-15)
 
 
 def test_cross_entropy_matches_direct_formula():
@@ -48,12 +49,12 @@ def test_cross_entropy_matches_direct_formula():
         logits = rng.standard_normal((1, n)) * 3
         label = int(rng.integers(n))
         p = np.exp(logits[0]) / np.exp(logits[0]).sum()
-        loss = cross_entropy(Tensor(logits), label)
+        loss = cross_entropy(Tensor(logits), [label])
         assert loss.item() == pytest.approx(-math.log(p[label]), rel=1e-12)
 
 
 def test_cross_entropy_huge_logits_stay_finite():
-    loss = cross_entropy(Tensor(np.array([[1000.0, -1000.0]])), 1)
+    loss = cross_entropy(Tensor(np.array([[1000.0, -1000.0]])), [1])
     assert np.isfinite(loss.item())
     assert loss.item() == pytest.approx(2000.0, rel=1e-12)
 
@@ -63,7 +64,7 @@ def test_cross_entropy_gradient_is_softmax_minus_onehot():
     logits_data = rng.standard_normal((1, 5))
     x = Tensor(logits_data, requires_grad=True)
     with Tape():
-        loss = cross_entropy(x, 3)
+        loss = cross_entropy(x, [3])
         ad.backward(loss)
     p = np.exp(logits_data) / np.exp(logits_data).sum()
     expected = p.copy()
@@ -73,9 +74,27 @@ def test_cross_entropy_gradient_is_softmax_minus_onehot():
 
 def test_cross_entropy_label_out_of_range():
     with pytest.raises(ValidationError, match="label"):
-        cross_entropy(Tensor(np.zeros((1, 3))), 3)
+        cross_entropy(Tensor(np.zeros((1, 3))), [3])
     with pytest.raises(ValidationError, match="label"):
-        cross_entropy(Tensor(np.zeros((1, 3))), -1)
+        cross_entropy(Tensor(np.zeros((1, 3))), [-1])
+    with pytest.raises(ValidationError, match="label"):
+        cross_entropy(Tensor(np.zeros((2, 3))), [1])  # one label for two rows
+
+
+def test_cross_entropy_of_a_batch_is_the_mean_of_its_rows():
+    rng = np.random.default_rng(2)
+    logits = rng.standard_normal((6, 4)) * 3
+    labels = [0, 3, 1, 1, 2, 0]
+    x = Tensor(logits, requires_grad=True)
+    with Tape():
+        loss = cross_entropy(x, labels)
+        ad.backward(loss)
+    assert loss.shape == (1, 1)
+    rows = [cross_entropy(Tensor(logits[i:i + 1]), [lab]).item() for i, lab in enumerate(labels)]
+    assert loss.item() == pytest.approx(sum(rows) / 6, rel=1e-14)
+    p = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+    p[np.arange(6), labels] -= 1.0
+    np.testing.assert_allclose(x.grad, p / 6, rtol=1e-12, atol=1e-17)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +309,24 @@ def test_train_bitwise_deterministic(synth_binary, tmp_path):
         np.testing.assert_array_equal(pa.tensor.data, pb.tensor.data)
 
 
+def test_train_frees_each_step_graph_without_the_cycle_collector(synth_binary):
+    # each step's tape is emptied once backward has run, so no node or
+    # tensor of a step waits for the cycle collector, and peak memory does
+    # not depend on when that collector happens to run
+    gc.collect()
+    gc.disable()
+    try:
+        train(_tiny_cfg(seed=6, epochs=1), synth_binary)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leftover = [type(o).__name__ for o in gc.garbage if isinstance(o, (ad.Node, ad.Tape, Tensor))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert leftover == []
+
+
 def test_train_seed_changes_trajectory(synth_binary):
     a = train(_tiny_cfg(seed=1, epochs=1), synth_binary)
     b = train(_tiny_cfg(seed=2, epochs=1), synth_binary)
@@ -303,12 +340,9 @@ def test_single_step_descends_on_repeated_batch(synth_binary):
     feats = [load_sample_features(r, feats_cfg) for r in synth_binary[:4]]
 
     def batch_loss(model):
+        batch = collate(feats, model.cfg)
         with Tape():
-            losses = [cross_entropy(model.forward(f), f.label) for f in feats]
-            total = losses[0]
-            for extra in losses[1:]:
-                total = ad.add(total, extra)
-            loss = ad.scale(total, 1.0 / len(losses))
+            loss = cross_entropy(model.forward(batch), batch.labels)
             params = collect_parameters(model)
             for p in params:
                 p.tensor.zero_grad()
@@ -331,9 +365,20 @@ def test_evaluate_matches_manual_predictions(synth_binary):
     model = DepressionModel(cfg)
     report = evaluate(model, feats)
     from ptmfnet.metrics import compute_metrics
-    manual = compute_metrics([f.label for f in feats],
-                             [model.predict(f) for f in feats], cfg.n_classes)
+    alone = [int(np.argmax(model.forward(collate([f], cfg)).data[0])) for f in feats]
+    manual = compute_metrics([f.label for f in feats], alone, cfg.n_classes)
     assert report.to_dict() == manual.to_dict()
+
+
+def test_evaluate_ignores_batch_size_and_dropout(synth_binary):
+    # evaluation batches are cut in input order and draw no random numbers,
+    # so neither the batch size nor the dropout rate changes a report
+    feats = [load_sample_features(r, _tiny_cfg()) for r in synth_binary[:7]]
+    reports = []
+    for batch_size, dropout in ((1, 0.0), (3, 0.0), (8, 0.5)):
+        cfg = _tiny_cfg(seed=8, batch_size=batch_size, dropout=dropout)
+        reports.append(evaluate(DepressionModel(cfg), feats).to_dict())
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_train_zero_epochs_still_reports(synth_binary):
