@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
-from .dataio import TASKS
+from .dataio import TASKS, atomic_write
 from .model import ModelConfig
 from .training import train
 
@@ -56,7 +56,7 @@ def run_ablation(base_cfg: ModelConfig, records, tasks=TASKS,
 
 def write_ablation_csv(rows: list[dict], path) -> Path:
     path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
         for row in rows:

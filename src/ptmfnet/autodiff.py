@@ -539,6 +539,20 @@ def collect_parameters(module: Module) -> list[Parameter]:
     return params
 
 
+def flatten(params: Sequence[Parameter]) -> tuple[np.ndarray, np.ndarray]:
+    """Copy the parameters' values into one f64 vector and their gradients
+    into a second, then rebind each tensor's data and grad to views of its
+    own slice, so an in-place update of either vector reaches every tensor."""
+    data = np.concatenate([t.data.ravel() for _, t in params])
+    grad = np.concatenate([t.grad.ravel() for _, t in params])
+    offset = 0
+    for _, t in params:
+        part = slice(offset, offset + t.size)
+        t.data, t.grad = data[part].reshape(t.shape), grad[part].reshape(t.shape)
+        offset = part.stop
+    return data, grad
+
+
 def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], bound: float) -> Tensor:
     return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 

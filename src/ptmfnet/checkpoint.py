@@ -25,6 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .autodiff import Parameter
+from .dataio import atomic_write
 from .errors import DataFormatError, ValidationError
 
 MAGIC = b"PTMF"
@@ -36,7 +37,7 @@ def save_checkpoint(path, params: Iterable[Parameter]) -> None:
     names = [p.name for p in params]
     if len(set(names)) != len(names):
         raise ValidationError("duplicate parameter names in checkpoint")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(params)))
         for name, tensor in params:

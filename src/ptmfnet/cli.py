@@ -20,7 +20,8 @@ import numpy as np
 from .ablation import VARIANTS, run_ablation, write_ablation_csv
 from .autodiff import collect_parameters
 from .checkpoint import load_into, save_checkpoint
-from .dataio import TASKS, SynthSpec, load_manifest, synth_dataset, write_feature_file
+from .dataio import (TASKS, SynthSpec, atomic_write, load_manifest, synth_dataset,
+                     write_feature_file)
 from .dsp import MelConfig, default_frame_config, extract_lld_bundle, mfcc, read_wav
 from .errors import DataFormatError, ValidationError
 from .gradcheck import run_full_battery
@@ -141,9 +142,9 @@ def _cmd_train(args) -> int:
     if args.checkpoint_out:
         ckpt = Path(args.checkpoint_out)
         ckpt.parent.mkdir(parents=True, exist_ok=True)
+        with atomic_write(str(ckpt) + ".json", encoding="utf-8") as fh:
+            fh.write(json.dumps(cfg.to_dict(), sort_keys=True, indent=2) + "\n")
         save_checkpoint(ckpt, collect_parameters(state.model))
-        Path(str(ckpt) + ".json").write_text(
-            json.dumps(cfg.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8")
     summary = {
         "best_epoch": state.best_epoch,
         "best_val_f1_task": state.best_val_f1,

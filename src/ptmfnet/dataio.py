@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -50,6 +52,20 @@ def labels_from_severity(severity: int) -> dict:
         "ternary": _TERNARY_OF_SEVERITY[severity],
         "quinary": severity,
     }
+
+
+@contextmanager
+def atomic_write(path, mode: str = "w", **open_kw):
+    """Write through a temp file beside `path`, renamed over it once the body
+    is done; on failure `path` keeps its old contents. No fsync."""
+    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **open_kw) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +281,9 @@ def _parse_record(obj, base, line_no, errors, seen_ids):
             ok = False
             continue
         value = labels[task]
-        in_range = isinstance(value, int) and 0 <= value < TASK_CLASSES[task]
-        if not _require(in_range, errors, line_no,
-                        f"label {value!r} out of range for task {task!r} (expected 0..{TASK_CLASSES[task] - 1})"):
+        in_range = type(value) is int and 0 <= value < TASK_CLASSES[task]
+        if not _require(in_range, errors, line_no, f"label {json.dumps(value)[:40]} for task {task!r} "
+                        f"is not an integer in 0..{TASK_CLASSES[task] - 1}"):
             ok = False
 
     try:

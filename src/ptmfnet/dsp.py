@@ -7,6 +7,7 @@ at t*hop_len, trailing samples that do not fill a frame are dropped).
 
 from __future__ import annotations
 
+import math
 import wave
 from dataclasses import dataclass
 
@@ -178,6 +179,9 @@ def extract_lld_bundle(w: Waveform, fcfg: FrameConfig) -> np.ndarray:
 
 def default_frame_config(sample_rate: int, frame_ms: float = 25.0, hop_ms: float = 10.0,
                          window: str = "hamming") -> FrameConfig:
+    for name, ms in (("frame_ms", frame_ms), ("hop_ms", hop_ms)):
+        if not (math.isfinite(ms) and ms > 0):
+            raise ValidationError(f"{name} must be a positive, finite duration in ms, got {ms!r}")
     return FrameConfig(
         frame_len=int(round(sample_rate * frame_ms / 1000.0)),
         hop_len=int(round(sample_rate * hop_ms / 1000.0)),

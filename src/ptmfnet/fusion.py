@@ -1,5 +1,5 @@
-"""Fusion stages: audio co-attention, visual concatenation, and the
-2-token transformer that merges both branches into token rows.
+"""Fusion stages: frame alignment across streams, audio co-attention, and
+the 2-token transformer that merges both branches into token rows.
 """
 
 from __future__ import annotations
@@ -25,20 +25,6 @@ def align_streams(arrays: list[np.ndarray]) -> list[np.ndarray]:
             idx = np.round(np.linspace(0.0, a.shape[0] - 1, t_min)).astype(int)
             out.append(a[idx])
     return out
-
-
-def _check_equal_t(named_seqs: list[tuple[str, int]]) -> None:
-    t0 = named_seqs[0][1]
-    if any(t != t0 for _, t in named_seqs):
-        detail = ", ".join(f"{name}: T={t}" for name, t in named_seqs)
-        raise ValidationError(f"frame-count mismatch across streams ({detail})")
-
-
-def visual_concat(openface: np.ndarray, resnet: np.ndarray, densenet: np.ndarray) -> np.ndarray:
-    """Frame-wise concatenation in fixed stream order."""
-    _check_equal_t([("openface", openface.shape[0]), ("resnet", resnet.shape[0]),
-                    ("densenet", densenet.shape[0])])
-    return np.concatenate([openface, resnet, densenet], axis=1)
 
 
 class CoAttentionFusion(Module):
@@ -67,8 +53,10 @@ class CoAttentionFusion(Module):
     def forward(self, lld_seq: Tensor, mfcc_seq: Tensor, w2v_seq: Tensor,
                 training: bool = False, rng: np.random.Generator | None = None,
                 weighting: bool = True) -> Tensor:
-        _check_equal_t([("lld", lld_seq.shape[0]), ("mfcc", mfcc_seq.shape[0]),
-                        ("wav2vec", w2v_seq.shape[0])])
+        frames = {"lld": lld_seq.shape[0], "mfcc": mfcc_seq.shape[0], "wav2vec": w2v_seq.shape[0]}
+        if len(set(frames.values())) > 1:
+            detail = ", ".join(f"{name}: T={t}" for name, t in frames.items())
+            raise ValidationError(f"frame-count mismatch across streams ({detail})")
         lld_t = self._transform(lld_seq, self.lld, training, rng)
         mfcc_t = self._transform(mfcc_seq, self.mfcc, training, rng)
         w2v_t = self._transform(w2v_seq, self.w2v, training, rng)

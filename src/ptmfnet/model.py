@@ -19,7 +19,7 @@ from .dataio import (AUDIO_STREAMS, DEFAULT_PERSONALITY_DIM, DEFAULT_STREAM_DIMS
                      profile_to_embedding)
 from .encoders import AspPooling, LstmEncoder
 from .errors import ValidationError
-from .fusion import CoAttentionFusion, TransformerFusion, align_streams, visual_concat
+from .fusion import CoAttentionFusion, TransformerFusion, align_streams
 from .layers import Linear
 from .ptmfim import Ptmfim
 
@@ -79,10 +79,6 @@ class ModelConfig:
 
     seed: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    weight_decay: float = 0.0
     epochs: int = 20
     batch_size: int = 8
     val_fraction: float = 0.2
@@ -116,13 +112,6 @@ class ModelConfig:
             raise ValidationError("tx_layers, epochs and seed must be non-negative")
         if self.lr <= 0:
             raise ValidationError(f"lr must be positive, got {self.lr!r}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValidationError(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
-        if self.adam_eps <= 0:
-            raise ValidationError(f"adam_eps must be positive, got {self.adam_eps!r}")
-        if self.weight_decay < 0:
-            raise ValidationError(f"weight_decay must be non-negative, got {self.weight_decay!r}")
 
     @property
     def n_classes(self) -> int:
@@ -212,10 +201,8 @@ def collate(samples: Sequence[SampleFeatures], cfg: ModelConfig) -> Batch:
         raise ValidationError("cannot collate an empty batch")
     audio_streams = AUDIO_STREAMS if cfg.multi_audio else ("wav2vec",)
     audio = [align_streams([f.audio[s] for s in audio_streams]) for f in samples]
-    if cfg.multi_visual:
-        visual = [visual_concat(*align_streams([f.visual[s] for s in VISUAL_STREAMS])) for f in samples]
-    else:
-        visual = [f.visual["openface"] for f in samples]
+    visual_streams = VISUAL_STREAMS if cfg.multi_visual else ("openface",)
+    visual = [np.concatenate(align_streams([f.visual[s] for s in visual_streams]), axis=1) for f in samples]
     return Batch(audio={s: _pad_rows([a[j] for a in audio], s) for j, s in enumerate(audio_streams)},
                  audio_lengths=np.array([len(a[0]) for a in audio]),
                  visual=_pad_rows(visual, "visual"),

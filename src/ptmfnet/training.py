@@ -21,46 +21,34 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tape, Tensor, collect_parameters, cross_entropy
+from .dataio import atomic_write
 from .errors import ValidationError
 from .metrics import MetricsReport, compute_metrics
 from .model import DepressionModel, ModelConfig, SampleFeatures, collate, load_sample_features
 
 
-class Adam:
-    """Standard Adam with bias correction; moments keyed by parameter name."""
+# Adam's moment decay rates and denominator guard, as in Kingma & Ba (2015)
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: list[Parameter], lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.0):
-        self.params = params
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
+
+class Adam:
+    """Standard Adam with bias correction over one flat parameter vector and
+    its gradient (see `autodiff.flatten`), both updated in place."""
+
+    def __init__(self, data: np.ndarray, grad: np.ndarray, lr: float):
+        self.data, self.grad, self.lr = data, grad, lr
         self.t = 0
-        self.m = {p.name: np.zeros_like(p.tensor.data) for p in params}
-        self.v = {p.name: np.zeros_like(p.tensor.data) for p in params}
+        self.m, self.v = np.zeros_like(data), np.zeros_like(data)
 
     def step(self) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
-        for name, tensor in self.params:
-            g = tensor.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * tensor.data
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            tensor.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-    @staticmethod
-    def from_config(params: list[Parameter], cfg: ModelConfig) -> "Adam":
-        return Adam(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
-                    eps=cfg.adam_eps, weight_decay=cfg.weight_decay)
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
+        self.m *= BETA1
+        self.m += (1.0 - BETA1) * self.grad
+        self.v *= BETA2
+        self.v += (1.0 - BETA2) * np.square(self.grad)
+        self.data -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +144,10 @@ def _batches(seq: list, size: int):
         yield seq[start : start + size]
 
 
-def _check_finite(loss: Tensor, params: list[Parameter], epoch: int, step: int) -> None:
+def _check_finite(loss: Tensor, grad: np.ndarray, params: list[Parameter], epoch: int, step: int) -> None:
     """Stop on a non-finite batch loss or global gradient norm, naming the
     step and the first parameter whose gradient is not finite."""
-    norm = math.sqrt(sum(float(np.vdot(p.tensor.grad, p.tensor.grad)) for p in params))
+    norm = math.sqrt(float(np.vdot(grad, grad)))
     if math.isfinite(loss.item()) and math.isfinite(norm):
         return
     bad = next((p.name for p in params if not np.all(np.isfinite(p.tensor.grad))), None)
@@ -178,7 +166,8 @@ def train(cfg: ModelConfig, records, log_path=None) -> TrainState:
 
     model = DepressionModel(cfg, np.random.default_rng(init_ss))
     params = collect_parameters(model)
-    optimizer = Adam.from_config(params, cfg)
+    data, grad = ad.flatten(params)
+    optimizer = Adam(data, grad, cfg.lr)
 
     train_recs, val_recs = split_train_val(records, cfg.task, cfg.val_fraction,
                                            np.random.default_rng(split_ss))
@@ -190,7 +179,7 @@ def train(cfg: ModelConfig, records, log_path=None) -> TrainState:
     rng_drop = np.random.default_rng(drop_ss)
 
     state = TrainState(model=model, config=cfg)
-    best_snapshot = {p.name: p.tensor.data.copy() for p in params}
+    best_snapshot = data.copy()
 
     for epoch in range(cfg.epochs):
         order = _resample_indices(labels, cfg.n_classes, rng_sample)
@@ -200,14 +189,13 @@ def train(cfg: ModelConfig, records, log_path=None) -> TrainState:
             with Tape() as tape:
                 batch_loss = cross_entropy(model.forward(batch, training=True, rng=rng_drop),
                                            batch.labels)
-                for p in params:
-                    p.tensor.zero_grad()
+                grad[...] = 0.0
                 ad.backward(batch_loss)
             # The tape and the tensors it recorded refer to each other. Emptying
             # it lets reference counting free the step's buffers now, rather
             # than whenever the cycle collector next runs.
             tape.nodes.clear()
-            _check_finite(batch_loss, params, epoch, step)
+            _check_finite(batch_loss, grad, params, epoch, step)
             optimizer.step()
             loss_sum += batch_loss.item() * len(batch)
 
@@ -227,16 +215,15 @@ def train(cfg: ModelConfig, records, log_path=None) -> TrainState:
             state.best_epoch = epoch
             state.val_metrics = val_metrics
             state.train_metrics = train_metrics
-            best_snapshot = {p.name: p.tensor.data.copy() for p in params}
+            best_snapshot = data.copy()
 
-    for p in params:
-        p.tensor.data[...] = best_snapshot[p.name]
+    data[...] = best_snapshot
     if cfg.epochs == 0:
         state.val_metrics = evaluate(model, val_feats)
         state.train_metrics = evaluate(model, train_feats)
 
     if log_path is not None:
-        with open(log_path, "w", encoding="utf-8") as fh:
+        with atomic_write(log_path, encoding="utf-8") as fh:
             for row in state.log:
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
     return state

@@ -14,7 +14,7 @@ from ptmfnet import autodiff as ad
 from ptmfnet.autodiff import Tape, Tensor, collect_parameters
 from ptmfnet.dataio import AUDIO_STREAMS, VISUAL_STREAMS
 from ptmfnet.errors import ValidationError
-from ptmfnet.fusion import align_streams, visual_concat
+from ptmfnet.fusion import align_streams
 from ptmfnet.layers import ForwardTrace
 from ptmfnet.model import DepressionModel, ModelConfig, SampleFeatures, collate
 from ptmfnet.training import cross_entropy
@@ -36,7 +36,7 @@ def per_sample_logits(model, feats, trace=None):
         seq = model.enc["wav2vec"]["lstm"].forward(Tensor(w2v), [len(w2v)])
     u_a = model.enc["audio"]["asp"].forward(seq, [seq.shape[0]], trace)
     if cfg.multi_visual:
-        stacked = visual_concat(*align_streams([feats.visual[s] for s in VISUAL_STREAMS]))
+        stacked = np.concatenate(align_streams([feats.visual[s] for s in VISUAL_STREAMS]), axis=1)
     else:
         stacked = feats.visual["openface"]
     hidden = model.enc["visual"]["lstm"].forward(Tensor(stacked), [len(stacked)])

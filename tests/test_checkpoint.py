@@ -111,6 +111,18 @@ def test_duplicate_names_rejected_on_save(tmp_path):
         ckpt.save_checkpoint(tmp_path / "dup.ptmf", params)
 
 
+def test_failed_save_leaves_the_old_file_and_no_temp_file(tmp_path):
+    path = tmp_path / "m.ptmf"
+    rng = np.random.default_rng(5)
+    ckpt.save_checkpoint(path, _params(rng, [("w", (3, 2))]))
+    before = path.read_bytes()
+    # a lone surrogate has no UTF-8 encoding, so this save fails after its header
+    with pytest.raises(UnicodeEncodeError):
+        ckpt.save_checkpoint(path, _params(rng, [("a", (2,)), ("\ud800", (2,))]))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ptmf"]
+
+
 def test_load_into_checks_names_and_shapes(tmp_path):
     rng = np.random.default_rng(4)
     path = tmp_path / "m.ptmf"

@@ -175,6 +175,16 @@ def test_out_of_range_label_cites_line(tmp_path):
         dataio.load_manifest(tmp_path / "m.jsonl")
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_boolean_label_rejected_citing_line(tmp_path, value):
+    # JSON true/false are not integer labels, though Python's bool is an int
+    lines = [json.dumps(_record_dict(tmp_path, "a")),
+             json.dumps(_record_dict(tmp_path, "b", labels={"binary": value, "ternary": 0, "quinary": 0}))]
+    _write_lines(tmp_path / "m.jsonl", lines)
+    with pytest.raises(ValidationError, match=f"line 2: label {json.dumps(value)} for task 'binary'"):
+        dataio.load_manifest(tmp_path / "m.jsonl")
+
+
 def test_ten_records_in_order(tmp_path):
     lines = [json.dumps(_record_dict(tmp_path, f"s{i}")) for i in range(10)]
     _write_lines(tmp_path / "m.jsonl", lines)

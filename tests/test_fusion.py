@@ -10,7 +10,7 @@ from ptmfnet.fusion import CoAttentionFusion, TransformerFusion
 
 
 # ---------------------------------------------------------------------------
-# alignment and visual concat
+# alignment
 
 
 def test_align_identity_when_equal():
@@ -33,22 +33,6 @@ def test_align_to_single_frame():
     a = np.arange(6)[:, None].astype(float)
     out = fusion.align_streams([a, np.zeros((1, 1))])
     np.testing.assert_array_equal(out[0], [[0.0]])
-
-
-def test_visual_concat_dims_add():
-    rng = np.random.default_rng(1)
-    of, rn, dn = rng.normal(size=(4, 5)), rng.normal(size=(4, 7)), rng.normal(size=(4, 9))
-    out = fusion.visual_concat(of, rn, dn)
-    assert out.shape == (4, 21)
-    np.testing.assert_array_equal(out[:, :5], of)
-    np.testing.assert_array_equal(out[:, 5:12], rn)
-    np.testing.assert_array_equal(out[:, 12:], dn)
-
-
-def test_visual_concat_mismatch_names_streams():
-    with pytest.raises(ValidationError, match="openface.*resnet") as exc:
-        fusion.visual_concat(np.zeros((4, 2)), np.zeros((5, 2)), np.zeros((4, 2)))
-    assert "T=5" in str(exc.value)
 
 
 # ---------------------------------------------------------------------------

@@ -101,33 +101,96 @@ def test_cross_entropy_of_a_batch_is_the_mean_of_its_rows():
 # Adam
 
 
-def _param(name, data):
-    from ptmfnet.autodiff import Parameter
-    return Parameter(name, Tensor(np.asarray(data, dtype=np.float64), requires_grad=True))
+class _PerTensorAdam:
+    """The optimizer as it was before parameters were flattened: moments
+    keyed by parameter name and one update per tensor. Oracle for `Adam`."""
+
+    def __init__(self, params, lr):
+        self.params, self.lr, self.t = params, lr, 0
+        self.m = {p.name: np.zeros_like(p.tensor.data) for p in params}
+        self.v = {p.name: np.zeros_like(p.tensor.data) for p in params}
+
+    def step(self):
+        self.t += 1
+        bc1 = 1.0 - 0.9 ** self.t
+        bc2 = 1.0 - 0.999 ** self.t
+        for name, tensor in self.params:
+            g = tensor.grad
+            m = self.m[name]
+            v = self.v[name]
+            m *= 0.9
+            m += (1.0 - 0.9) * g
+            v *= 0.999
+            v += (1.0 - 0.999) * np.square(g)
+            tensor.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+
+
+def _adam(values, lr):
+    data = np.array(values, dtype=np.float64)
+    grad = np.zeros_like(data)
+    return data, grad, Adam(data, grad, lr)
+
+
+def test_flatten_keeps_values_and_shares_memory():
+    params = collect_parameters(DepressionModel(ModelConfig.compact(seed=0)))
+    rng = np.random.default_rng(3)
+    for p in params:
+        p.tensor.grad[...] = rng.standard_normal(p.tensor.shape)
+    values = [p.tensor.data.copy() for p in params]
+    grads = [p.tensor.grad.copy() for p in params]
+    data, grad = ad.flatten(params)
+    np.testing.assert_array_equal(data, np.concatenate([v.ravel() for v in values]))
+    np.testing.assert_array_equal(grad, np.concatenate([g.ravel() for g in grads]))
+    for p, v, g in zip(params, values, grads):
+        assert p.tensor.shape == v.shape
+        np.testing.assert_array_equal(p.tensor.data, v)
+        np.testing.assert_array_equal(p.tensor.grad, g)
+        assert np.shares_memory(p.tensor.data, data) and np.shares_memory(p.tensor.grad, grad)
+    data += 1.0
+    grad[...] = 0.0
+    for p, v in zip(params, values):
+        np.testing.assert_array_equal(p.tensor.data, v + 1.0)
+        assert not p.tensor.grad.any()
+
+
+def test_flat_adam_matches_per_tensor_oracle_bitwise():
+    cfg = ModelConfig.compact(seed=0)
+    ref = collect_parameters(DepressionModel(cfg, np.random.default_rng(0)))
+    flat = collect_parameters(DepressionModel(cfg, np.random.default_rng(0)))
+    init = [p.tensor.data.copy() for p in flat]
+    data, grad = ad.flatten(flat)
+    oracle, opt = _PerTensorAdam(ref, lr=1e-2), Adam(data, grad, lr=1e-2)
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        for p_ref, p_flat in zip(ref, flat):
+            g = rng.standard_normal(p_ref.tensor.shape) * 10.0 ** rng.integers(-6, 4)
+            p_ref.tensor.grad[...] = g
+            p_flat.tensor.grad[...] = g
+        oracle.step()
+        opt.step()
+    for p_ref, p_flat, p_init in zip(ref, flat, init):
+        assert p_ref.name == p_flat.name
+        assert np.all(p_flat.tensor.data != p_init)
+        np.testing.assert_array_equal(p_flat.tensor.data, p_ref.tensor.data)
 
 
 def test_adam_zero_gradient_leaves_params_unchanged():
-    p = _param("w", [1.5, -2.0, 0.25])
-    before = p.tensor.data.copy()
-    opt = Adam([p], lr=0.1)
+    data, grad, opt = _adam([1.5, -2.0, 0.25], lr=0.1)
+    before = data.copy()
     for _ in range(5):
-        p.tensor.zero_grad()
         opt.step()
-    np.testing.assert_array_equal(p.tensor.data, before)
+    np.testing.assert_array_equal(data, before)
 
 
 def test_adam_constant_gradient_step_approaches_lr():
-    p = _param("w", [0.0])
-    opt = Adam([p], lr=1e-3)
-    g = np.array([0.37])
-    prev = p.tensor.data.copy()
+    data, grad, opt = _adam([0.0], lr=1e-3)
+    grad[...] = 0.37
+    prev = data.copy()
     for t in range(1000):
-        p.tensor.zero_grad()
-        p.tensor.grad += g
         opt.step()
         if t == 999:
-            step = prev - p.tensor.data
-        prev = p.tensor.data.copy()
+            step = prev - data
+        prev = data.copy()
     # with m-hat == g and v-hat == g**2 the update magnitude converges to lr
     assert abs(step[0]) == pytest.approx(1e-3, rel=0.01)
     assert step[0] > 0  # moves against the gradient
@@ -136,35 +199,21 @@ def test_adam_constant_gradient_step_approaches_lr():
 def test_adam_bitwise_deterministic():
     def run():
         rng = np.random.default_rng(7)
-        p = _param("w", rng.standard_normal((3, 4)))
-        opt = Adam([p], lr=0.01)
-        grads = [rng.standard_normal((3, 4)) for _ in range(20)]
-        for g in grads:
-            p.tensor.zero_grad()
-            p.tensor.grad += g
+        data, grad, opt = _adam(rng.standard_normal(12), lr=0.01)
+        for _ in range(20):
+            grad[...] = rng.standard_normal(12)
             opt.step()
-        return p.tensor.data
+        return data
 
     np.testing.assert_array_equal(run(), run())
 
 
-def test_adam_weight_decay_shrinks_weights():
-    p = _param("w", [4.0])
-    opt = Adam([p], lr=0.05, weight_decay=0.1)
-    for _ in range(200):
-        p.tensor.zero_grad()  # data-fit gradient identically zero
-        opt.step()
-    assert abs(p.tensor.data[0]) < 4.0 * 0.2
-
-
 def test_adam_minimizes_quadratic():
-    p = _param("x", [10.0])
-    opt = Adam([p], lr=0.1)
+    data, grad, opt = _adam([10.0], lr=0.1)
     for _ in range(800):
-        p.tensor.zero_grad()
-        p.tensor.grad += 2.0 * (p.tensor.data - 3.0)
+        grad[...] = 2.0 * (data - 3.0)
         opt.step()
-    assert p.tensor.data[0] == pytest.approx(3.0, abs=1e-3)
+    assert data[0] == pytest.approx(3.0, abs=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +401,7 @@ def test_single_step_descends_on_repeated_batch(synth_binary):
     for trial in range(10):
         cfg = _tiny_cfg(seed=100 + trial, lr=1e-4)
         model = DepressionModel(cfg)
-        opt = Adam.from_config(collect_parameters(model), cfg)
+        opt = Adam(*ad.flatten(collect_parameters(model)), cfg.lr)
         before = batch_loss(model)
         opt.step()
         after = batch_loss(model)
