@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -71,6 +72,12 @@ def _read_config_file(path, what: str) -> dict:
     return loaded
 
 
+def _require_seed(seed: int) -> int:
+    if seed < 0:
+        raise ValidationError(f"--seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _model_config_from(args, flag_names: tuple) -> ModelConfig:
     """Built-in defaults <- config file <- command-line flags."""
     data: dict = {}
@@ -118,12 +125,13 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    rng = np.random.default_rng(_require_seed(args.seed))
     spec = SynthSpec(n_samples=args.n, task=args.task, class_sep=args.class_sep,
                      personality_sep=args.personality_sep)
     _echo_config("synth", {"n": args.n, "task": args.task, "class_sep": args.class_sep,
                            "personality_sep": args.personality_sep, "seed": args.seed,
                            "out_dir": args.out_dir})
-    manifest = synth_dataset(spec, np.random.default_rng(args.seed), Path(args.out_dir))
+    manifest = synth_dataset(spec, rng, Path(args.out_dir))
     print(manifest)
     return EXIT_OK
 
@@ -197,6 +205,9 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    _require_seed(args.seed)
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValidationError(f"--tol must be a positive, finite number, got {args.tol!r}")
     _echo_config("gradcheck", {"seed": args.seed, "tol": args.tol})
     summary = run_full_battery(seeds=(args.seed,), tol=args.tol)
     for seed, case in summary.cases:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -340,8 +341,10 @@ class SynthSpec:
             raise ValidationError("n_samples must be >= 1")
         if self.task not in TASKS:
             raise ValidationError(f"unknown task {self.task!r}; choose from {TASKS}")
-        if self.class_sep < 0:
-            raise ValidationError("class_sep must be >= 0")
+        for name in ("class_sep", "personality_sep"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value >= 0):
+                raise ValidationError(f"{name} must be a finite number >= 0, got {value!r}")
         if not 1 <= self.t_range[0] <= self.t_range[1]:
             raise ValidationError(f"invalid t_range {self.t_range}")
 

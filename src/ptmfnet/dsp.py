@@ -3,6 +3,9 @@
 All functions are pure and operate on mono float64 waveforms; frame
 layouts follow the usual short-time analysis convention (frame t starts
 at t*hop_len, trailing samples that do not fill a frame are dropped).
+`log_mel_energies`, `mfcc` and `extract_lld_bundle` analyse BLOCK frames
+at a time, so their temporaries scale with the block, not the signal, and
+their output has the same bits as a whole-signal analysis.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import numpy as np
 from .errors import DataFormatError, ValidationError
 
 PRE_EMPHASIS = 0.97
+BLOCK = 2048  # frames analysed at a time
 
 _WINDOWS = {
     "hamming": np.hamming,
@@ -70,7 +74,7 @@ class MelConfig:
         if self.n_fft < 1 or self.n_fft & (self.n_fft - 1):
             raise ValidationError(f"n_fft must be a power of two, got {self.n_fft}")
         if not 1 <= self.n_mfcc <= self.n_mels:
-            raise ValidationError(f"need 1 <= n_mfcc <= n_mels, got {self.n_mfcc} > {self.n_mels}")
+            raise ValidationError(f"need 1 <= n_mfcc <= n_mels, got n_mfcc={self.n_mfcc} n_mels={self.n_mels}")
         if not 0.0 <= self.fmin < self.fmax:
             raise ValidationError(f"need 0 <= fmin < fmax, got fmin={self.fmin} fmax={self.fmax}")
         if self.log_floor <= 0.0:
@@ -150,17 +154,38 @@ def dct_matrix(n: int) -> np.ndarray:
     return mat
 
 
+def _frame_blocks(samples: np.ndarray, fcfg: FrameConfig):
+    """T, and one (a, b, lo, hi) per block: frames a..b-1 lie within samples lo..hi-1.
+
+    Past BLOCK frames every block holds exactly BLOCK, the last overlapping the
+    one before it: BLAS rounds a matmul of a few rows differently.
+    """
+    n_frames = len(_frame_raw(samples, fcfg.frame_len, fcfg.hop_len))  # a view; checks the length
+    blocks = []
+    for a in [*range(0, n_frames - BLOCK, BLOCK), max(n_frames - BLOCK, 0)]:
+        b = min(a + BLOCK, n_frames)
+        blocks.append((a, b, a * fcfg.hop_len, (b - 1) * fcfg.hop_len + fcfg.frame_len))
+    return n_frames, blocks
+
+
 def log_mel_energies(w: Waveform, fcfg: FrameConfig, mcfg: MelConfig) -> np.ndarray:
     """Floored log mel-band magnitudes, shape (T, n_mels)."""
     if mcfg.fmax > w.sample_rate / 2:
         raise ValidationError(f"fmax={mcfg.fmax} exceeds Nyquist for sample_rate={w.sample_rate}")
     if mcfg.n_fft < fcfg.frame_len:
         raise ValidationError(f"n_fft={mcfg.n_fft} shorter than frame_len={fcfg.frame_len}")
-    emphasized = pre_emphasize(w.samples)
-    frames = _frame_raw(emphasized, fcfg.frame_len, fcfg.hop_len) * _WINDOWS[fcfg.window](fcfg.frame_len)
-    mag = np.abs(np.fft.rfft(frames, n=mcfg.n_fft, axis=1))
-    fb = mel_filterbank(w.sample_rate, mcfg.n_fft, mcfg.n_mels, mcfg.fmin, mcfg.fmax)
-    return np.log(np.maximum(mag @ fb.T, mcfg.log_floor))
+    x = w.samples
+    window = _WINDOWS[fcfg.window](fcfg.frame_len)
+    fb_t = mel_filterbank(w.sample_rate, mcfg.n_fft, mcfg.n_mels, mcfg.fmin, mcfg.fmax).T
+    n_frames, blocks = _frame_blocks(x, fcfg)
+    out = np.empty((n_frames, mcfg.n_mels))
+    for a, b, lo, hi in blocks:
+        # emphasizing from lo-1 and dropping that sample equals emphasizing the whole signal
+        emphasized = pre_emphasize(x[lo - 1:hi])[1:] if lo else pre_emphasize(x[:hi])
+        frames = _frame_raw(emphasized, fcfg.frame_len, fcfg.hop_len) * window
+        mag = np.abs(np.fft.rfft(frames, n=mcfg.n_fft, axis=1))
+        out[a:b] = np.log(np.maximum(mag @ fb_t, mcfg.log_floor))
+    return out
 
 
 def mfcc(w: Waveform, fcfg: FrameConfig, mcfg: MelConfig) -> np.ndarray:
@@ -172,9 +197,14 @@ def mfcc(w: Waveform, fcfg: FrameConfig, mcfg: MelConfig) -> np.ndarray:
 
 def extract_lld_bundle(w: Waveform, fcfg: FrameConfig) -> np.ndarray:
     """Short-term energy and zero-crossing rate side by side, shape (T, 2)."""
-    raw = _frame_raw(w.samples, fcfg.frame_len, fcfg.hop_len)
-    windowed = raw * _WINDOWS[fcfg.window](fcfg.frame_len)
-    return np.hstack([short_term_energy(windowed), zero_crossing_rate(raw)])
+    window = _WINDOWS[fcfg.window](fcfg.frame_len)
+    n_frames, blocks = _frame_blocks(w.samples, fcfg)
+    out = np.empty((n_frames, 2))
+    for a, b, lo, hi in blocks:
+        raw = _frame_raw(w.samples[lo:hi], fcfg.frame_len, fcfg.hop_len)
+        out[a:b, :1] = short_term_energy(raw * window)
+        out[a:b, 1:] = zero_crossing_rate(raw)
+    return out
 
 
 def default_frame_config(sample_rate: int, frame_ms: float = 25.0, hop_ms: float = 10.0,
@@ -206,5 +236,5 @@ def read_wav(path) -> Waveform:
         raise DataFormatError(f"{path}: expected 16-bit PCM, found {8 * width}-bit")
     if len(raw) != declared:
         raise DataFormatError(f"{path}: truncated sample data ({len(raw)} of {declared} bytes)")
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+    samples = np.frombuffer(raw, dtype="<i2") / 32768.0  # one float64 allocation, exact
     return Waveform(samples, rate)

@@ -66,6 +66,27 @@ def test_synth_bitwise_reproducible(tmp_path):
         assert fa.read_bytes() == fb.read_bytes()
 
 
+@pytest.mark.parametrize("flag,value", [("--class-sep", "nan"), ("--personality-sep", "inf"),
+                                        ("--personality-sep", "-1")])
+def test_synth_bad_separation_exits_1_before_writing(tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    code = main(["synth", "--n", "2", flag, value, "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flag[2:].replace("-", "_") in err
+    assert not out.exists()
+
+
+def test_synth_negative_seed_exits_1_with_one_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["synth", "--n", "2", "--seed", "-1", "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--seed" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # extract
 
@@ -394,14 +415,25 @@ def test_gradcheck_reports_per_parameter_and_passes(capsys):
 
 
 def test_gradcheck_impossible_tol_exits_1(capsys):
-    # tol=0 turns roundoff into failure, proving the failure path exists
-    code = main(["gradcheck", "--seed", "0", "--tol", "0"])
+    # a tol far below roundoff turns it into failure, proving the failure path exists
+    code = main(["gradcheck", "--seed", "0", "--tol", "1e-300"])
     captured = capsys.readouterr()
     if code == EXIT_OK:  # conceivable only if every error is exactly 0.0
         assert "FAIL" not in captured.out
     else:
         assert code == EXIT_VALIDATION
         assert "gradcheck failed" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--seed", "-1"], ["--tol", "nan"], ["--tol", "inf"],
+                                  ["--tol", "-0.5"], ["--tol", "0"]])
+def test_gradcheck_bad_seed_or_tol_exits_1_with_one_line(capsys, argv):
+    code = main(["gradcheck", *argv])
+    captured = capsys.readouterr()
+    assert code == EXIT_VALIDATION
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert argv[0] in captured.err
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------

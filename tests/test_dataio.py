@@ -287,3 +287,12 @@ def test_synth_spec_validation():
         SynthSpec(n_samples=5, task="senary")
     with pytest.raises(ValidationError):
         SynthSpec(n_samples=5, class_sep=-1.0)
+
+
+@pytest.mark.parametrize("field,value", [("class_sep", float("nan")), ("class_sep", float("inf")),
+                                         ("personality_sep", float("nan")),
+                                         ("personality_sep", float("-inf")),
+                                         ("personality_sep", -0.5)])
+def test_synth_spec_rejects_non_finite_or_negative_separation_naming_it(field, value):
+    with pytest.raises(ValidationError, match=f"{field} must be a finite number >= 0"):
+        SynthSpec(n_samples=5, **{field: value})

@@ -8,6 +8,7 @@ scipy.fft.dct instead of numpy's rfft and a hand-built DCT matrix.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,6 +224,12 @@ def test_dct_matrix_orthonormal():
     np.testing.assert_allclose(m @ m.T, np.eye(26), atol=1e-10)
 
 
+@pytest.mark.parametrize("n_mfcc", [0, -1, 27])
+def test_mel_config_n_mfcc_message_states_both_bounds(n_mfcc):
+    with pytest.raises(ValidationError, match=f"need 1 <= n_mfcc <= n_mels, got n_mfcc={n_mfcc} n_mels=26"):
+        MelConfig(n_fft=512, n_mels=26, n_mfcc=n_mfcc)
+
+
 def test_mel_config_validation():
     with pytest.raises(ValidationError):
         MelConfig(n_fft=500, n_mels=26, n_mfcc=13, fmin=0.0, fmax=8000.0, log_floor=1e-10)
@@ -280,6 +287,66 @@ def test_mfcc_fmax_above_nyquist_rejected():
     bad = MelConfig(n_fft=512, n_mels=26, n_mfcc=13, fmin=0.0, fmax=9000.0, log_floor=1e-10)
     with pytest.raises(ValidationError):
         dsp.mfcc(_wave(np.zeros(1600)), FCFG, bad)
+
+
+# ---------------------------------------------------------------------------
+# block-wise analysis against the whole-signal expressions
+
+
+_WHOLE_WINDOWS = {"hamming": np.hamming, "rect": np.ones}
+
+
+def _whole_frames(samples, fcfg):
+    return np.lib.stride_tricks.sliding_window_view(samples, fcfg.frame_len)[::fcfg.hop_len]
+
+
+def _whole_log_mel(w, fcfg, mcfg):
+    emphasized = w.samples.copy()
+    emphasized[1:] -= 0.97 * w.samples[:-1]
+    frames = _whole_frames(emphasized, fcfg) * _WHOLE_WINDOWS[fcfg.window](fcfg.frame_len)
+    mag = np.abs(np.fft.rfft(frames, n=mcfg.n_fft, axis=1))
+    fb = dsp.mel_filterbank(w.sample_rate, mcfg.n_fft, mcfg.n_mels, mcfg.fmin, mcfg.fmax)
+    return np.log(np.maximum(mag @ fb.T, mcfg.log_floor))
+
+
+def _whole_mfcc(w, fcfg, mcfg):
+    return _whole_log_mel(w, fcfg, mcfg) @ dsp.dct_matrix(mcfg.n_mels)[: mcfg.n_mfcc].T
+
+
+def _whole_lld(w, fcfg):
+    raw = _whole_frames(w.samples, fcfg)
+    windowed = raw * _WHOLE_WINDOWS[fcfg.window](fcfg.frame_len)
+    negative = raw < 0.0
+    zcr = np.sum(negative[:, 1:] != negative[:, :-1], axis=1, keepdims=True) / float(fcfg.frame_len - 1)
+    return np.hstack([np.mean(np.square(windowed), axis=1, keepdims=True), zcr])
+
+
+@pytest.mark.parametrize("n_frames", [1, dsp.BLOCK - 1, dsp.BLOCK, dsp.BLOCK + 1, 3 * dsp.BLOCK + 7])
+@pytest.mark.parametrize("window", ["hamming", "rect"])
+def test_block_wise_features_equal_whole_signal_bitwise(n_frames, window):
+    # hop 160 does not divide frame 400, and 97 trailing samples fill no frame
+    fcfg = FrameConfig(frame_len=400, hop_len=160, window=window)
+    rng = np.random.default_rng(n_frames)
+    w = _wave(rng.uniform(-1, 1, (n_frames - 1) * 160 + 400 + 97))
+    logmel = dsp.log_mel_energies(w, fcfg, MCFG)
+    assert logmel.shape == (n_frames, 26)
+    np.testing.assert_array_equal(logmel, _whole_log_mel(w, fcfg, MCFG))
+    np.testing.assert_array_equal(dsp.mfcc(w, fcfg, MCFG), _whole_mfcc(w, fcfg, MCFG))
+    np.testing.assert_array_equal(dsp.extract_lld_bundle(w, fcfg), _whole_lld(w, fcfg))
+
+
+def test_extraction_memory_is_bounded_by_the_block_not_the_signal():
+    # 120 s is 12k frames; a whole-signal analysis holds several (T, 400-512)
+    # float64 arrays at once, about 128 MB traced
+    w = _wave(np.random.default_rng(5).uniform(-1, 1, 120 * 16000))
+    tracemalloc.start()
+    try:
+        dsp.mfcc(w, FCFG, MCFG)
+        dsp.extract_lld_bundle(w, FCFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6, peak
 
 
 # ---------------------------------------------------------------------------
