@@ -82,9 +82,9 @@ def _result(data: np.ndarray, requires_grad: bool) -> Tensor:
 class Node:
     """One executed op: output, inputs, and the local vector-Jacobian product."""
 
-    out: Tensor
+    out: Tensor | tuple[Tensor, ...]  # a tuple for a multi-output op
     inputs: tuple[Tensor, ...]
-    vjp: Callable[[np.ndarray], tuple]
+    vjp: Callable[[np.ndarray], tuple]  # takes a tuple of arrays for a tuple `out`
 
 
 @dataclass
@@ -104,18 +104,22 @@ class Tape:
 _TAPE_STACK: list[Tape] = []
 
 
-def _record(out: Tensor, inputs: tuple[Tensor, ...], vjp) -> Tensor:
-    if out.requires_grad and _TAPE_STACK:
+def _record(out, inputs: tuple[Tensor, ...], vjp):
+    outs = out if isinstance(out, tuple) else (out,)
+    if outs[0].requires_grad and _TAPE_STACK:
         tape = _TAPE_STACK[-1]
         tape.nodes.append(Node(out, inputs, vjp))
-        out._tape = tape
+        for o in outs:
+            o._tape = tape
     return out
 
 
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/dt into .grad of every requires_grad tensor feeding loss.
 
-    Gradients add onto existing buffers; the caller zeroes between steps.
+    Gradients add onto existing buffers; the caller zeroes between steps. A
+    multi-output node gets one gradient per output, zeros for an output that
+    fed nothing, and is skipped only when none of its outputs fed the loss.
     """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -125,9 +129,15 @@ def backward(loss: Tensor) -> None:
     flows: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     holders: dict[int, Tensor] = {id(loss): loss}
     for node in reversed(tape.nodes):
-        g_out = flows.get(id(node.out))
-        if g_out is None:
-            continue
+        if isinstance(node.out, tuple):
+            g_outs = [flows.get(id(o)) for o in node.out]
+            if all(g is None for g in g_outs):
+                continue
+            g_out = tuple(np.zeros_like(o.data) if g is None else g for o, g in zip(node.out, g_outs))
+        else:
+            g_out = flows.get(id(node.out))
+            if g_out is None:
+                continue
         for t, g in zip(node.inputs, node.vjp(g_out)):
             if g is None or not t.requires_grad:
                 continue
@@ -271,57 +281,79 @@ def _valid_frames(x: Tensor, lengths, op: str) -> np.ndarray:
     return (np.arange(t_len) < lengths[:, None])[:, :, None]
 
 
-def lstm(x: Tensor, lengths, W: Tensor, U: Tensor, b: Tensor) -> Tensor:
-    """One LSTM layer over B zero-padded sequences, as one op.
+def lstm(xs: Sequence[Tensor], lengths, Ws: Sequence[Tensor], Us: Sequence[Tensor],
+         bs: Sequence[Tensor]) -> tuple[Tensor, ...]:
+    """S LSTM layers over the same B zero-padded sequences, as one op.
 
-    x holds the sequences as (B*T, D) rows, batch-major (row b*T + t is step
-    t of sequence b), and lengths (B,) their step counts. Returns the hidden
-    states in the same (B*T, H) layout, zero past each sequence's length.
-    W (D x 4H), U (H x 4H) and b (1 x 4H) hold gate columns i|f|o|g; h and c
-    start at zero, and each step is one (B, H) @ (H, 4H) matmul. The VJP runs
-    backpropagation through time, O(T) steps and memory; it zeroes output
-    gradients past each length, so every padded step passes back exactly 0.
+    Stream s reads its own input rows xs[s] (B*T, D_s), batch-major (row
+    b*T + t is step t of sequence b), through its own Ws[s] (D_s x 4H),
+    Us[s] (H x 4H) and bs[s] (1 x 4H), gate columns i|f|o|g; all streams
+    share lengths (B,) and H. Returns the S hidden-state tensors in the same
+    (B*T, H) layout, zero past each sequence's length. h and c start at
+    zero. The streams run in one loop over t with (S, B, .) state: each step
+    is one stacked (S, B, H) @ (S, H, 4H) matmul, which computes every
+    stream's product as a call with that stream alone would, so outputs and
+    gradients are bitwise those of S single-stream calls. The VJP runs
+    backpropagation through time, O(T) steps and memory, for all streams in
+    one reverse loop; it zeroes output gradients past each length, so every
+    padded step passes back exactly 0.
     """
-    valid = _valid_frames(x, lengths, "lstm")
-    (n_seq, t_len, _), d, h_dim = valid.shape, x.shape[1], U.shape[0]
-    if W.shape != (d, 4 * h_dim) or U.shape != (h_dim, 4 * h_dim) or b.shape != (1, 4 * h_dim):
-        raise ShapeError(f"lstm shapes disagree: x {x.shape}, W {W.shape}, U {U.shape}, b {b.shape}")
+    n_streams = len(xs)
+    if not n_streams or not len(Ws) == len(Us) == len(bs) == n_streams:
+        raise ShapeError(f"lstm needs one W, U and b per input, got {n_streams} inputs, "
+                         f"{len(Ws)} W, {len(Us)} U and {len(bs)} b")
+    valid = _valid_frames(xs[0], lengths, "lstm")
+    (n_seq, t_len, _), h_dim = valid.shape, Us[0].shape[0]
+    for x, W, U, b in zip(xs, Ws, Us, bs):
+        if x.data.ndim != 2 or x.shape[0] != n_seq * t_len or W.shape != (x.shape[1], 4 * h_dim) \
+                or U.shape != (h_dim, 4 * h_dim) or b.shape != (1, 4 * h_dim):
+            raise ShapeError(f"lstm shapes disagree: x {x.shape}, W {W.shape}, U {U.shape}, b {b.shape}")
     k = 3 * h_dim  # i|f|o columns take the sigmoid, g the tanh
-    xw = (x.data @ W.data + b.data).reshape(n_seq, t_len, 4 * h_dim).transpose(1, 0, 2)
-    gates = np.empty((t_len, n_seq, 4 * h_dim))  # time-major, so each step reads one block
-    per_gate = gates.reshape(t_len, n_seq, 4, h_dim).transpose(0, 2, 1, 3)  # [t] -> i, f, o, g views
-    c, h = np.zeros((2, t_len + 1, n_seq, h_dim))  # row t + 1 holds the state after step t
-    tc = np.empty((t_len, n_seq, h_dim))  # tanh(c[1:])
+    u = np.stack([U.data for U in Us])
+    # time-major, so each step reads one block
+    xw = np.empty((t_len, n_streams, n_seq, 4 * h_dim))
+    for s, (x, W, b) in enumerate(zip(xs, Ws, bs)):
+        xw[:, s] = (x.data @ W.data + b.data).reshape(n_seq, t_len, 4 * h_dim).transpose(1, 0, 2)
+    gates = np.empty_like(xw)
+    per_gate = gates.reshape(t_len, n_streams, n_seq, 4, h_dim).transpose(0, 3, 1, 2, 4)  # [t] -> i, f, o, g
+    c, h = np.zeros((2, t_len + 1, n_streams, n_seq, h_dim))  # row t + 1 holds the state after step t
+    tc = np.empty((t_len, n_streams, n_seq, h_dim))  # tanh(c[1:])
     for t in range(t_len):
-        pre = xw[t] + h[t] @ U.data
-        gates[t, :, :k] = _sigmoid(pre[:, :k])
-        np.tanh(pre[:, k:], out=gates[t, :, k:])
+        pre = xw[t] + h[t] @ u
+        gates[t, ..., :k] = _sigmoid(pre[..., :k])
+        np.tanh(pre[..., k:], out=gates[t, ..., k:])
         i, f, o, g = per_gate[t]
         c[t + 1] = f * c[t] + i * g
         np.tanh(c[t + 1], out=tc[t])
         np.multiply(o, tc[t], out=h[t + 1])
-    out = (h[1:].transpose(1, 0, 2) * valid).reshape(-1, h_dim)
-    out = _result(out, x.requires_grad or W.requires_grad or U.requires_grad or b.requires_grad)
+    inputs = tuple(p for stream in zip(xs, Ws, Us, bs) for p in stream)
+    needs_grad = any(p.requires_grad for p in inputs)
+    outs = tuple(_result((h[1:, s].transpose(1, 0, 2) * valid).reshape(-1, h_dim), needs_grad)
+                 for s in range(n_streams))
 
-    def vjp(gy):
-        gy = (gy.reshape(n_seq, t_len, h_dim) * valid).transpose(1, 0, 2)
+    def vjp(gys):
+        gy = np.stack([(g.reshape(n_seq, t_len, h_dim) * valid).transpose(1, 0, 2) for g in gys], axis=1)
+        u_t = u.transpose(0, 2, 1)
         d_pre = np.empty_like(gates)
-        dh = dc = np.zeros((n_seq, h_dim))
+        dh = dc = np.zeros((n_streams, n_seq, h_dim))
         for t in range(t_len - 1, -1, -1):
             i, f, o, g = per_gate[t]
             dh = gy[t] + dh
             dc = dc + dh * o * (1.0 - tc[t] * tc[t])
-            d_ifo = np.concatenate([dc * g, dc * c[t], dh * tc[t]], axis=1)
-            d_pre[t, :, :k] = d_ifo * gates[t, :, :k] * (1.0 - gates[t, :, :k])
-            d_pre[t, :, k:] = dc * i * (1.0 - g * g)
-            dh = d_pre[t] @ U.data.T
+            d_ifo = np.concatenate([dc * g, dc * c[t], dh * tc[t]], axis=-1)
+            d_pre[t, ..., :k] = d_ifo * gates[t, ..., :k] * (1.0 - gates[t, ..., :k])
+            d_pre[t, ..., k:] = dc * i * (1.0 - g * g)
+            dh = d_pre[t] @ u_t
             dc = dc * f
-        d_rows = d_pre.transpose(1, 0, 2).reshape(-1, 4 * h_dim)  # back to batch-major rows
-        h_prev = h[:-1].transpose(1, 0, 2).reshape(-1, h_dim)
-        return (d_rows @ W.data.T, x.data.T @ d_rows, h_prev.T @ d_rows,
-                d_rows.sum(axis=0, keepdims=True))
+        grads = []
+        for s, (x, W) in enumerate(zip(xs, Ws)):
+            d_rows = d_pre[:, s].transpose(1, 0, 2).reshape(-1, 4 * h_dim)  # back to batch-major rows
+            h_prev = h[:-1, s].transpose(1, 0, 2).reshape(-1, h_dim)
+            grads += [d_rows @ W.data.T, x.data.T @ d_rows, h_prev.T @ d_rows,
+                      d_rows.sum(axis=0, keepdims=True)]
+        return tuple(grads)
 
-    return _record(out, (x, W, U, b), vjp)
+    return _record(outs, inputs, vjp)
 
 
 def attentive_stats(h: Tensor, lengths, W: Tensor, b: Tensor, v: Tensor,

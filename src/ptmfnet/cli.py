@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -38,7 +39,15 @@ _CONFIG_FIELDS = {f.name for f in dataclasses.fields(ModelConfig)}
 
 class _Parser(argparse.ArgumentParser):
     """Flag mistakes are validation errors (exit 1), not the argparse
-    default of 2, which this tool reserves for I/O failures."""
+    default of 2, which this tool reserves for I/O failures. A negative
+    number in any form float() reads (-1e-4, -.5E3, -inf) is a flag's
+    value, so its range check can reject it; argparse itself only knows
+    -12 and -1.5 and takes the rest for an unknown option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -237,4 +237,5 @@ def read_wav(path) -> Waveform:
     if len(raw) != declared:
         raise DataFormatError(f"{path}: truncated sample data ({len(raw)} of {declared} bytes)")
     samples = np.frombuffer(raw, dtype="<i2") / 32768.0  # one float64 allocation, exact
+    del raw  # freed before Waveform's finiteness check allocates its mask
     return Waveform(samples, rate)

@@ -4,10 +4,14 @@ pooling (ASP) from frame level to utterance level.
 Both take a batch of B zero-padded sequences as (B*T, D) tape rows,
 batch-major, with one length per sequence, and return rows. Each block is
 one fused autodiff op, `lstm` and `attentive_stats`, so it records one tape
-node per batch, whatever B and T are.
+node per batch, whatever B and T are. `run_lstms` runs several LSTMs over
+streams of the same sequences (the audio streams of a batch) as one `lstm`
+node with one output per stream.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -49,9 +53,17 @@ class LstmEncoder(Module):
     def forward(self, x: Tensor, lengths) -> Tensor:
         """x: (B*T, D) padded rows with lengths (B,) -> hidden rows (B*T, H),
         zero past each sequence's length."""
-        if x.shape[-1] != self.input_dim:
-            raise ValidationError(f"input dim {x.shape[-1]} does not match encoder dim {self.input_dim}")
-        return ad.lstm(x, lengths, self.W, self.U, self.b)
+        return run_lstms([self], [x], lengths)[0]
+
+
+def run_lstms(encoders: Sequence[LstmEncoder], xs: Sequence[Tensor], lengths) -> tuple[Tensor, ...]:
+    """Encoder s over input rows xs[s], all (B*T, D_s) padded rows of the
+    same B sequences with lengths (B,), in one `lstm` op -> one (B*T, H)
+    hidden-row tensor per encoder. The encoders must share H."""
+    for enc, x in zip(encoders, xs, strict=True):
+        if x.shape[-1] != enc.input_dim:
+            raise ValidationError(f"input dim {x.shape[-1]} does not match encoder dim {enc.input_dim}")
+    return ad.lstm(xs, lengths, [e.W for e in encoders], [e.U for e in encoders], [e.b for e in encoders])
 
 
 class AspPooling(Module):

@@ -17,7 +17,7 @@ from .autodiff import Module, Tensor
 from .dataio import (AUDIO_STREAMS, DEFAULT_PERSONALITY_DIM, DEFAULT_STREAM_DIMS,
                      TASK_CLASSES, TASKS, VISUAL_STREAMS, load_features_f64,
                      profile_to_embedding)
-from .encoders import AspPooling, LstmEncoder
+from .encoders import AspPooling, LstmEncoder, run_lstms
 from .errors import ValidationError
 from .fusion import CoAttentionFusion, TransformerFusion, align_streams
 from .layers import Linear
@@ -276,7 +276,9 @@ class DepressionModel(Module):
 
     def _audio_branch(self, batch: Batch, training, rng, trace) -> Tensor:
         lengths = batch.audio_lengths
-        hidden = {s: self.enc[s]["lstm"].forward(Tensor(a), lengths) for s, a in batch.audio.items()}
+        encoders = [self.enc[s]["lstm"] for s in batch.audio]
+        outs = run_lstms(encoders, [Tensor(a) for a in batch.audio.values()], lengths)
+        hidden = dict(zip(batch.audio, outs))
         if self.cfg.multi_audio:
             seq = self.fuse["coatt"].forward(hidden["lld"], hidden["mfcc"], hidden["wav2vec"],
                                              training=training, rng=rng, weighting=self.cfg.co_att)

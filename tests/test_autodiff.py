@@ -250,6 +250,50 @@ def test_tape_topological_order_and_single_traversal():
     assert sum(calls.values()) == len(tape.nodes)
 
 
+def _split_columns(x, at):
+    """A two-output op: the columns of x before `at` and from `at` on."""
+    outs = tuple(ad._result(part.copy(), x.requires_grad) for part in (x.data[:, :at], x.data[:, at:]))
+    seen = []
+
+    def vjp(gs):
+        seen.append(gs)
+        return (np.concatenate(gs, axis=1),)
+
+    return ad._record(outs, (x,), vjp), seen
+
+
+def test_multi_output_node_gets_zeros_for_an_output_that_feeds_nothing():
+    rng = np.random.default_rng(7)
+    x = t(rng.normal(size=(3, 5)), rg=True)
+    probe = rng.normal(size=(3, 2))
+    with Tape() as tape:
+        (left, right), seen = _split_columns(x, 2)
+        ad.backward(ad.tsum(ad.mul(left, t(probe))))
+    assert len(tape.nodes) == 3 and tape.nodes[0].out == (left, right)
+    ((g_left, g_right),) = seen
+    np.testing.assert_array_equal(g_left, probe)
+    assert g_right.shape == (3, 3) and np.all(g_right == 0.0)
+    np.testing.assert_array_equal(x.grad, np.concatenate([probe, np.zeros((3, 3))], axis=1))
+
+
+def test_multi_output_nodes_that_feed_nothing_are_skipped():
+    # neither the split's outputs nor a two-stream lstm's reach the loss:
+    # their VJPs never run and no parameter gradient moves
+    rng = np.random.default_rng(8)
+    x = t(rng.normal(size=(3, 5)), rg=True)
+    streams = [[t(rng.normal(size=s), rg=True) for s in ((4, 2), (2, 8), (2, 8), (1, 8))] for _ in range(2)]
+    with Tape() as tape:
+        _, seen = _split_columns(x, 2)
+        xs, ws, us, bs = zip(*streams)
+        ad.lstm(xs, [2, 2], ws, us, bs)
+        lstm_node = tape.nodes[-1]
+        lstm_node.vjp = lambda g: seen.append(g)
+        ad.backward(ad.tsum(ad.mul(x, x)))
+    assert seen == []
+    np.testing.assert_array_equal(x.grad, 2.0 * x.data)
+    assert all(np.all(p.grad == 0.0) for stream in streams for p in stream)
+
+
 def test_forward_backward_bitwise_reproducible():
     def run():
         rng = np.random.default_rng(11)
@@ -291,7 +335,7 @@ def _lstm(x):
     """ad.lstm over the rows of x as _mixed_lengths sequences, with fixed weights (H = 2)."""
     rng = np.random.default_rng(x.shape[1] + 1)
     w, u, b = (t(rng.normal(size=s)) for s in ((x.shape[1], 8), (2, 8), (1, 8)))
-    return ad.lstm(x, _mixed_lengths(x.shape[0]), w, u, b)
+    return ad.lstm([x], _mixed_lengths(x.shape[0]), [w], [u], [b])[0]
 
 
 def _cross_attention(x):
@@ -432,7 +476,14 @@ MIXED = [4, 1, 3]
 
 def _batched_lstm(params):
     x, w, u, b = (p.tensor for p in params)
-    return ad.lstm(x, MIXED, w, u, b)
+    return ad.lstm([x], MIXED, [w], [u], [b])[0]
+
+
+def _three_stream_lstm(params):
+    """Three streams of input widths 2, 13 and 7 in one lstm op, their
+    hidden rows side by side."""
+    xs, ws, us, bs = ([p.tensor for p in params[k::4]] for k in range(4))
+    return ad.concat(ad.lstm(xs, MIXED, ws, us, bs), axis=1)
 
 
 def _batched_pool(params):
@@ -448,6 +499,8 @@ def _batched_attention(params):
 BATCHED_OPS = {
     # op -> (input shapes, forward)
     "lstm": (((12, 2), (2, 12), (3, 12), (1, 12)), _batched_lstm),
+    "lstm_three_streams": (tuple(shape for d in (2, 13, 7) for shape in ((12, d), (d, 12), (3, 12), (1, 12))),
+                           _three_stream_lstm),
     "attentive_stats": (((12, 3), (3, 2), (1, 2), (2, 1)), _batched_pool),
     "attention": (((6, 4), (9, 4), (9, 6)), _batched_attention),  # 2 queries onto 3 keys per sample
 }
@@ -474,7 +527,7 @@ def test_padded_steps_and_frames_pass_nothing():
     x = t(rng.normal(size=(12, 3)) * 5.0, rg=True)
     w, u, b = (t(rng.normal(size=s)) for s in ((3, 8), (2, 8), (1, 8)))
     with Tape():
-        h = ad.lstm(x, MIXED, w, u, b)
+        (h,) = ad.lstm([x], MIXED, [w], [u], [b])
         ad.backward(ad.tsum(ad.mul(h, t(rng.normal(size=h.shape)))))
     _, alpha = ad.attentive_stats(x, MIXED, *(t(rng.normal(size=s)) for s in ((3, 2), (1, 2), (2, 1))),
                                   eps=1e-6)

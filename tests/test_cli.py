@@ -1,6 +1,7 @@
 """End-to-end command-line tests: exit codes, determinism, artifact
 formats, and the config-resolution order (defaults < file < flags)."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import wave
 import numpy as np
 import pytest
 
-from ptmfnet.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from ptmfnet.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, _build_parser, main
 from ptmfnet.dataio import read_feature_file
 
 
@@ -438,6 +439,33 @@ def test_gradcheck_bad_seed_or_tol_exits_1_with_one_line(capsys, argv):
 
 # ---------------------------------------------------------------------------
 # parser behavior
+
+
+def _float_flags():
+    """(subcommand, flag) for every flag of the CLI that takes a float."""
+    (sub,) = (a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [(name, a.option_strings[0]) for name, p in sub.choices.items()
+            for a in p._actions if a.type is float]
+
+
+@pytest.mark.parametrize("command,flag", _float_flags(), ids=lambda v: v.lstrip("-"))
+def test_negative_float_in_exponent_form_gets_the_range_message(command, flag, synth_dir, tone_wav,
+                                                                 tmp_path, capsys):
+    # argparse reads -1e-3 as an unknown option unless told otherwise; it
+    # must reach the same range check as -0.001
+    required = {"extract": [str(tone_wav), "--out-dir", str(tmp_path / "feats")],
+                "synth": ["--n", "2", "--out-dir", str(tmp_path / "corpus")],
+                "train": ["--manifest", str(synth_dir / "manifest.jsonl")],
+                "ablate": ["--manifest", str(synth_dir / "manifest.jsonl"), "--out", str(tmp_path / "a.csv")],
+                "gradcheck": []}[command]
+    errors = []
+    for value in ("-1e-3", "-0.001"):
+        assert main([command, *required, flag, value]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+    assert [f.name for f in tmp_path.rglob("*") if f.is_file()] == ["tone.wav"]  # nothing written
 
 
 def test_unknown_flag_exits_1(synth_dir):

@@ -419,3 +419,25 @@ def test_read_wav_rejects_data_shorter_than_its_header_declares(tmp_path):
     path.write_bytes(path.read_bytes()[:-600])
     with pytest.raises(DataFormatError, match="truncated.*1000 of 1600 bytes"):
         dsp.read_wav(path)
+
+
+def test_read_wav_peak_memory_stays_near_the_waveform(tmp_path):
+    # the 2-byte PCM samples are freed before Waveform builds its 1-byte
+    # finiteness mask next to the 8-byte float64 samples
+    import wave as wavmod
+
+    pcm = np.random.default_rng(6).integers(-32768, 32768, 60 * 16000).astype("<i2")
+    path = tmp_path / "minute.wav"
+    with wavmod.open(str(path), "wb") as fh:
+        fh.setnchannels(1)
+        fh.setsampwidth(2)
+        fh.setframerate(16000)
+        fh.writeframes(pcm.tobytes())
+    tracemalloc.start()
+    try:
+        w = dsp.read_wav(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * w.samples.nbytes, peak / w.samples.nbytes
+    np.testing.assert_array_equal(w.samples, pcm / 32768.0)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ptmfnet import autodiff as ad
 from ptmfnet.autodiff import Tensor, collect_parameters
-from ptmfnet.encoders import AspPooling, LstmEncoder
+from ptmfnet.encoders import AspPooling, LstmEncoder, run_lstms
 from ptmfnet.errors import ValidationError
 from ptmfnet.layers import ForwardTrace
 
@@ -241,14 +241,26 @@ def test_lstm_gradcheck_input():
 
 def test_fused_lstm_rejects_empty_sequence_and_bad_shapes():
     enc = LstmEncoder(2, 3, np.random.default_rng(16))
+    wide = LstmEncoder(2, 4, np.random.default_rng(16))
+    x = Tensor(np.zeros((4, 2)))
     with pytest.raises(ad.ShapeError):
-        ad.lstm(Tensor(np.zeros((0, 2))), [0], enc.W, enc.U, enc.b)
+        ad.lstm([Tensor(np.zeros((0, 2)))], [0], [enc.W], [enc.U], [enc.b])
     with pytest.raises(ad.ShapeError):
-        ad.lstm(Tensor(np.zeros((4, 2))), [4], enc.W, enc.W, enc.b)
+        ad.lstm([x], [4], [enc.W], [enc.W], [enc.b])
     with pytest.raises(ad.ShapeError):
-        ad.lstm(Tensor(np.zeros((4, 2))), [2, 3], enc.W, enc.U, enc.b)  # a length past T = 2
+        ad.lstm([x], [2, 3], [enc.W], [enc.U], [enc.b])  # a length past T = 2
     with pytest.raises(ad.ShapeError):
-        ad.lstm(Tensor(np.zeros((4, 2))), [4.0], enc.W, enc.U, enc.b)  # lengths must be integers
+        ad.lstm([x], [4.0], [enc.W], [enc.U], [enc.b])  # lengths must be integers
+    with pytest.raises(ad.ShapeError):
+        ad.lstm([], [4], [], [], [])  # no stream
+    with pytest.raises(ad.ShapeError):
+        ad.lstm([x, x], [4], [enc.W], [enc.U], [enc.b])  # one weight set for two inputs
+    with pytest.raises(ad.ShapeError):
+        ad.lstm([x, Tensor(np.zeros((6, 2)))], [4], [enc.W] * 2, [enc.U] * 2, [enc.b] * 2)  # rows differ
+    with pytest.raises(ad.ShapeError):
+        ad.lstm([x, x], [4], [enc.W, wide.W], [enc.U, wide.U], [enc.b, wide.b])  # H differs
+    with pytest.raises(ValidationError, match="input dim"):
+        run_lstms([enc, wide], [x, Tensor(np.zeros((4, 3)))], [4])
 
 
 def _padded(seqs, fill=0.0):
@@ -268,6 +280,97 @@ def test_batched_lstm_matches_each_sequence_alone():
         alone = enc.forward(Tensor(x), _one(x)).data
         assert np.max(np.abs(out[b, : len(x)] - alone)) <= 1e-12 * np.max(np.abs(alone))
         assert np.all(out[b, len(x):] == 0.0)
+
+
+def _one_stream_lstm(x, lengths, W, U, b, gy):
+    """One stream's LSTM loop, forward and backpropagation through time,
+    on plain arrays, in the op's expression order: the oracle for `ad.lstm`
+    with any number of streams. Returns the (B*T, H) hidden rows and the
+    gradients (dx, dW, dU, db) for the output gradient gy."""
+    valid = (np.arange(len(x) // len(lengths)) < np.asarray(lengths)[:, None])[:, :, None]
+    (n_seq, t_len, _), h_dim = valid.shape, U.shape[0]
+    k = 3 * h_dim
+    xw = (x @ W + b).reshape(n_seq, t_len, 4 * h_dim).transpose(1, 0, 2)
+    gates = np.empty((t_len, n_seq, 4 * h_dim))
+    per_gate = gates.reshape(t_len, n_seq, 4, h_dim).transpose(0, 2, 1, 3)
+    c, h = np.zeros((2, t_len + 1, n_seq, h_dim))
+    tc = np.empty((t_len, n_seq, h_dim))
+    for t in range(t_len):
+        pre = xw[t] + h[t] @ U
+        gates[t, :, :k] = ad._sigmoid(pre[:, :k])
+        np.tanh(pre[:, k:], out=gates[t, :, k:])
+        i, f, o, g = per_gate[t]
+        c[t + 1] = f * c[t] + i * g
+        np.tanh(c[t + 1], out=tc[t])
+        np.multiply(o, tc[t], out=h[t + 1])
+    out = (h[1:].transpose(1, 0, 2) * valid).reshape(-1, h_dim)
+    gy = (gy.reshape(n_seq, t_len, h_dim) * valid).transpose(1, 0, 2)
+    d_pre = np.empty_like(gates)
+    dh = dc = np.zeros((n_seq, h_dim))
+    for t in range(t_len - 1, -1, -1):
+        i, f, o, g = per_gate[t]
+        dh = gy[t] + dh
+        dc = dc + dh * o * (1.0 - tc[t] * tc[t])
+        d_ifo = np.concatenate([dc * g, dc * c[t], dh * tc[t]], axis=1)
+        d_pre[t, :, :k] = d_ifo * gates[t, :, :k] * (1.0 - gates[t, :, :k])
+        d_pre[t, :, k:] = dc * i * (1.0 - g * g)
+        dh = d_pre[t] @ U.T
+        dc = dc * f
+    d_rows = d_pre.transpose(1, 0, 2).reshape(-1, 4 * h_dim)
+    h_prev = h[:-1].transpose(1, 0, 2).reshape(-1, h_dim)
+    return out, (d_rows @ W.T, x.T @ d_rows, h_prev.T @ d_rows, d_rows.sum(axis=0, keepdims=True))
+
+
+def _grouped_lstm(streams, lengths, probes):
+    """ad.lstm over `streams` [(x, W, U, b)] in one call, with the loss
+    sum_s <h_s, probe_s>; returns the outputs and each stream's
+    (dx, dW, dU, db)."""
+    tensors = [[Tensor(a, requires_grad=True) for a in stream] for stream in streams]
+    with ad.Tape():
+        xs, ws, us, bs = zip(*tensors)
+        outs = ad.lstm(xs, lengths, ws, us, bs)
+        loss = ad.tsum(ad.mul(outs[0], Tensor(probes[0])))
+        for h, probe in zip(outs[1:], probes[1:]):
+            loss = ad.add(loss, ad.tsum(ad.mul(h, Tensor(probe))))
+        ad.backward(loss)
+    return [h.data for h in outs], [tuple(t.grad for t in stream) for stream in tensors]
+
+
+@pytest.mark.parametrize("t_len", [1, 200])
+@pytest.mark.parametrize("n_seq", [1, 8])
+@pytest.mark.parametrize("h_dim", [4, 8])
+@pytest.mark.parametrize("widths", [(2,), (2, 13, 7)], ids=["S1", "S3"])
+def test_grouped_lstm_matches_one_stream_calls_bitwise(widths, h_dim, n_seq, t_len):
+    # B = 8 mixes lengths, one of them a single frame (all of them at T = 1)
+    lengths = [t_len] if n_seq == 1 else np.minimum([t_len, 1, 57, 133, 2, t_len, 99, 7], t_len).tolist()
+    rng = np.random.default_rng(1000 * len(widths) + 10 * h_dim + n_seq + t_len)
+    rows = n_seq * t_len
+    streams = [(rng.normal(size=(rows, d)), rng.normal(size=(d, 4 * h_dim)) * 0.5,
+                rng.normal(size=(h_dim, 4 * h_dim)) * 0.5, rng.normal(size=(1, 4 * h_dim)))
+               for d in widths]
+    probes = [rng.normal(size=(rows, h_dim)) for _ in widths]
+    outs, grads = _grouped_lstm(streams, lengths, probes)
+    for s, (stream, probe) in enumerate(zip(streams, probes)):
+        ref_out, ref_grads = _one_stream_lstm(stream[0], lengths, *stream[1:], probe)
+        alone_out, (alone_grads,) = _grouped_lstm([stream], lengths, [probe])
+        for got, ref in ((outs[s], ref_out), (outs[s], alone_out[0])):
+            np.testing.assert_array_equal(got, ref, err_msg=f"stream {s} output")
+        for name, got, ref, alone in zip(("dx", "dW", "dU", "db"), grads[s], ref_grads, alone_grads):
+            np.testing.assert_array_equal(got, ref, err_msg=f"stream {s} {name} vs the one-stream loop")
+            np.testing.assert_array_equal(got, alone, err_msg=f"stream {s} {name} vs a one-stream call")
+
+
+def test_run_lstms_records_one_node_with_one_output_per_encoder():
+    rng = np.random.default_rng(19)
+    encoders = [LstmEncoder(d, 3, rng) for d in (2, 5, 4)]
+    xs = [Tensor(rng.normal(size=(6, d))) for d in (2, 5, 4)]
+    with ad.Tape() as tape:
+        outs = run_lstms(encoders, xs, [3, 1])
+    (node,) = tape.nodes
+    assert node.out == outs and [h.shape for h in outs] == [(6, 3)] * 3
+    assert node.vjp.__qualname__.split(".")[0] == "lstm"
+    for enc, x, h in zip(encoders, xs, outs):
+        np.testing.assert_array_equal(h.data, enc.forward(x, [3, 1]).data)
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,21 @@ def test_training_forward_and_loss_record_at_most_100_tape_nodes(cfg, limit):
         assert len(tape.nodes) <= limit
 
 
+@pytest.mark.parametrize("cfg,total", [(ModelConfig.compact(), 77), (ModelConfig(dropout=0.0), 95)],
+                         ids=["compact", "default_dropout_off"])
+def test_training_step_records_two_lstm_nodes(cfg, total):
+    # the three audio streams share one lstm node; the visual stream has its own
+    model = DepressionModel(cfg, np.random.default_rng(38))
+    samples = [make_feats(cfg, np.random.default_rng(k), label=k % 2, t_audio=3 + k) for k in range(3)]
+    batch = collate(samples, cfg)
+    with ad.Tape() as tape:
+        cross_entropy(model.forward(batch, training=True, rng=np.random.default_rng(39)), batch.labels)
+    ops = [_op_name(node.vjp) for node in tape.nodes]
+    assert ops.count("lstm") == 2 and len(ops) == total
+    audio, visual = (node for node in tape.nodes if _op_name(node.vjp) == "lstm")
+    assert len(audio.out) == 3 and len(visual.out) == 1
+
+
 def _capture_tokens(model) -> dict:
     """Wrap this model's transformer fusion so its output lands in the dict."""
     seen = {}
