@@ -588,73 +588,3 @@ def flatten(params: Sequence[Parameter]) -> tuple[np.ndarray, np.ndarray]:
 def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], bound: float) -> Tensor:
     return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
-
-# ---------------------------------------------------------------------------
-# Finite-difference gradient checking
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class GradCheckEntry:
-    name: str
-    max_rel_err: float
-
-
-@dataclass
-class GradCheckReport:
-    entries: list[GradCheckEntry]
-
-    @property
-    def max_rel_err(self) -> float:
-        return max((e.max_rel_err for e in self.entries), default=0.0)
-
-    def passed(self, tol: float) -> bool:
-        return self.max_rel_err <= tol
-
-
-def grad_check(
-    f: Callable[[], Tensor],
-    params: Sequence[Parameter],
-    eps: float = 1e-5,
-    atol: float = 1e-8,
-) -> GradCheckReport:
-    """Compare tape gradients of scalar f() against central finite differences.
-
-    f must be deterministic (dropout off, fixed inputs); this is verified by
-    evaluating it twice. Reports per parameter
-    max(|analytic - numeric| - atol, 0) / max(|analytic|, |numeric|, 1e-8).
-    atol absorbs central-difference roundoff (~1e-11 at eps=1e-5) on
-    parameters whose true gradient is identically zero, e.g. a key bias
-    that cancels inside softmax.
-    """
-    v1 = f()
-    v2 = f()
-    if not np.array_equal(v1.data, v2.data):
-        raise RuntimeError("grad_check requires a deterministic closure (repeated evaluations differ)")
-
-    for p in params:
-        p.tensor.zero_grad()
-    with Tape():
-        loss = f()
-        backward(loss)
-    analytic = {p.name: p.tensor.grad.copy() for p in params}
-
-    entries = []
-    for p in params:
-        buf = p.tensor.data
-        numeric = np.zeros_like(buf)
-        flat = buf.reshape(-1)
-        nflat = numeric.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            hi = f().item()
-            flat[i] = orig - eps
-            lo = f().item()
-            flat[i] = orig
-            nflat[i] = (hi - lo) / (2.0 * eps)
-        a = analytic[p.name]
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-8)
-        err = np.maximum(np.abs(a - numeric) - atol, 0.0) / denom
-        entries.append(GradCheckEntry(p.name, float(np.max(err))))
-    return GradCheckReport(entries)

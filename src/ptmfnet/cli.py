@@ -26,7 +26,7 @@ from .dataio import (TASKS, SynthSpec, atomic_write, load_manifest, synth_datase
                      write_feature_file)
 from .dsp import MelConfig, default_frame_config, extract_lld_bundle, mfcc, read_wav
 from .errors import DataFormatError, ValidationError
-from .gradcheck import run_full_battery
+from .gradcheck import run_battery
 from .model import DepressionModel, ModelConfig, load_sample_features
 from .training import evaluate, train
 
@@ -87,13 +87,34 @@ def _require_seed(seed: int) -> int:
     return seed
 
 
-def _model_config_from(args, flag_names: tuple) -> ModelConfig:
+# (ModelConfig field, type, help) for the override flags of both train and ablate
+_CONFIG_FLAGS = (
+    ("epochs", int, "training epochs"),
+    ("seed", int, "run seed"),
+    ("lr", float, "Adam learning rate"),
+    ("batch_size", int, "samples per step"),
+    ("val_fraction", float, "validation share"),
+    ("dropout", float, "dropout rate"),
+)
+
+
+def _add_config_flags(p, *own) -> None:
+    """--config, then the subcommand's own (flag, kwargs) pairs, then one
+    override flag per _CONFIG_FLAGS field, in that help order."""
+    p.add_argument("--config", default=None, help="JSON file of config overrides")
+    for flag, kwargs in own:
+        p.add_argument(flag, **kwargs)
+    for name, type_, help_text in _CONFIG_FLAGS:
+        p.add_argument("--" + name.replace("_", "-"), type=type_, default=None, help=help_text)
+
+
+def _model_config_from(args, *own_fields: str) -> ModelConfig:
     """Built-in defaults <- config file <- command-line flags."""
     data: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         data.update(_read_config_file(args.config, "config file"))
-    for name in flag_names:
-        value = getattr(args, name.replace("-", "_"))
+    for name in (*own_fields, *(field for field, _, _ in _CONFIG_FLAGS)):
+        value = getattr(args, name)
         if value is not None:
             data[name] = value
     return ModelConfig.from_dict(data)
@@ -145,12 +166,9 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
-_TRAIN_FLAGS = ("task", "epochs", "seed", "lr", "batch_size", "val_fraction", "dropout")
-
-
 def _cmd_train(args) -> int:
     manifest = _require_file(args.manifest, "manifest")
-    cfg = _model_config_from(args, _TRAIN_FLAGS)
+    cfg = _model_config_from(args, "task")
     _echo_config("train", {"manifest": str(manifest), **cfg.to_dict()})
     records = load_manifest(manifest)
     state = train(cfg, records, log_path=args.log_out)
@@ -189,20 +207,23 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-_ABLATE_FLAGS = ("epochs", "seed", "lr", "batch_size", "val_fraction", "dropout")
+def _names(text: str, what: str, choices) -> tuple:
+    """A comma-separated flag value as a non-empty tuple of known names."""
+    choices = tuple(choices)
+    names = tuple(n.strip() for n in text.split(",") if n.strip())
+    if not names:
+        raise ValidationError(f"--{what}s names no {what}; choose from {choices}")
+    for n in names:
+        if n not in choices:
+            raise ValidationError(f"unknown {what} {n!r}; choose from {choices}")
+    return names
 
 
 def _cmd_ablate(args) -> int:
     manifest = _require_file(args.manifest, "manifest")
-    cfg = _model_config_from(args, _ABLATE_FLAGS)
-    tasks = tuple(t.strip() for t in args.tasks.split(",") if t.strip())
-    for t in tasks:
-        if t not in TASKS:
-            raise ValidationError(f"unknown task {t!r}; choose from {TASKS}")
-    variants = tuple(v.strip() for v in args.variants.split(",") if v.strip())
-    for v in variants:
-        if v not in VARIANTS:
-            raise ValidationError(f"unknown variant {v!r}; choose from {tuple(VARIANTS)}")
+    cfg = _model_config_from(args)
+    tasks = _names(args.tasks, "task", TASKS)
+    variants = _names(args.variants, "variant", VARIANTS)
     _echo_config("ablate", {"manifest": str(manifest), "tasks": list(tasks),
                             "variants": list(variants), "out": args.out, **cfg.to_dict()})
     records = load_manifest(manifest)
@@ -218,14 +239,15 @@ def _cmd_gradcheck(args) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValidationError(f"--tol must be a positive, finite number, got {args.tol!r}")
     _echo_config("gradcheck", {"seed": args.seed, "tol": args.tol})
-    summary = run_full_battery(seeds=(args.seed,), tol=args.tol)
-    for seed, case in summary.cases:
-        for entry in case.report.entries:
-            status = "ok" if entry.max_rel_err <= args.tol else "FAIL"
-            print(f"{case.module}.{entry.name} max_rel_err={entry.max_rel_err:.3e} {status}")
-    if not summary.ok:
-        seed, module, err = summary.worst()
-        sys.stderr.write(f"gradcheck failed: {module} (seed {seed}) max_rel_err={err:.3e}\n")
+    worst = None  # (block, error) of the largest error above tol
+    for block, errors in run_battery(args.seed).items():
+        for name, err in errors.items():
+            ok = err <= args.tol
+            print(f"{block}.{name} max_rel_err={err:.3e} {'ok' if ok else 'FAIL'}")
+            if not ok and (worst is None or err > worst[1]):
+                worst = (block, err)
+    if worst is not None:
+        sys.stderr.write(f"gradcheck failed: {worst[0]} (seed {args.seed}) max_rel_err={worst[1]:.3e}\n")
         return EXIT_VALIDATION
     return EXIT_OK
 
@@ -267,14 +289,7 @@ def _build_parser() -> _Parser:
 
     p = add("train", "train a model from a manifest", _cmd_train)
     p.add_argument("--manifest", required=True, help="manifest.jsonl path")
-    p.add_argument("--config", default=None, help="JSON file of config overrides")
-    p.add_argument("--task", choices=TASKS, default=None, help="label granularity")
-    p.add_argument("--epochs", type=int, default=None, help="training epochs")
-    p.add_argument("--seed", type=int, default=None, help="run seed")
-    p.add_argument("--lr", type=float, default=None, help="Adam learning rate")
-    p.add_argument("--batch-size", type=int, default=None, help="samples per step")
-    p.add_argument("--val-fraction", type=float, default=None, help="validation share")
-    p.add_argument("--dropout", type=float, default=None, help="dropout rate")
+    _add_config_flags(p, ("--task", dict(choices=TASKS, default=None, help="label granularity")))
     p.add_argument("--log-out", default=None, help="JSONL epoch log path")
     p.add_argument("--checkpoint-out", default=None, help="checkpoint path (.json sidecar added)")
 
@@ -286,16 +301,10 @@ def _build_parser() -> _Parser:
 
     p = add("ablate", "train all branch-ablation variants and tabulate metrics", _cmd_ablate)
     p.add_argument("--manifest", required=True, help="manifest.jsonl path")
-    p.add_argument("--config", default=None, help="JSON file of config overrides")
-    p.add_argument("--tasks", default=",".join(TASKS), help="comma-separated task list")
-    p.add_argument("--variants", default=",".join(VARIANTS), help="comma-separated variant list")
-    p.add_argument("--out", default="ablation.csv", help="CSV output path")
-    p.add_argument("--epochs", type=int, default=None, help="training epochs")
-    p.add_argument("--seed", type=int, default=None, help="run seed")
-    p.add_argument("--lr", type=float, default=None, help="Adam learning rate")
-    p.add_argument("--batch-size", type=int, default=None, help="samples per step")
-    p.add_argument("--val-fraction", type=float, default=None, help="validation share")
-    p.add_argument("--dropout", type=float, default=None, help="dropout rate")
+    _add_config_flags(p,
+                      ("--tasks", dict(default=",".join(TASKS), help="comma-separated task list")),
+                      ("--variants", dict(default=",".join(VARIANTS), help="comma-separated variant list")),
+                      ("--out", dict(default="ablation.csv", help="CSV output path")))
 
     p = add("gradcheck", "finite-difference check of every differentiable block", _cmd_gradcheck)
     p.add_argument("--seed", type=int, default=0, help="weight/input seed")

@@ -10,6 +10,7 @@ import wave
 import numpy as np
 import pytest
 
+from ptmfnet import cli
 from ptmfnet.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, _build_parser, main
 from ptmfnet.dataio import read_feature_file
 
@@ -405,6 +406,18 @@ def test_ablate_unknown_variant_exits_1(synth_dir, capsys):
     assert "wo_everything" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["--tasks", ","], ["--variants", ""]])
+def test_ablate_empty_list_exits_1_with_one_line(synth_dir, tmp_path, capsys, argv):
+    out = tmp_path / "ab.csv"
+    code = main(["ablate", "--manifest", str(synth_dir / "manifest.jsonl"),
+                 "--epochs", "1", "--out", str(out), *argv])
+    captured = capsys.readouterr()
+    assert code == EXIT_VALIDATION
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert argv[0] in captured.err
+    assert not out.exists()
+
+
 def test_gradcheck_reports_per_parameter_and_passes(capsys):
     code = main(["gradcheck", "--seed", "1"])
     captured = capsys.readouterr()
@@ -415,15 +428,17 @@ def test_gradcheck_reports_per_parameter_and_passes(capsys):
     assert any(line.startswith("ptmfim.Q_b") for line in lines)
 
 
-def test_gradcheck_impossible_tol_exits_1(capsys):
-    # a tol far below roundoff turns it into failure, proving the failure path exists
-    code = main(["gradcheck", "--seed", "0", "--tol", "1e-300"])
+def test_gradcheck_failing_block_exits_1(monkeypatch, capsys):
+    # the real battery reads 0.0 everywhere, so the failure path needs a stand-in
+    monkeypatch.setattr(cli, "run_battery", lambda seed: {"asp": {"W": 0.0, "b": 0.0},
+                                                          "ptmfim": {"Q_b": 3e-3}})
+    code = main(["gradcheck", "--seed", "2"])
     captured = capsys.readouterr()
-    if code == EXIT_OK:  # conceivable only if every error is exactly 0.0
-        assert "FAIL" not in captured.out
-    else:
-        assert code == EXIT_VALIDATION
-        assert "gradcheck failed" in captured.err
+    assert code == EXIT_VALIDATION
+    assert captured.out.splitlines() == ["asp.W max_rel_err=0.000e+00 ok",
+                                         "asp.b max_rel_err=0.000e+00 ok",
+                                         "ptmfim.Q_b max_rel_err=3.000e-03 FAIL"]
+    assert captured.err.splitlines()[-1] == "gradcheck failed: ptmfim (seed 2) max_rel_err=3.000e-03"
 
 
 @pytest.mark.parametrize("argv", [["--seed", "-1"], ["--tol", "nan"], ["--tol", "inf"],
