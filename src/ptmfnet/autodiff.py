@@ -281,39 +281,44 @@ def _valid_frames(x: Tensor, lengths, op: str) -> np.ndarray:
     return (np.arange(t_len) < lengths[:, None])[:, :, None]
 
 
-def lstm(xs: Sequence[Tensor], lengths, Ws: Sequence[Tensor], Us: Sequence[Tensor],
+def lstm(xs: Sequence[Tensor], lengths: Sequence, Ws: Sequence[Tensor], Us: Sequence[Tensor],
          bs: Sequence[Tensor]) -> tuple[Tensor, ...]:
-    """S LSTM layers over the same B zero-padded sequences, as one op.
+    """S LSTM layers over the same B sequences, as one op.
 
-    Stream s reads its own input rows xs[s] (B*T, D_s), batch-major (row
-    b*T + t is step t of sequence b), through its own Ws[s] (D_s x 4H),
-    Us[s] (H x 4H) and bs[s] (1 x 4H), gate columns i|f|o|g; all streams
-    share lengths (B,) and H. Returns the S hidden-state tensors in the same
-    (B*T, H) layout, zero past each sequence's length. h and c start at
-    zero. The streams run in one loop over t with (S, B, .) state: each step
-    is one stacked (S, B, H) @ (S, H, 4H) matmul, which computes every
-    stream's product as a call with that stream alone would, so outputs and
-    gradients are bitwise those of S single-stream calls. The VJP runs
-    backpropagation through time, O(T) steps and memory, for all streams in
-    one reverse loop; it zeroes output gradients past each length, so every
-    padded step passes back exactly 0.
+    Stream s reads its own input rows xs[s] (B*T_s, D_s), each sequence
+    zero-padded to T_s frames, batch-major (row b*T_s + t is step t of
+    sequence b), with its own lengths[s] (B,), through its own Ws[s]
+    (D_s x 4H), Us[s] (H x 4H) and bs[s] (1 x 4H), gate columns i|f|o|g;
+    all streams share B and H. Returns the S hidden-state tensors in the
+    same (B*T_s, H) layouts, zero past each sequence's length. h and c start
+    at zero. The streams run in one loop over max_s T_s steps with (S, B, .)
+    state: each step is one stacked (S, B, H) @ (S, H, 4H) matmul, which
+    computes every stream's product as a call with that stream alone would.
+    A stream's input projection, outputs and gradient reductions read only
+    its own T_s steps, so outputs and gradients are bitwise those of S
+    single-stream calls. The VJP runs backpropagation through time, O(T)
+    steps and memory, for all streams in one reverse loop; it zeroes output
+    gradients past each length, so every padded step passes back exactly 0.
     """
     n_streams = len(xs)
-    if not n_streams or not len(Ws) == len(Us) == len(bs) == n_streams:
-        raise ShapeError(f"lstm needs one W, U and b per input, got {n_streams} inputs, "
-                         f"{len(Ws)} W, {len(Us)} U and {len(bs)} b")
-    valid = _valid_frames(xs[0], lengths, "lstm")
-    (n_seq, t_len, _), h_dim = valid.shape, Us[0].shape[0]
-    for x, W, U, b in zip(xs, Ws, Us, bs):
-        if x.data.ndim != 2 or x.shape[0] != n_seq * t_len or W.shape != (x.shape[1], 4 * h_dim) \
+    if not n_streams or not len(lengths) == len(Ws) == len(Us) == len(bs) == n_streams:
+        raise ShapeError(f"lstm needs one lengths array, W, U and b per input, got {n_streams} inputs, "
+                         f"{len(lengths)} lengths, {len(Ws)} W, {len(Us)} U and {len(bs)} b")
+    valids = [_valid_frames(x, lens, "lstm") for x, lens in zip(xs, lengths)]
+    n_seq, h_dim = valids[0].shape[0], Us[0].shape[0]
+    t_lens = [valid.shape[1] for valid in valids]
+    t_len = max(t_lens)
+    for x, valid, W, U, b in zip(xs, valids, Ws, Us, bs):
+        if valid.shape[0] != n_seq or W.shape != (x.shape[1], 4 * h_dim) \
                 or U.shape != (h_dim, 4 * h_dim) or b.shape != (1, 4 * h_dim):
-            raise ShapeError(f"lstm shapes disagree: x {x.shape}, W {W.shape}, U {U.shape}, b {b.shape}")
+            raise ShapeError(f"lstm shapes disagree: x {x.shape} as {valid.shape[0]} sequences "
+                             f"(not {n_seq}), W {W.shape}, U {U.shape}, b {b.shape}")
     k = 3 * h_dim  # i|f|o columns take the sigmoid, g the tanh
     u = np.stack([U.data for U in Us])
-    # time-major, so each step reads one block
-    xw = np.empty((t_len, n_streams, n_seq, 4 * h_dim))
-    for s, (x, W, b) in enumerate(zip(xs, Ws, bs)):
-        xw[:, s] = (x.data @ W.data + b.data).reshape(n_seq, t_len, 4 * h_dim).transpose(1, 0, 2)
+    # time-major, so each step reads one block; zero past a stream's T_s
+    xw = np.zeros((t_len, n_streams, n_seq, 4 * h_dim))
+    for s, (x, W, b, t_s) in enumerate(zip(xs, Ws, bs, t_lens)):
+        xw[:t_s, s] = (x.data @ W.data + b.data).reshape(n_seq, t_s, 4 * h_dim).transpose(1, 0, 2)
     gates = np.empty_like(xw)
     per_gate = gates.reshape(t_len, n_streams, n_seq, 4, h_dim).transpose(0, 3, 1, 2, 4)  # [t] -> i, f, o, g
     c, h = np.zeros((2, t_len + 1, n_streams, n_seq, h_dim))  # row t + 1 holds the state after step t
@@ -328,11 +333,13 @@ def lstm(xs: Sequence[Tensor], lengths, Ws: Sequence[Tensor], Us: Sequence[Tenso
         np.multiply(o, tc[t], out=h[t + 1])
     inputs = tuple(p for stream in zip(xs, Ws, Us, bs) for p in stream)
     needs_grad = any(p.requires_grad for p in inputs)
-    outs = tuple(_result((h[1:, s].transpose(1, 0, 2) * valid).reshape(-1, h_dim), needs_grad)
-                 for s in range(n_streams))
+    outs = tuple(_result((h[1:t_s + 1, s].transpose(1, 0, 2) * valid).reshape(-1, h_dim), needs_grad)
+                 for s, (t_s, valid) in enumerate(zip(t_lens, valids)))
 
     def vjp(gys):
-        gy = np.stack([(g.reshape(n_seq, t_len, h_dim) * valid).transpose(1, 0, 2) for g in gys], axis=1)
+        gy = np.zeros((t_len, n_streams, n_seq, h_dim))
+        for s, (g, t_s, valid) in enumerate(zip(gys, t_lens, valids)):
+            gy[:t_s, s] = (g.reshape(n_seq, t_s, h_dim) * valid).transpose(1, 0, 2)
         u_t = u.transpose(0, 2, 1)
         d_pre = np.empty_like(gates)
         dh = dc = np.zeros((n_streams, n_seq, h_dim))
@@ -346,9 +353,9 @@ def lstm(xs: Sequence[Tensor], lengths, Ws: Sequence[Tensor], Us: Sequence[Tenso
             dh = d_pre[t] @ u_t
             dc = dc * f
         grads = []
-        for s, (x, W) in enumerate(zip(xs, Ws)):
-            d_rows = d_pre[:, s].transpose(1, 0, 2).reshape(-1, 4 * h_dim)  # back to batch-major rows
-            h_prev = h[:-1, s].transpose(1, 0, 2).reshape(-1, h_dim)
+        for s, (x, W, t_s) in enumerate(zip(xs, Ws, t_lens)):
+            d_rows = d_pre[:t_s, s].transpose(1, 0, 2).reshape(-1, 4 * h_dim)  # back to batch-major rows
+            h_prev = h[:t_s, s].transpose(1, 0, 2).reshape(-1, h_dim)
             grads += [d_rows @ W.data.T, x.data.T @ d_rows, h_prev.T @ d_rows,
                       d_rows.sum(axis=0, keepdims=True)]
         return tuple(grads)

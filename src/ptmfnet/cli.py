@@ -239,15 +239,18 @@ def _cmd_gradcheck(args) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValidationError(f"--tol must be a positive, finite number, got {args.tol!r}")
     _echo_config("gradcheck", {"seed": args.seed, "tol": args.tol})
-    worst = None  # (block, error) of the largest error above tol
+    worst = None  # (larger error, block, both errors) of the worst parameter above tol
     for block, errors in run_battery(args.seed).items():
-        for name, err in errors.items():
-            ok = err <= args.tol
-            print(f"{block}.{name} max_rel_err={err:.3e} {'ok' if ok else 'FAIL'}")
-            if not ok and (worst is None or err > worst[1]):
-                worst = (block, err)
+        for name, (rel, scaled) in errors.items():
+            err = max(rel, scaled)
+            print(f"{block}.{name} max_rel_err={rel:.3e} block_scaled_err={scaled:.3e} "
+                  f"{'ok' if err <= args.tol else 'FAIL'}")
+            if err > args.tol and (worst is None or err > worst[0]):
+                worst = (err, block, rel, scaled)
     if worst is not None:
-        sys.stderr.write(f"gradcheck failed: {worst[0]} (seed {args.seed}) max_rel_err={worst[1]:.3e}\n")
+        _, block, rel, scaled = worst
+        sys.stderr.write(f"gradcheck failed: {block} (seed {args.seed}) "
+                         f"max_rel_err={rel:.3e} block_scaled_err={scaled:.3e}\n")
         return EXIT_VALIDATION
     return EXIT_OK
 

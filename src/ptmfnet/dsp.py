@@ -90,15 +90,6 @@ def _frame_raw(samples: np.ndarray, frame_len: int, hop_len: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(samples, frame_len)[::hop_len]
 
 
-def frame_signal(w: Waveform, cfg: FrameConfig) -> np.ndarray:
-    """Slice into overlapping frames and apply the analysis window.
-
-    Returns a (T, frame_len) array with T = 1 + floor((len - frame_len)/hop).
-    """
-    frames = _frame_raw(w.samples, cfg.frame_len, cfg.hop_len)
-    return frames * _WINDOWS[cfg.window](cfg.frame_len)
-
-
 def short_term_energy(frames: np.ndarray) -> np.ndarray:
     """Mean squared sample per (already windowed) frame, shape (T, 1)."""
     return np.mean(np.square(frames), axis=1, keepdims=True)

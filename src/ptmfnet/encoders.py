@@ -4,9 +4,9 @@ pooling (ASP) from frame level to utterance level.
 Both take a batch of B zero-padded sequences as (B*T, D) tape rows,
 batch-major, with one length per sequence, and return rows. Each block is
 one fused autodiff op, `lstm` and `attentive_stats`, so it records one tape
-node per batch, whatever B and T are. `run_lstms` runs several LSTMs over
-streams of the same sequences (the audio streams of a batch) as one `lstm`
-node with one output per stream.
+node per batch, whatever B and T are. `run_lstms` groups the LSTMs of a
+batch by hidden width and runs each group as one `lstm` node with one
+output per stream, each stream with its own lengths.
 """
 
 from __future__ import annotations
@@ -50,20 +50,35 @@ class LstmEncoder(Module):
         self.U = Tensor(np.concatenate(u).T.copy(), requires_grad=True)
         self.b = Tensor(np.concatenate(b)[None, :], requires_grad=True)
 
-    def forward(self, x: Tensor, lengths) -> Tensor:
+    def forward(self, x: Tensor, lengths, peers=()):
         """x: (B*T, D) padded rows with lengths (B,) -> hidden rows (B*T, H),
-        zero past each sequence's length."""
-        return run_lstms([self], [x], lengths)[0]
+        zero past each sequence's length. `peers` are (encoder, x, lengths)
+        triples of other encoders of the same H over their own padded rows
+        of the same B sequences; with peers, all of them run in one `lstm`
+        op and the result is the tuple of hidden rows, this encoder's first."""
+        runs = [(self, x, lengths), *peers]
+        for enc, rows, _ in runs:
+            if rows.shape[-1] != enc.input_dim:
+                raise ValidationError(f"input dim {rows.shape[-1]} does not match encoder dim {enc.input_dim}")
+        encs, xs, lens = zip(*runs)
+        outs = ad.lstm(xs, lens, [e.W for e in encs], [e.U for e in encs], [e.b for e in encs])
+        return outs if peers else outs[0]
 
 
-def run_lstms(encoders: Sequence[LstmEncoder], xs: Sequence[Tensor], lengths) -> tuple[Tensor, ...]:
-    """Encoder s over input rows xs[s], all (B*T, D_s) padded rows of the
-    same B sequences with lengths (B,), in one `lstm` op -> one (B*T, H)
-    hidden-row tensor per encoder. The encoders must share H."""
-    for enc, x in zip(encoders, xs, strict=True):
-        if x.shape[-1] != enc.input_dim:
-            raise ValidationError(f"input dim {x.shape[-1]} does not match encoder dim {enc.input_dim}")
-    return ad.lstm(xs, lengths, [e.W for e in encoders], [e.U for e in encoders], [e.b for e in encoders])
+def run_lstms(runs: Sequence[tuple]) -> list[Tensor]:
+    """(encoder, x, lengths) triples -> one hidden-row tensor per triple, in
+    order. Encoders of the same hidden width run as one `lstm` op, through
+    the first one's `forward`."""
+    groups: dict[int, list[int]] = {}
+    for j, (enc, _, _) in enumerate(runs):
+        groups.setdefault(enc.hidden_dim, []).append(j)
+    outs: list = [None] * len(runs)
+    for members in groups.values():
+        (enc, x, lengths), *peers = (runs[j] for j in members)
+        hidden = enc.forward(x, lengths, peers=peers)
+        for j, h in zip(members, hidden if peers else (hidden,)):
+            outs[j] = h
+    return outs
 
 
 class AspPooling(Module):

@@ -1,6 +1,6 @@
 """Finite-difference gradient checking, of one closure and of a battery over
-every differentiable block. Both map each parameter name to its error; a
-check passes when every error is at most the caller's tolerance.
+every differentiable block. Both map each parameter name to two errors, and
+a check passes when every error is at most the caller's tolerance (`worst`).
 
 Each battery case builds one block with small dimensions, fixes a batch of
 inputs (sequences of mixed lengths where the block pools over frames), and
@@ -28,15 +28,18 @@ def grad_check(
     params: Sequence[Parameter],
     eps: float = 1e-5,
     atol: float = 1e-8,
-) -> dict[str, float]:
+) -> dict[str, tuple[float, float]]:
     """Compare tape gradients of scalar f() against central finite differences.
 
     f must be deterministic (dropout off, fixed inputs); this is verified by
-    evaluating it twice. Returns, per parameter name,
-    max(|analytic - numeric| - atol, 0) / max(|analytic|, |numeric|, 1e-8).
-    atol absorbs central-difference roundoff (~1e-11 at eps=1e-5) on
-    parameters whose true gradient is identically zero, e.g. a key bias
-    that cancels inside softmax.
+    evaluating it twice. Returns, per parameter name, two errors of the
+    analytic gradient a against the numeric one n:
+    - relative: max(|a - n| - atol, 0) / max(|a|, |n|, 1e-8), elementwise.
+      atol absorbs central-difference roundoff (~1e-11 at eps=1e-5) on
+      parameters whose true gradient is identically zero, e.g. a key bias
+      that cancels inside softmax; it also hides any |a - n| below it;
+    - block-scaled: max |a - n| over the largest |a| or |n| of any of
+      `params`, which has no floor, so it registers every disagreement.
     """
     v1 = f()
     v2 = f()
@@ -50,7 +53,7 @@ def grad_check(
         backward(loss)
     analytic = {p.name: p.tensor.grad.copy() for p in params}
 
-    errors = {}
+    errors, scale = {}, 0.0  # name -> (relative error, max |a - n|); largest |a| or |n|
     for p in params:
         buf = p.tensor.data  # perturbed through .flat, which also writes into non-contiguous data
         numeric = np.empty(buf.size)
@@ -64,10 +67,18 @@ def grad_check(
             numeric[i] = (hi - lo) / (2.0 * eps)
         numeric = numeric.reshape(buf.shape)
         a = analytic[p.name]
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-8)
-        err = np.maximum(np.abs(a - numeric) - atol, 0.0) / denom
-        errors[p.name] = float(np.max(err))
-    return errors
+        big = np.maximum(np.abs(a), np.abs(numeric))
+        err = np.maximum(np.abs(a - numeric) - atol, 0.0) / np.maximum(big, 1e-8)
+        errors[p.name] = (float(np.max(err)), float(np.max(np.abs(a - numeric))))
+        scale = max(scale, float(np.max(big)))
+    scale = max(scale, np.finfo(float).tiny)  # all-zero gradients: every difference is 0 too
+    return {name: (rel, diff / scale) for name, (rel, diff) in errors.items()}
+
+
+def worst(errors: dict[str, tuple[float, float]]) -> float:
+    """The largest error of a `grad_check` result, either kind: the check
+    passes at tolerance tol when this is at most tol."""
+    return max(max(pair) for pair in errors.values())
 
 
 def _projected(out: Tensor, seed: int) -> Tensor:
@@ -75,9 +86,9 @@ def _projected(out: Tensor, seed: int) -> Tensor:
     return ad.tsum(ad.mul(out, Tensor(r)))
 
 
-def run_battery(seed: int) -> dict[str, dict[str, float]]:
+def run_battery(seed: int) -> dict[str, dict[str, tuple[float, float]]]:
     """Gradient-check every block once with weights/inputs drawn from `seed`;
-    returns block -> parameter -> error."""
+    returns block -> parameter -> (relative, block-scaled) error."""
     rng = np.random.default_rng(seed)
     lstm = LstmEncoder(3, 4, rng)
     x_seq = Tensor(rng.standard_normal((3 * 5, 3)))  # three sequences padded to T = 5
@@ -96,8 +107,21 @@ def run_battery(seed: int) -> dict[str, dict[str, float]]:
     tokens = Tensor(rng.standard_normal((4, 6)))
     head = ClassifierHead(6, 5, 3, rng)
     x_head = Tensor(rng.standard_normal((2, 6)))
+    # four LSTMs of one H in one op, as the model runs them: three "audio"
+    # streams padded to T = 4 and a "visual" one padded to T = 6, longer
+    # than its audio for the first sequence and shorter for the last
+    grouped = ad.Module()
+    grouped.lstm = [LstmEncoder(d, 3, rng) for d in (2, 5, 3, 4)]
+    grouped_x = [Tensor(rng.standard_normal((3 * t, d))) for d, t in ((2, 4), (5, 4), (3, 4), (4, 6))]
+    grouped_len = [[4, 1, 3]] * 3 + [[6, 1, 2]]
+
+    def grouped_forward():
+        (enc, x, lengths), *peers = zip(grouped.lstm, grouped_x, grouped_len)
+        return ad.concat(enc.forward(x, lengths, peers=peers), axis=0)
+
     cases = {
         "lstm": (lstm, lambda: _projected(lstm.forward(x_seq, [5, 2, 4]), 101)),
+        "lstm_grouped": (grouped, lambda: _projected(grouped_forward(), 107)),
         "asp": (asp, lambda: _projected(asp.forward(h_seq, [6, 1, 3]), 102)),
         "co_attention": (coatt, lambda: _projected(coatt.forward(lld, mfcc, w2v), 103)),
         "transformer_fusion": (tx, lambda: _projected(tx.forward(u_a, u_v), 104)),

@@ -274,27 +274,28 @@ class DepressionModel(Module):
 
     # ------------------------------------------------------------------
 
-    def _audio_branch(self, batch: Batch, training, rng, trace) -> Tensor:
-        lengths = batch.audio_lengths
-        encoders = [self.enc[s]["lstm"] for s in batch.audio]
-        outs = run_lstms(encoders, [Tensor(a) for a in batch.audio.values()], lengths)
-        hidden = dict(zip(batch.audio, outs))
+    def _encode(self, batch: Batch) -> tuple[dict, Tensor]:
+        """Every stream's LSTM hidden rows: a dict of the audio streams by
+        name, and the visual rows. LSTMs of one hidden width run as one op."""
+        runs = [(self.enc[s]["lstm"], Tensor(a), batch.audio_lengths) for s, a in batch.audio.items()]
+        runs.append((self.enc["visual"]["lstm"], Tensor(batch.visual), batch.visual_lengths))
+        *audio, visual = run_lstms(runs)
+        return dict(zip(batch.audio, audio)), visual
+
+    def _audio_branch(self, batch: Batch, hidden: dict, training, rng, trace) -> Tensor:
         if self.cfg.multi_audio:
             seq = self.fuse["coatt"].forward(hidden["lld"], hidden["mfcc"], hidden["wav2vec"],
                                              training=training, rng=rng, weighting=self.cfg.co_att)
         else:
             seq = hidden["wav2vec"]
-        return self.enc["audio"]["asp"].forward(seq, lengths, trace)
-
-    def _visual_branch(self, batch: Batch, trace) -> Tensor:
-        hidden = self.enc["visual"]["lstm"].forward(Tensor(batch.visual), batch.visual_lengths)
-        return self.enc["visual"]["asp"].forward(hidden, batch.visual_lengths, trace)
+        return self.enc["audio"]["asp"].forward(seq, batch.audio_lengths, trace)
 
     def forward(self, batch: Batch, training: bool = False,
                 rng: np.random.Generator | None = None, trace=None) -> Tensor:
         """Returns class logits of shape (B, n_classes), one row per sample."""
-        u_a = self._audio_branch(batch, training, rng, trace)
-        u_v = self._visual_branch(batch, trace)
+        audio, visual = self._encode(batch)
+        u_a = self._audio_branch(batch, audio, training, rng, trace)
+        u_v = self.enc["visual"]["asp"].forward(visual, batch.visual_lengths, trace)
         tokens = self.fuse["tx"].forward(u_a, u_v, training=training, rng=rng, trace=trace)
         pers = Tensor(batch.personality)
         if self.cfg.ptmfim:

@@ -56,6 +56,9 @@ class Adam:
 
 
 def _resample_indices(labels: list[int], n_classes: int, rng: np.random.Generator) -> list[int]:
+    """One epoch's sample order: minority classes oversampled with replacement
+    to a uniform class distribution, then shuffled. Every index appears at
+    least once."""
     groups = [[] for _ in range(n_classes)]
     for i, lab in enumerate(labels):
         groups[lab].append(i)
@@ -71,13 +74,6 @@ def _resample_indices(labels: list[int], n_classes: int, rng: np.random.Generato
             epoch.extend(g[k] for k in rng.integers(0, len(g), size=deficit))
     rng.shuffle(epoch)
     return epoch
-
-
-def resample_epoch(records, task: str, n_classes: int, rng: np.random.Generator) -> list:
-    """Oversample minority classes with replacement to a uniform class
-    distribution, then shuffle. Every original sample appears at least once."""
-    labels = [r.label(task) for r in records]
-    return [records[i] for i in _resample_indices(labels, n_classes, rng)]
 
 
 def split_train_val(records, task: str, val_fraction: float, rng: np.random.Generator):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from ptmfnet import autodiff as ad
 from ptmfnet.autodiff import Parameter, ShapeError, Tape, Tensor
 from ptmfnet.errors import ValidationError
-from ptmfnet.gradcheck import grad_check
+from ptmfnet.gradcheck import grad_check, worst
 
 
 def t(data, rg=False):
@@ -287,7 +287,7 @@ def test_multi_output_nodes_that_feed_nothing_are_skipped():
     with Tape() as tape:
         _, seen = _split_columns(x, 2)
         xs, ws, us, bs = zip(*streams)
-        ad.lstm(xs, [2, 2], ws, us, bs)
+        ad.lstm(xs, [[2, 2]] * 2, ws, us, bs)
         lstm_node = tape.nodes[-1]
         lstm_node.vjp = lambda g: seen.append(g)
         ad.backward(ad.tsum(ad.mul(x, x)))
@@ -337,7 +337,7 @@ def _lstm(x):
     """ad.lstm over the rows of x as _mixed_lengths sequences, with fixed weights (H = 2)."""
     rng = np.random.default_rng(x.shape[1] + 1)
     w, u, b = (t(rng.normal(size=s)) for s in ((x.shape[1], 8), (2, 8), (1, 8)))
-    return ad.lstm([x], _mixed_lengths(x.shape[0]), [w], [u], [b])[0]
+    return ad.lstm([x], [_mixed_lengths(x.shape[0])], [w], [u], [b])[0]
 
 
 def _cross_attention(x):
@@ -374,7 +374,7 @@ def test_gradcheck_unary_ops(op_idx, shape):
         return ad.tsum(ad.mul(op(x), probe))
 
     report = grad_check(f, [Parameter("x", x)], eps=1e-5)
-    assert max(report.values()) <= 1e-4, report
+    assert worst(report) <= 1e-4, report
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -393,7 +393,7 @@ def test_gradcheck_relu_sqrt(seed):
             return ad.tsum(ad.mul(op(x), probe))
 
         report = grad_check(f, [Parameter("x", x)], eps=1e-6)
-        assert max(report.values()) <= 1e-4, (op, report)
+        assert worst(report) <= 1e-4, (op, report)
 
 
 @pytest.mark.parametrize("shapes", [((2, 3), (2, 3)), ((2, 3), (1, 3)), ((4, 1), (4, 5))])
@@ -409,7 +409,7 @@ def test_gradcheck_binary_ops_with_broadcast(op, shapes):
         return ad.tsum(ad.mul(op(a, b), probe))
 
     report = grad_check(f, [Parameter("a", a), Parameter("b", b)], eps=1e-5)
-    assert max(report.values()) <= 1e-4, report
+    assert worst(report) <= 1e-4, report
 
 
 def test_gradcheck_matmul_against_finite_differences():
@@ -422,7 +422,7 @@ def test_gradcheck_matmul_against_finite_differences():
         return ad.tsum(ad.mul(ad.matmul(a, b), probe))
 
     report = grad_check(f, [Parameter("a", a), Parameter("b", b)], eps=1e-5)
-    assert max(report.values()) <= 1e-6, report
+    assert worst(report) <= 1e-6, report
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -440,7 +440,7 @@ def test_gradcheck_layer_norm(shape):
     report = grad_check(f, params, eps=1e-5)
     # width-2 rows have near-singular variance, which inflates the
     # finite-difference truncation term; 1e-4 is the module-wide bar
-    assert max(report.values()) <= 1e-4, report
+    assert worst(report) <= 1e-4, report
 
 
 @pytest.mark.parametrize("t_len", [1, 6])
@@ -454,7 +454,7 @@ def test_gradcheck_attentive_stats(t_len):
 
     params = [Parameter(name, x) for name, x in zip(("h", "W", "b", "v"), (h, w, b, v))]
     report = grad_check(f, params, eps=1e-5)
-    assert max(report.values()) <= 1e-4, report
+    assert worst(report) <= 1e-4, report
 
 
 @pytest.mark.parametrize("n_heads", [1, 2])
@@ -469,7 +469,7 @@ def test_gradcheck_attention(n_heads):
 
     params = [Parameter("q", q), Parameter("k", k), Parameter("v", v)]
     report = grad_check(f, params, eps=1e-5)
-    assert max(report.values()) <= 1e-4, report
+    assert worst(report) <= 1e-4, report
 
 
 # the widened ops on a batch of three samples of mixed lengths, padded to T = 4
@@ -478,14 +478,14 @@ MIXED = [4, 1, 3]
 
 def _batched_lstm(params):
     x, w, u, b = (p.tensor for p in params)
-    return ad.lstm([x], MIXED, [w], [u], [b])[0]
+    return ad.lstm([x], [MIXED], [w], [u], [b])[0]
 
 
 def _three_stream_lstm(params):
     """Three streams of input widths 2, 13 and 7 in one lstm op, their
     hidden rows side by side."""
     xs, ws, us, bs = ([p.tensor for p in params[k::4]] for k in range(4))
-    return ad.concat(ad.lstm(xs, MIXED, ws, us, bs), axis=1)
+    return ad.concat(ad.lstm(xs, [MIXED] * 3, ws, us, bs), axis=1)
 
 
 def _batched_pool(params):
@@ -519,7 +519,7 @@ def test_gradcheck_batched_ops_with_mixed_lengths(op):
         return ad.tsum(ad.mul(forward(params), probe))
 
     report = grad_check(f, params, eps=1e-5)
-    assert max(report.values()) <= 1e-4, report
+    assert worst(report) <= 1e-4, report
 
 
 def test_padded_steps_and_frames_pass_nothing():
@@ -529,7 +529,7 @@ def test_padded_steps_and_frames_pass_nothing():
     x = t(rng.normal(size=(12, 3)) * 5.0, rg=True)
     w, u, b = (t(rng.normal(size=s)) for s in ((3, 8), (2, 8), (1, 8)))
     with Tape():
-        (h,) = ad.lstm([x], MIXED, [w], [u], [b])
+        (h,) = ad.lstm([x], [MIXED], [w], [u], [b])
         ad.backward(ad.tsum(ad.mul(h, t(rng.normal(size=h.shape)))))
     _, alpha = ad.attentive_stats(x, MIXED, *(t(rng.normal(size=s)) for s in ((3, 2), (1, 2), (2, 1))),
                                   eps=1e-6)
@@ -583,7 +583,7 @@ def test_gradcheck_concat(shape):
         return ad.tsum(ad.mul(ad.concat([a, b], axis=1), probe))
 
     report = grad_check(f, [Parameter("a", a), Parameter("b", b)])
-    assert max(report.values()) <= 1e-4, report
+    assert worst(report) <= 1e-4, report
 
 
 def test_gradcheck_dropout_fixed_mask():
@@ -597,7 +597,7 @@ def test_gradcheck_dropout_fixed_mask():
         return ad.tsum(ad.mul(ad.dropout(x, 0.4, training=True, rng=rng), probe))
 
     report = grad_check(f, [Parameter("x", x)])
-    assert max(report.values()) <= 1e-4, report
+    assert worst(report) <= 1e-4, report
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +615,7 @@ def test_grad_check_quadratic_is_exact():
         return ad.tsum(ad.mul(x, ad.matmul(q, x)))
 
     report = grad_check(f, [Parameter("x", x)], eps=1e-5)
-    assert max(report.values()) <= 1e-8
+    assert worst(report) <= 1e-8
 
 
 def test_grad_check_detects_nondeterminism():

@@ -423,22 +423,35 @@ def test_gradcheck_reports_per_parameter_and_passes(capsys):
     captured = capsys.readouterr()
     assert code == EXIT_OK
     lines = captured.out.strip().splitlines()
-    assert all("max_rel_err=" in line and line.endswith("ok") for line in lines)
+    assert all("max_rel_err=" in line and "block_scaled_err=" in line and line.endswith("ok")
+               for line in lines)
     assert any(line.startswith("lstm.W ") for line in lines)
+    assert any(line.startswith("lstm_grouped.lstm.3.U ") for line in lines)
     assert any(line.startswith("ptmfim.Q_b") for line in lines)
 
 
+def test_gradcheck_impossible_tol_exits_1(capsys):
+    # finite differences never agree with the tape to the last bit, and the
+    # block-scaled error has no floor that hides the difference
+    code = main(["gradcheck", "--seed", "0", "--tol", "1e-300"])
+    captured = capsys.readouterr()
+    assert code == EXIT_VALIDATION
+    assert any(line.endswith("FAIL") for line in captured.out.splitlines())
+    assert captured.err.splitlines()[-1].startswith("gradcheck failed: ")
+
+
 def test_gradcheck_failing_block_exits_1(monkeypatch, capsys):
-    # the real battery reads 0.0 everywhere, so the failure path needs a stand-in
-    monkeypatch.setattr(cli, "run_battery", lambda seed: {"asp": {"W": 0.0, "b": 0.0},
-                                                          "ptmfim": {"Q_b": 3e-3}})
+    # either error above tol fails its parameter; stderr names the worst one
+    monkeypatch.setattr(cli, "run_battery", lambda seed: {"asp": {"W": (0.0, 0.0), "b": (0.0, 2e-4)},
+                                                          "ptmfim": {"Q_b": (3e-3, 1e-5)}})
     code = main(["gradcheck", "--seed", "2"])
     captured = capsys.readouterr()
     assert code == EXIT_VALIDATION
-    assert captured.out.splitlines() == ["asp.W max_rel_err=0.000e+00 ok",
-                                         "asp.b max_rel_err=0.000e+00 ok",
-                                         "ptmfim.Q_b max_rel_err=3.000e-03 FAIL"]
-    assert captured.err.splitlines()[-1] == "gradcheck failed: ptmfim (seed 2) max_rel_err=3.000e-03"
+    assert captured.out.splitlines() == ["asp.W max_rel_err=0.000e+00 block_scaled_err=0.000e+00 ok",
+                                         "asp.b max_rel_err=0.000e+00 block_scaled_err=2.000e-04 FAIL",
+                                         "ptmfim.Q_b max_rel_err=3.000e-03 block_scaled_err=1.000e-05 FAIL"]
+    assert captured.err.splitlines()[-1] == \
+        "gradcheck failed: ptmfim (seed 2) max_rel_err=3.000e-03 block_scaled_err=1.000e-05"
 
 
 @pytest.mark.parametrize("argv", [["--seed", "-1"], ["--tol", "nan"], ["--tol", "inf"],

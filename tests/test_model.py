@@ -156,19 +156,67 @@ def test_training_forward_and_loss_record_at_most_100_tape_nodes(cfg, limit):
         assert len(tape.nodes) <= limit
 
 
-@pytest.mark.parametrize("cfg,total", [(ModelConfig.compact(), 77), (ModelConfig(dropout=0.0), 95)],
+@pytest.mark.parametrize("cfg,total,outputs", [(ModelConfig.compact(), 76, [4]),
+                                               (ModelConfig(dropout=0.0), 95, [3, 1])],
                          ids=["compact", "default_dropout_off"])
-def test_training_step_records_two_lstm_nodes(cfg, total):
-    # the three audio streams share one lstm node; the visual stream has its own
+def test_training_step_records_one_lstm_node_per_hidden_width(cfg, total, outputs):
+    # LSTMs of one hidden width share a node: all four in the compact config
+    # (audio_hidden = visual_hidden), the three audio streams and the visual
+    # stream apart in the default one (8 and 12)
     model = DepressionModel(cfg, np.random.default_rng(38))
     samples = [make_feats(cfg, np.random.default_rng(k), label=k % 2, t_audio=3 + k) for k in range(3)]
     batch = collate(samples, cfg)
     with ad.Tape() as tape:
         cross_entropy(model.forward(batch, training=True, rng=np.random.default_rng(39)), batch.labels)
     ops = [_op_name(node.vjp) for node in tape.nodes]
-    assert ops.count("lstm") == 2 and len(ops) == total
-    audio, visual = (node for node in tape.nodes if _op_name(node.vjp) == "lstm")
-    assert len(audio.out) == 3 and len(visual.out) == 1
+    assert len(ops) == total
+    assert [len(node.out) for node in tape.nodes if _op_name(node.vjp) == "lstm"] == outputs
+
+
+def _two_node_encode(model):
+    """The encoders as they ran before LSTMs were grouped by hidden width:
+    the audio streams in one lstm node, the visual stream in its own."""
+    def encode(batch):
+        encs = [model.enc[s]["lstm"] for s in batch.audio]
+        audio = ad.lstm([ad.Tensor(a) for a in batch.audio.values()], [batch.audio_lengths] * len(encs),
+                        [e.W for e in encs], [e.U for e in encs], [e.b for e in encs])
+        visual = model.enc["visual"]["lstm"].forward(ad.Tensor(batch.visual), batch.visual_lengths)
+        return dict(zip(batch.audio, audio)), visual
+    return encode
+
+
+def _logits_and_grads(model, batch):
+    params = collect_parameters(model)
+    for p in params:
+        p.tensor.zero_grad()
+    with ad.Tape():
+        logits = model.forward(batch, training=True, rng=np.random.default_rng(41))
+        ad.backward(cross_entropy(logits, batch.labels))
+    return logits.data, {p.name: p.tensor.grad.copy() for p in params}
+
+
+@pytest.mark.parametrize("n_seq", [1, 3, 8])
+@pytest.mark.parametrize("overrides", [{}, {"multi_audio": False, "multi_visual": False}],
+                         ids=["full", "single_streams"])
+def test_grouped_lstm_node_matches_the_two_node_path_bitwise(overrides, n_seq):
+    # padded visual T runs past the audio T for B = 1 and 8 and stops short of it for B = 3;
+    # per sample, the visual stream is sometimes the longer one and sometimes the shorter
+    cfg = ModelConfig.compact(**overrides)
+    model = DepressionModel(cfg, np.random.default_rng(40))
+    t_pairs = {1: [(5, 9)], 3: [(2, 4), (1, 1), (7, 3)],
+               8: [(5, 9), (1, 1), (7, 2), (3, 4), (6, 1), (2, 8), (4, 4), (1, 3)]}[n_seq]
+    samples = [make_feats(cfg, np.random.default_rng(k), label=k % 2, t_audio=t_a, t_visual=t_v)
+               for k, (t_a, t_v) in enumerate(t_pairs)]
+    batch = collate(samples, cfg)
+    t_audio, t_visual = (len(rows) // n_seq for rows in (next(iter(batch.audio.values())), batch.visual))
+    assert t_audio != t_visual
+    logits, grads = _logits_and_grads(model, batch)
+    model._encode = _two_node_encode(model)
+    ref_logits, ref_grads = _logits_and_grads(model, batch)
+    assert np.array_equal(logits, ref_logits)
+    assert grads.keys() == ref_grads.keys()
+    for name, g in grads.items():
+        assert np.array_equal(g, ref_grads[name]), name
 
 
 def _capture_tokens(model) -> dict:

@@ -14,8 +14,8 @@ from ptmfnet.autodiff import Tape, Tensor, collect_parameters
 from ptmfnet.dataio import SynthSpec, load_manifest, synth_dataset
 from ptmfnet.errors import ValidationError
 from ptmfnet.model import DepressionModel, ModelConfig, collate, load_sample_features
-from ptmfnet.training import (Adam, TrainState, cross_entropy, evaluate,
-                              resample_epoch, split_train_val, train)
+from ptmfnet.training import (Adam, TrainState, _resample_indices, cross_entropy, evaluate,
+                              split_train_val, train)
 
 SMALL = dict(audio_hidden=4, visual_hidden=4, coatt_lld_dim=4, coatt_mfcc_dim=4,
              coatt_w2v_dim=4, asp_attn_dim=4, d_model=8, tx_layers=1, tx_heads=2,
@@ -220,9 +220,14 @@ def test_adam_minimizes_quadratic():
 # resampling
 
 
+def _resample_epoch(records, task, n_classes, rng):
+    """The records in the order `train` draws them for one epoch."""
+    return [records[i] for i in _resample_indices([r.label(task) for r in records], n_classes, rng)]
+
+
 def test_resample_balances_classes_and_keeps_everything():
     recs = [_Rec(0)] * 10 + [_Rec(1)] * 3 + [_Rec(2)] * 6
-    out = resample_epoch(recs, "ternary", 3, np.random.default_rng(0))
+    out = _resample_epoch(recs, "ternary", 3, np.random.default_rng(0))
     counts = {c: sum(1 for r in out if r.lab == c) for c in range(3)}
     assert counts == {0: 10, 1: 10, 2: 10}
     # identity-level containment: every original object reappears
@@ -233,13 +238,13 @@ def test_resample_balances_classes_and_keeps_everything():
 def test_resample_missing_class_raises():
     recs = [_Rec(0)] * 4 + [_Rec(2)] * 4
     with pytest.raises(ValidationError, match=r"class\(es\) \[1\]"):
-        resample_epoch(recs, "ternary", 3, np.random.default_rng(0))
+        _resample_epoch(recs, "ternary", 3, np.random.default_rng(0))
 
 
 def test_resample_deterministic_and_shuffled():
     recs = [_Rec(i % 2) for i in range(20)]
-    a = resample_epoch(recs, "binary", 2, np.random.default_rng(5))
-    b = resample_epoch(recs, "binary", 2, np.random.default_rng(5))
+    a = _resample_epoch(recs, "binary", 2, np.random.default_rng(5))
+    b = _resample_epoch(recs, "binary", 2, np.random.default_rng(5))
     assert [r.lab for r in a] == [r.lab for r in b]
     # a balanced-by-construction list would be grouped; shuffling breaks that
     labs = [r.lab for r in a]
@@ -248,7 +253,7 @@ def test_resample_deterministic_and_shuffled():
 
 def test_resample_already_balanced_is_a_permutation():
     recs = [_Rec(0)] * 5 + [_Rec(1)] * 5
-    out = resample_epoch(recs, "binary", 2, np.random.default_rng(1))
+    out = _resample_epoch(recs, "binary", 2, np.random.default_rng(1))
     assert len(out) == 10
     assert sorted(id(r) for r in out) == sorted(id(r) for r in recs)
 
