@@ -8,6 +8,7 @@ rank promotion.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -296,9 +297,14 @@ def lstm(xs: Sequence[Tensor], lengths: Sequence, Ws: Sequence[Tensor], Us: Sequ
     computes every stream's product as a call with that stream alone would.
     A stream's input projection, outputs and gradient reductions read only
     its own T_s steps, so outputs and gradients are bitwise those of S
-    single-stream calls. The VJP runs backpropagation through time, O(T)
-    steps and memory, for all streams in one reverse loop; it zeroes output
-    gradients past each length, so every padded step passes back exactly 0.
+    single-stream calls. A forward step writes into buffers allocated
+    before the loop and takes the sigmoid of all 4H columns with one exp,
+    bitwise `_sigmoid`; when no node will be recorded (no tape, or no input
+    needs a gradient) it keeps no per-step state for a VJP. The VJP runs
+    backpropagation through time, O(T) steps and memory, for all streams in
+    one reverse loop, with the factors that do not depend on the carried
+    gradients computed for all steps before it; it zeroes output gradients
+    past each length, so every padded step passes back exactly 0.
     """
     n_streams = len(xs)
     if not n_streams or not len(lengths) == len(Ws) == len(Us) == len(bs) == n_streams:
@@ -319,39 +325,84 @@ def lstm(xs: Sequence[Tensor], lengths: Sequence, Ws: Sequence[Tensor], Us: Sequ
     xw = np.zeros((t_len, n_streams, n_seq, 4 * h_dim))
     for s, (x, W, b, t_s) in enumerate(zip(xs, Ws, bs, t_lens)):
         xw[:t_s, s] = (x.data @ W.data + b.data).reshape(n_seq, t_s, 4 * h_dim).transpose(1, 0, 2)
-    gates = np.empty_like(xw)
-    per_gate = gates.reshape(t_len, n_streams, n_seq, 4, h_dim).transpose(0, 3, 1, 2, 4)  # [t] -> i, f, o, g
-    c, h = np.zeros((2, t_len + 1, n_streams, n_seq, h_dim))  # row t + 1 holds the state after step t
-    tc = np.empty((t_len, n_streams, n_seq, h_dim))  # tanh(c[1:])
-    for t in range(t_len):
-        pre = xw[t] + h[t] @ u
-        gates[t, ..., :k] = _sigmoid(pre[..., :k])
-        np.tanh(pre[..., k:], out=gates[t, ..., k:])
-        i, f, o, g = per_gate[t]
-        c[t + 1] = f * c[t] + i * g
-        np.tanh(c[t + 1], out=tc[t])
-        np.multiply(o, tc[t], out=h[t + 1])
     inputs = tuple(p for stream in zip(xs, Ws, Us, bs) for p in stream)
     needs_grad = any(p.requires_grad for p in inputs)
+    record = needs_grad and bool(_TAPE_STACK)
+    # With a node to record, step t keeps its gates in row t, c in row t + 1
+    # and tanh(c) in row t for the VJP; without one, every step reuses row 0
+    # and c carries over in place. h is the output and is always kept. The
+    # loops iterate over the tables, which yields each step's rows for less
+    # than indexing them.
+    n_kept = t_len if record else 1
+    gates = np.empty((n_kept, n_streams, n_seq, 4 * h_dim))
+    i, f, o, g = gates.reshape(n_kept, n_streams, n_seq, 4, h_dim).transpose(3, 0, 1, 2, 4)
+    c = np.zeros((n_kept + 1, n_streams, n_seq, h_dim))
+    tc = np.empty((n_kept, n_streams, n_seq, h_dim))
+    h = np.zeros((t_len + 1, n_streams, n_seq, h_dim))  # row t + 1 holds the state after step t
+    if record:
+        kept = zip(gates, i, f, o, g, c[:-1], c[1:], tc)
+    else:
+        kept = itertools.repeat((gates[0], i[0], f[0], o[0], g[0], c[0], c[0], tc[0]), t_len)
+    pre, ig = np.empty_like(xw[0]), np.empty_like(h[0])
+    pre_g = pre[..., k:]
+    # _sigmoid of all 4H columns with one exp: where(d >= 0, 1, e) is
+    # exp(min(d, 0)) and e = exp(-|d|) is exp(copysign(d, -1)), to the bit
+    num_den = np.empty((2, *pre.shape))
+    num, den = num_den
+    for h_prev, h_t, xw_t, (act, i_t, f_t, o_t, g_t, c_prev, c_t, tc_t) in zip(h[:-1], h[1:], xw, kept):
+        np.matmul(h_prev, u, out=pre)
+        pre += xw_t
+        np.minimum(pre, 0.0, out=num)
+        np.copysign(pre, -1.0, out=den)
+        np.exp(num_den, out=num_den)
+        den += 1.0
+        np.divide(num, den, out=act)
+        np.tanh(pre_g, out=g_t)
+        np.multiply(f_t, c_prev, out=c_t)
+        np.multiply(i_t, g_t, out=ig)
+        c_t += ig
+        np.tanh(c_t, out=tc_t)
+        np.multiply(o_t, tc_t, out=h_t)
     outs = tuple(_result((h[1:t_s + 1, s].transpose(1, 0, 2) * valid).reshape(-1, h_dim), needs_grad)
                  for s, (t_s, valid) in enumerate(zip(t_lens, valids)))
+    if not record:
+        return outs
 
     def vjp(gys):
         gy = np.zeros((t_len, n_streams, n_seq, h_dim))
-        for s, (g, t_s, valid) in enumerate(zip(gys, t_lens, valids)):
-            gy[:t_s, s] = (g.reshape(n_seq, t_s, h_dim) * valid).transpose(1, 0, 2)
+        for s, (g_s, t_s, valid) in enumerate(zip(gys, t_lens, valids)):
+            gy[:t_s, s] = (g_s.reshape(n_seq, t_s, h_dim) * valid).transpose(1, 0, 2)
         u_t = u.transpose(0, 2, 1)
-        d_pre = np.empty_like(gates)
-        dh = dc = np.zeros((n_streams, n_seq, h_dim))
-        for t in range(t_len - 1, -1, -1):
-            i, f, o, g = per_gate[t]
-            dh = gy[t] + dh
-            dc = dc + dh * o * (1.0 - tc[t] * tc[t])
-            d_ifo = np.concatenate([dc * g, dc * c[t], dh * tc[t]], axis=-1)
-            d_pre[t, ..., :k] = d_ifo * gates[t, ..., :k] * (1.0 - gates[t, ..., :k])
-            d_pre[t, ..., k:] = dc * i * (1.0 - g * g)
-            dh = d_pre[t] @ u_t
-            dc = dc * f
+        # The factors that do not depend on dh or dc, for all steps at once.
+        # A step's dc gains dh * o * (1 - tanh(c)^2), and its d_pre is
+        # [dc, dc, dh, dc] * [g, c_prev, tanh(c), i], then times the gates
+        # (i|f|o only), then times 1 - gates with 1 - g^2 in the g block,
+        # which d_pre holds before the loop.
+        dtc = 1.0 - tc * tc
+        mult = np.concatenate([g, c[:-1], tc, i], axis=-1)
+        d_pre = 1.0 - gates
+        d_pre[..., k:] = 1.0 - g * g
+        # dh, dc and the step's buffers are updated in place
+        dh, dc, d_dc = np.zeros((3, n_streams, n_seq, h_dim))
+        d_step = np.empty_like(pre)
+        d_state = d_step.reshape(n_streams, n_seq, 4, h_dim)
+        dc_each, dh_block, d_step_ifo = dc[:, :, None], d_state[:, :, 2], d_step[..., :k]
+        for gy_t, o_t, dtc_t, mult_t, ifo_t, f_t, d_pre_t in zip(
+                *(a[::-1] for a in (gy, o, dtc, mult, gates[..., :k], f, d_pre))):
+            dh += gy_t
+            np.multiply(dh, o_t, out=d_dc)
+            d_dc *= dtc_t
+            dc += d_dc
+            d_state[...] = dc_each
+            dh_block[...] = dh
+            d_step *= mult_t
+            d_step_ifo *= ifo_t
+            d_pre_t *= d_step
+            np.matmul(d_pre_t, u_t, out=dh)
+            dc *= f_t
+        # free the loop's tables before the reductions (its last step's rows
+        # would keep them)
+        del gy, dtc, mult, gy_t, dtc_t, mult_t
         grads = []
         for s, (x, W, t_s) in enumerate(zip(xs, Ws, t_lens)):
             d_rows = d_pre[:t_s, s].transpose(1, 0, 2).reshape(-1, 4 * h_dim)  # back to batch-major rows

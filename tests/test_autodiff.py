@@ -472,7 +472,8 @@ def test_gradcheck_attention(n_heads):
     assert worst(report) <= 1e-4, report
 
 
-# the widened ops on a batch of three samples of mixed lengths, padded to T = 4
+# the widened ops on a batch of three samples: sequences of mixed lengths
+# padded to T = 4, or one row of logits each
 MIXED = [4, 1, 3]
 
 
@@ -505,11 +506,12 @@ BATCHED_OPS = {
                            _three_stream_lstm),
     "attentive_stats": (((12, 3), (3, 2), (1, 2), (2, 1)), _batched_pool),
     "attention": (((6, 4), (9, 4), (9, 6)), _batched_attention),  # 2 queries onto 3 keys per sample
+    "cross_entropy": (((3, 4),), lambda params: ad.cross_entropy(params[0].tensor, [2, 0, 3])),
 }
 
 
-@pytest.mark.parametrize("op", sorted(BATCHED_OPS))
-def test_gradcheck_batched_ops_with_mixed_lengths(op):
+def batched_grad_check(op):
+    """grad_check of BATCHED_OPS[op] under a fixed random projection."""
     shapes, forward = BATCHED_OPS[op]
     rng = np.random.default_rng(len(op))
     params = [Parameter(f"in{i}", t(rng.normal(size=s), rg=True)) for i, s in enumerate(shapes)]
@@ -518,7 +520,12 @@ def test_gradcheck_batched_ops_with_mixed_lengths(op):
     def f():
         return ad.tsum(ad.mul(forward(params), probe))
 
-    report = grad_check(f, params, eps=1e-5)
+    return grad_check(f, params, eps=1e-5)
+
+
+@pytest.mark.parametrize("op", sorted(BATCHED_OPS))
+def test_gradcheck_batched_ops_with_mixed_lengths(op):
+    report = batched_grad_check(op)
     assert worst(report) <= 1e-4, report
 
 

@@ -379,6 +379,40 @@ def test_grouped_lstm_matches_one_stream_calls_bitwise(streams, h_dim, n_seq, t_
             assert got.tobytes() == alone.tobytes(), f"stream {s} {name} vs a one-stream call"
 
 
+# the values the sigmoid's two branches meet at or saturate on, both signs
+EDGE_PRE = [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 800.0, -800.0]
+
+
+@pytest.mark.filterwarnings("error")
+def test_grouped_lstm_matches_one_stream_oracle_on_edge_preactivations():
+    # Each stream's first frame is x = 1 through a one-row W holding EDGE_PRE
+    # twice in some order, with b = 0 and h = 0, so step 0's pre-activations
+    # are exactly those values, except that -0.0 arrives as +0.0 (a zero
+    # product or sum is +0.0). Later frames reach 100 and U is scaled by 50,
+    # so the gates saturate there too.
+    rng = np.random.default_rng(29)
+    h_dim, lengths = 4, [[5, 2], [3, 7]]
+    data, probes = [], []
+    for lens in lengths:
+        t_s = max(lens)
+        x = rng.normal(size=(len(lens), t_s, 1)) * 100.0
+        x[:, 0] = 1.0
+        W = rng.permutation(EDGE_PRE * 2)[None, :]
+        U, b = rng.normal(size=(h_dim, 4 * h_dim)) * 50.0, np.zeros((1, 4 * h_dim))
+        step0 = np.zeros((1, h_dim)) @ U + (x[0, :1] @ W + b)
+        assert sorted(step0.ravel()) == sorted(EDGE_PRE * 2)
+        data.append((x.reshape(-1, 1), W, U, b))
+        probes.append(rng.normal(size=(len(lens) * t_s, h_dim)))
+    outs, grads = _grouped_lstm(data, lengths, probes)
+    xs, ws, us, bs = zip(*[[Tensor(a, requires_grad=True) for a in stream] for stream in data])
+    tape_free = ad.lstm(xs, lengths, ws, us, bs)
+    for s, (stream, lens, probe) in enumerate(zip(data, lengths, probes)):
+        ref_out, ref_grads = _one_stream_lstm(stream[0], lens, *stream[1:], probe)
+        assert np.array_equal(outs[s], ref_out) and outs[s].tobytes() == tape_free[s].data.tobytes()
+        for name, got, ref in zip(("dx", "dW", "dU", "db"), grads[s], ref_grads):
+            assert np.array_equal(got, ref), f"stream {s} {name}"
+
+
 def test_run_lstms_records_one_node_with_one_output_per_encoder():
     rng = np.random.default_rng(19)
     encoders = [LstmEncoder(d, 3, rng) for d in (2, 5, 4)]

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from ptmfnet import autodiff as ad
+from ptmfnet import gradcheck
 from ptmfnet.autodiff import Parameter, Tensor
 from ptmfnet.gradcheck import grad_check, run_battery, worst
+from test_autodiff import BATCHED_OPS, batched_grad_check
 
 EXPECTED_MODULES = ["lstm", "lstm_grouped", "asp", "co_attention", "transformer_fusion",
                     "ptmfim", "classifier_head"]
@@ -57,10 +59,25 @@ def test_checker_perturbs_non_contiguous_parameters():
         assert worst(report) <= 1e-8, (data.flags.c_contiguous, report)
 
 
+def _mutate(monkeypatch, name, old, new):
+    """Replace ad.<name> by a copy compiled from its source with `old`, which
+    must occur there once, replaced by `new`; returns the copy."""
+    source = inspect.getsource(getattr(ad, name))
+    assert source.count(old) == 1, f"the mutated line is no longer in ad.{name}"
+    namespace = dict(vars(ad))
+    exec(compile("from __future__ import annotations\n" + source.replace(old, new), ad.__file__, "exec"),
+         namespace)
+    monkeypatch.setattr(ad, name, namespace[name])
+    return namespace[name]
+
+
 # source edits of the lstm VJP: drop the cell-state carry to the step before,
+# leave out the square of tanh(c) or of g in a precomputed derivative table,
 # or scale one returned gradient (the first stream's dW, the last one's db)
 LSTM_MUTATIONS = {
-    "dc_carry_dropped": ("dc = dc * f", "dc = np.zeros_like(dc)"),
+    "dc_carry_dropped": ("dc *= f_t", "dc[...] = 0.0"),
+    "tanh_c_slope_unsquared": ("dtc = 1.0 - tc * tc", "dtc = 1.0 - tc"),
+    "g_slope_unsquared": ("d_pre[..., k:] = 1.0 - g * g", "d_pre[..., k:] = 1.0 - g"),
     "first_dW_scaled": ("return tuple(grads)", "grads[1] = grads[1] * (1 + 1e-3); return tuple(grads)"),
     "last_db_scaled": ("return tuple(grads)", "grads[-1] = grads[-1] * (1 + 1e-3); return tuple(grads)"),
 }
@@ -68,13 +85,36 @@ LSTM_MUTATIONS = {
 
 @pytest.mark.parametrize("mutation", sorted(LSTM_MUTATIONS))
 def test_battery_fails_on_a_broken_lstm_vjp(monkeypatch, mutation):
-    old, new = LSTM_MUTATIONS[mutation]
-    source = inspect.getsource(ad.lstm)
-    assert source.count(old) == 1, "the mutated line is no longer in ad.lstm"
-    namespace = dict(vars(ad))
-    exec(compile("from __future__ import annotations\n" + source.replace(old, new), ad.__file__, "exec"),
-         namespace)
-    monkeypatch.setattr(ad, "lstm", namespace["lstm"])
+    _mutate(monkeypatch, "lstm", *LSTM_MUTATIONS[mutation])
     blocks = run_battery(seed=0)
     failed = sorted(block for block, errors in blocks.items() if worst(errors) > 1e-4)
     assert failed == ["lstm", "lstm_grouped"], {b: worst(e) for b, e in blocks.items()}
+
+
+# one-line source edits of the other hand-written VJPs and of backward's
+# routing of a multi-output node's gradients: (function, old, new, the
+# battery blocks and batched-table ops that must fail)
+VJP_MUTATIONS = {
+    "attentive_stats_tanh_slope_unsquared": (
+        "attentive_stats", "(1.0 - proj * proj)", "(1.0 - proj)", {"asp", "batched attentive_stats"}),
+    "attention_scale_dropped": (
+        "attention", "attn, axis=-1) * c", "attn, axis=-1)", {"transformer_fusion", "ptmfim", "batched attention"}),
+    "layer_norm_xhat_term_dropped": (
+        "layer_norm", " - xhat * (h * xhat).mean(axis=-1, keepdims=True)", "", {"transformer_fusion"}),
+    "cross_entropy_mean_dropped": ("cross_entropy", "gc = g[0, 0] * c", "gc = g[0, 0]", {"batched cross_entropy"}),
+    "backward_routes_first_output_only": (
+        "backward", "[flows.get(id(o)) for o in node.out]",
+        "[flows.get(id(node.out[0]))] + [None] * (len(node.out) - 1)",
+        {"lstm_grouped", "batched lstm_three_streams"}),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(VJP_MUTATIONS))
+def test_gradient_checks_fail_on_a_broken_vjp(monkeypatch, mutation):
+    name, old, new, expected = VJP_MUTATIONS[mutation]
+    mutant = _mutate(monkeypatch, name, old, new)
+    if name == "backward":  # the checker calls backward through its own import
+        monkeypatch.setattr(gradcheck, "backward", mutant)
+    errors = {block: worst(e) for block, e in run_battery(seed=0).items()}
+    errors.update((f"batched {op}", worst(batched_grad_check(op))) for op in BATCHED_OPS)
+    assert {check for check, err in errors.items() if err > 1e-4} == expected, errors
