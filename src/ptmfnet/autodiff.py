@@ -179,17 +179,20 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """a @ b, plus a (1, n) bias row on every output row when one is given;
+    one node either way."""
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner extents disagree: {a.shape} @ {b.shape}")
-    out = _result(a.data @ b.data, a.requires_grad or b.requires_grad)
-
-    def vjp(g):
-        return g @ b.data.T, a.data.T @ g
-
-    return _record(out, (a, b), vjp)
+    if bias is None:
+        out = _result(a.data @ b.data, a.requires_grad or b.requires_grad)
+        return _record(out, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+    if bias.shape != (1, b.shape[1]):
+        raise ShapeError(f"matmul bias {bias.shape} does not fit {a.shape} @ {b.shape}; it must be (1, {b.shape[1]})")
+    out = _result(a.data @ b.data + bias.data, a.requires_grad or b.requires_grad or bias.requires_grad)
+    return _record(out, (a, b, bias), lambda g: (g @ b.data.T, a.data.T @ g, _unbroadcast(g, bias.shape)))
 
 
 def _binary(a: Tensor, b: Tensor, fwd, vjp_pair) -> Tensor:

@@ -201,6 +201,8 @@ def _cmd_eval(args) -> int:
     model = DepressionModel(cfg)
     load_into(collect_parameters(model), ckpt)
     records = load_manifest(manifest)
+    if not records:
+        raise ValidationError(f"manifest {manifest} holds no records to evaluate")
     feats = [load_sample_features(r, cfg) for r in records]
     report = evaluate(model, feats)
     print(json.dumps(report.to_dict(), sort_keys=True))

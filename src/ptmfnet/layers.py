@@ -22,7 +22,7 @@ class Linear(Module):
         self.bias = ad.uniform_init(rng, (1, d_out), bound)
 
     def forward(self, x: Tensor) -> Tensor:
-        return ad.add(ad.matmul(x, self.weight), self.bias)
+        return ad.matmul(x, self.weight, self.bias)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, trace=None, n_heads: int = 1,

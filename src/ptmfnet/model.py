@@ -149,11 +149,34 @@ class SampleFeatures:
     label: int
 
 
+def _streams_read(cfg: ModelConfig) -> tuple[tuple, tuple]:
+    """The audio and visual streams `cfg` reads: wav2vec alone without
+    multi_audio, openface alone without multi_visual."""
+    return (AUDIO_STREAMS if cfg.multi_audio else ("wav2vec",),
+            VISUAL_STREAMS if cfg.multi_visual else ("openface",))
+
+
 def load_sample_features(record, cfg: ModelConfig) -> SampleFeatures:
+    """Read one sample's feature files. Every stream `cfg` reads must be as
+    wide as `cfg` says, and an embedding file must be one row of
+    `personality_dim` values; anything else is a ValidationError naming the
+    sample, the stream and the file."""
     audio = {s: load_features_f64(record.audio_paths[s]) for s in AUDIO_STREAMS}
     visual = {s: load_features_f64(record.visual_paths[s]) for s in VISUAL_STREAMS}
+    for feats, streams, paths, dims in zip((audio, visual), _streams_read(cfg),
+                                           (record.audio_paths, record.visual_paths),
+                                           (cfg.audio_dims, cfg.visual_dims)):
+        for s in streams:
+            if feats[s].shape[1] != dims[s]:
+                raise ValidationError(f"sample {record.id!r}: {s} stream {paths[s]} has "
+                                      f"{feats[s].shape[1]} values a frame, the config expects {dims[s]}")
     if record.personality_embedding_path is not None:
-        personality = load_features_f64(record.personality_embedding_path)[0]
+        personality = load_features_f64(record.personality_embedding_path)
+        if personality.shape != (1, cfg.personality_dim):
+            raise ValidationError(f"sample {record.id!r}: personality embedding "
+                                  f"{record.personality_embedding_path} has shape {personality.shape}, "
+                                  f"the config expects (1, {cfg.personality_dim})")
+        personality = personality[0]
     else:
         personality = profile_to_embedding(record.personality, cfg.personality_dim)
     return SampleFeatures(audio=audio, visual=visual, personality=personality,
@@ -195,13 +218,11 @@ def _pad_rows(seqs: list, name: str) -> np.ndarray:
 def collate(samples: Sequence[SampleFeatures], cfg: ModelConfig) -> Batch:
     """Align each sample's streams to its shortest one, then pad every
     stream to the batch's longest sample. Only the streams `cfg` reads are
-    kept: wav2vec alone without multi_audio, openface alone without
-    multi_visual."""
+    kept."""
     if not samples:
         raise ValidationError("cannot collate an empty batch")
-    audio_streams = AUDIO_STREAMS if cfg.multi_audio else ("wav2vec",)
+    audio_streams, visual_streams = _streams_read(cfg)
     audio = [align_streams([f.audio[s] for s in audio_streams]) for f in samples]
-    visual_streams = VISUAL_STREAMS if cfg.multi_visual else ("openface",)
     visual = [np.concatenate(align_streams([f.visual[s] for s in visual_streams]), axis=1) for f in samples]
     return Batch(audio={s: _pad_rows([a[j] for a in audio], s) for j, s in enumerate(audio_streams)},
                  audio_lengths=np.array([len(a[0]) for a in audio]),

@@ -56,7 +56,7 @@ class Ptmfim(Module):
         sample's gate row g goes to `trace` if given."""
         b_bar = self._token_mean(bca)
         t_bar = self._token_mean(tia)
-        pre = ad.add(ad.matmul(ad.concat([b_bar, t_bar], axis=1), self.W_g), self.b_g)
+        pre = ad.matmul(ad.concat([b_bar, t_bar], axis=1), self.W_g, self.b_g)
         g = ad.sigmoid(pre)
         if trace is not None:
             trace.gates.extend(g.data.copy())

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,37 @@ def test_matmul_hand_case():
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
         ad.matmul(t(np.zeros((2, 3))), t(np.zeros((2, 3))))
+
+
+@pytest.mark.parametrize("rows", [1, 5])
+def test_matmul_with_bias_is_matmul_then_add_bitwise(rows):
+    # one node for x @ W + b gives the bytes of the matmul and add it stands
+    # for, output and all three gradients; x feeds three biased matmuls, as a
+    # LayerNorm output feeds q, k and v, so its flows add up across nodes
+    rng = np.random.default_rng(12 + rows)
+    x0 = rng.normal(size=(rows, 4))
+    wb0 = [(rng.normal(size=(4, 3)), rng.normal(size=(1, 3))) for _ in range(3)]
+    probe = t(rng.normal(size=(rows, 9)))
+
+    def run(affine):
+        x = t(x0, rg=True)
+        wb = [(t(w, rg=True), t(b, rg=True)) for w, b in wb0]
+        with Tape() as tape:
+            out = ad.concat([affine(x, w, b) for w, b in wb], axis=1)
+            ad.backward(ad.tsum(ad.mul(out, probe)))
+        return len(tape.nodes), [out.data, x.grad] + [p.grad for pair in wb for p in pair]
+
+    n_fused, fused = run(ad.matmul)
+    n_pairs, pairs = run(lambda x, w, b: ad.add(ad.matmul(x, w), b))
+    assert n_pairs - n_fused == 3
+    for got, want in zip(fused, pairs):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("bias_shape", [(3,), (2, 3), (1, 4), (3, 1)])
+def test_matmul_bias_of_the_wrong_shape_names_the_shapes(bias_shape):
+    with pytest.raises(ShapeError, match=re.escape(f"{bias_shape} does not fit (2, 4) @ (4, 3)")):
+        ad.matmul(t(np.zeros((2, 4))), t(np.zeros((4, 3))), t(np.zeros(bias_shape)))
 
 
 def _pooling_weights(values):
@@ -507,6 +540,7 @@ BATCHED_OPS = {
     "attentive_stats": (((12, 3), (3, 2), (1, 2), (2, 1)), _batched_pool),
     "attention": (((6, 4), (9, 4), (9, 6)), _batched_attention),  # 2 queries onto 3 keys per sample
     "cross_entropy": (((3, 4),), lambda params: ad.cross_entropy(params[0].tensor, [2, 0, 3])),
+    "matmul_bias": (((12, 3), (3, 5), (1, 5)), lambda params: ad.matmul(*(p.tensor for p in params))),
 }
 
 

@@ -3,6 +3,7 @@ formats, and the config-resolution order (defaults < file < flags)."""
 
 import argparse
 import json
+import shutil
 import subprocess
 import sys
 import wave
@@ -12,7 +13,7 @@ import pytest
 
 from ptmfnet import cli
 from ptmfnet.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, _build_parser, main
-from ptmfnet.dataio import read_feature_file
+from ptmfnet.dataio import read_feature_file, write_feature_file
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +208,34 @@ def test_train_malformed_manifest_exits_with_one_error_line(synth_dir, tmp_path,
     assert "line 2" in err and "line 1" not in err
 
 
+@pytest.mark.parametrize("name,shape,what", [
+    ("mfcc", (5, 12), "mfcc stream"),
+    ("densenet", (5, 11), "densenet stream"),
+    ("personality", (3, 16), "personality embedding"),
+    ("personality", (1, 9), "personality embedding"),
+], ids=["mfcc_12_wide", "densenet_11_wide", "embedding_3_rows", "embedding_9_wide"])
+def test_train_feature_file_that_does_not_fit_the_config_exits_1(synth_dir, tmp_path, capsys, name, shape,
+                                                                  what):
+    corpus = tmp_path / "d"
+    shutil.copytree(synth_dir, corpus)
+    bad = corpus / "features" / f"synth_00003_{name}.mpft"
+    write_feature_file(np.ones(shape), bad)
+    assert main(["train", "--manifest", str(corpus / "manifest.jsonl"), "--epochs", "1"]) == EXIT_VALIDATION
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert "'synth_00003'" in errors[0] and what in errors[0] and str(bad) in errors[0]
+
+
+def test_train_does_not_check_a_stream_the_config_does_not_read(synth_dir, tmp_path):
+    corpus = tmp_path / "d"
+    shutil.copytree(synth_dir, corpus)
+    write_feature_file(np.ones((5, 12)), corpus / "features" / "synth_00003_mfcc.mpft")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"multi_audio": False}), encoding="utf-8")
+    assert main(["train", "--manifest", str(corpus / "manifest.jsonl"), "--config", str(config),
+                 "--epochs", "1"]) == EXIT_OK
+
+
 def test_train_bitwise_deterministic_artifacts(synth_dir, tmp_path):
     outs = []
     for sub in ("r1", "r2"):
@@ -253,6 +282,14 @@ def test_eval_task_mismatch_exits_1(trained, synth_dir, capsys):
     assert code == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "binary" in err and "quinary" in err
+
+
+def test_eval_manifest_without_records_exits_1_naming_it(trained, tmp_path, capsys):
+    manifest = tmp_path / "empty.jsonl"
+    manifest.write_text("\n", encoding="utf-8")
+    assert main(["eval", "--checkpoint", str(trained), "--manifest", str(manifest)]) == EXIT_VALIDATION
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and str(manifest) in errors[0] and "no records" in errors[0]
 
 
 def test_eval_missing_checkpoint_exits_2(synth_dir):

@@ -106,6 +106,9 @@ VJP_MUTATIONS = {
         "backward", "[flows.get(id(o)) for o in node.out]",
         "[flows.get(id(node.out[0]))] + [None] * (len(node.out) - 1)",
         {"lstm_grouped", "batched lstm_three_streams"}),
+    "matmul_bias_grad_scaled": (
+        "matmul", "_unbroadcast(g, bias.shape)", "_unbroadcast(g, bias.shape) * (1 + 1e-3)",
+        {"co_attention", "transformer_fusion", "ptmfim", "classifier_head", "batched matmul_bias"}),
 }
 
 
