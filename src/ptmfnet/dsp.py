@@ -5,7 +5,9 @@ layouts follow the usual short-time analysis convention (frame t starts
 at t*hop_len, trailing samples that do not fill a frame are dropped).
 `log_mel_energies`, `mfcc` and `extract_lld_bundle` analyse BLOCK frames
 at a time, so their temporaries scale with the block, not the signal, and
-their output has the same bits as a whole-signal analysis.
+their output has the same bits as a whole-signal analysis. Their source is
+a `Waveform` held in memory or a `WavFile` from `read_wav`, whose samples
+are read from the file one block at a time and so are never whole in memory.
 """
 
 from __future__ import annotations
@@ -81,11 +83,14 @@ class MelConfig:
             raise ValidationError("log_floor must be positive")
 
 
+def _n_frames(size: int, frame_len: int, hop_len: int) -> int:
+    if size < frame_len:
+        raise ValidationError(f"signal of {size} samples is shorter than one {frame_len}-sample frame")
+    return 1 + (size - frame_len) // hop_len
+
+
 def _frame_raw(samples: np.ndarray, frame_len: int, hop_len: int) -> np.ndarray:
-    if samples.size < frame_len:
-        raise ValidationError(
-            f"signal of {samples.size} samples is shorter than one {frame_len}-sample frame"
-        )
+    _n_frames(samples.size, frame_len, hop_len)
     # a read-only strided view: frame t is samples[t*hop_len : t*hop_len + frame_len]
     return np.lib.stride_tricks.sliding_window_view(samples, frame_len)[::hop_len]
 
@@ -145,13 +150,13 @@ def dct_matrix(n: int) -> np.ndarray:
     return mat
 
 
-def _frame_blocks(samples: np.ndarray, fcfg: FrameConfig):
+def _frame_blocks(samples, fcfg: FrameConfig):
     """T, and one (a, b, lo, hi) per block: frames a..b-1 lie within samples lo..hi-1.
 
     Past BLOCK frames every block holds exactly BLOCK, the last overlapping the
     one before it: BLAS rounds a matmul of a few rows differently.
     """
-    n_frames = len(_frame_raw(samples, fcfg.frame_len, fcfg.hop_len))  # a view; checks the length
+    n_frames = _n_frames(samples.size, fcfg.frame_len, fcfg.hop_len)
     blocks = []
     for a in [*range(0, n_frames - BLOCK, BLOCK), max(n_frames - BLOCK, 0)]:
         b = min(a + BLOCK, n_frames)
@@ -159,16 +164,16 @@ def _frame_blocks(samples: np.ndarray, fcfg: FrameConfig):
     return n_frames, blocks
 
 
-def log_mel_energies(w: Waveform, fcfg: FrameConfig, mcfg: MelConfig) -> np.ndarray:
+def log_mel_energies(w: Waveform | WavFile, fcfg: FrameConfig, mcfg: MelConfig) -> np.ndarray:
     """Floored log mel-band magnitudes, shape (T, n_mels)."""
     if mcfg.fmax > w.sample_rate / 2:
         raise ValidationError(f"fmax={mcfg.fmax} exceeds Nyquist for sample_rate={w.sample_rate}")
     if mcfg.n_fft < fcfg.frame_len:
         raise ValidationError(f"n_fft={mcfg.n_fft} shorter than frame_len={fcfg.frame_len}")
     x = w.samples
+    n_frames, blocks = _frame_blocks(x, fcfg)  # first: it rejects a signal shorter than the window
     window = _WINDOWS[fcfg.window](fcfg.frame_len)
     fb_t = mel_filterbank(w.sample_rate, mcfg.n_fft, mcfg.n_mels, mcfg.fmin, mcfg.fmax).T
-    n_frames, blocks = _frame_blocks(x, fcfg)
     out = np.empty((n_frames, mcfg.n_mels))
     for a, b, lo, hi in blocks:
         # emphasizing from lo-1 and dropping that sample equals emphasizing the whole signal
@@ -179,17 +184,17 @@ def log_mel_energies(w: Waveform, fcfg: FrameConfig, mcfg: MelConfig) -> np.ndar
     return out
 
 
-def mfcc(w: Waveform, fcfg: FrameConfig, mcfg: MelConfig) -> np.ndarray:
+def mfcc(w: Waveform | WavFile, fcfg: FrameConfig, mcfg: MelConfig) -> np.ndarray:
     """Mel-frequency cepstral coefficients, shape (T, n_mfcc)."""
     logmel = log_mel_energies(w, fcfg, mcfg)
     basis = dct_matrix(mcfg.n_mels)[: mcfg.n_mfcc]
     return logmel @ basis.T
 
 
-def extract_lld_bundle(w: Waveform, fcfg: FrameConfig) -> np.ndarray:
+def extract_lld_bundle(w: Waveform | WavFile, fcfg: FrameConfig) -> np.ndarray:
     """Short-term energy and zero-crossing rate side by side, shape (T, 2)."""
-    window = _WINDOWS[fcfg.window](fcfg.frame_len)
     n_frames, blocks = _frame_blocks(w.samples, fcfg)
+    window = _WINDOWS[fcfg.window](fcfg.frame_len)
     out = np.empty((n_frames, 2))
     for a, b, lo, hi in blocks:
         raw = _frame_raw(w.samples[lo:hi], fcfg.frame_len, fcfg.hop_len)
@@ -210,23 +215,74 @@ def default_frame_config(sample_rate: int, frame_ms: float = 25.0, hop_ms: float
     )
 
 
-def read_wav(path) -> Waveform:
-    """Decode a canonical 16-bit PCM mono RIFF file."""
+_WAV_ERRORS = (wave.Error, EOFError, RuntimeError)  # RuntimeError: a chunk size past EOF
+
+
+def _unreadable(path, exc) -> DataFormatError:
+    return DataFormatError(f"{path}: not a readable WAV file ({exc or type(exc).__name__})")
+
+
+def _decode(fh, path, lo: int, hi: int) -> np.ndarray:
+    """Samples lo..hi-1 of an open 16-bit mono WAV as read-only float64 `pcm / 32768`."""
+    fh.setpos(lo)
+    raw = fh.readframes(hi - lo)
+    if len(raw) != 2 * (hi - lo):  # the data chunk ends early: count what is there
+        fh.setpos(0)
+        present = sum(map(len, iter(lambda: fh.readframes(1 << 16), b"")))
+        raise DataFormatError(f"{path}: truncated sample data ({present} of {2 * fh.getnframes()} bytes)")
+    out = np.frombuffer(raw, dtype="<i2") / 32768.0  # exact, and always finite
+    out.flags.writeable = False
+    return out
+
+
+class PcmSamples:
+    """The samples of a 16-bit PCM mono WAV file: `size`, and `[lo:hi]` reads
+    that slice from the file as read-only float64 `pcm / 32768`. A failed
+    read is a DataFormatError naming the file."""
+
+    def __init__(self, path, size: int):
+        self.path = str(path)
+        self.size = size
+
+    def __getitem__(self, key: slice) -> np.ndarray:
+        lo, hi, step = key.indices(self.size)
+        if step != 1:
+            raise ValueError("PcmSamples slices take no step")
+        try:
+            with wave.open(self.path, "rb") as fh:
+                return _decode(fh, self.path, lo, max(hi, lo))
+        except _WAV_ERRORS as exc:
+            raise _unreadable(self.path, exc) from exc
+
+
+@dataclass(frozen=True)
+class WavFile:
+    """A WAV file as an audio source: `log_mel_energies`, `mfcc` and
+    `extract_lld_bundle` read its samples one block at a time."""
+
+    samples: PcmSamples
+    sample_rate: int
+
+
+def read_wav(path) -> WavFile:
+    """Open a canonical 16-bit PCM mono RIFF file as an audio source, after
+    checking its header and that its data chunk holds every declared sample
+    (by reading the last one)."""
     try:
         with wave.open(str(path), "rb") as fh:
             channels = fh.getnchannels()
             width = fh.getsampwidth()
             rate = fh.getframerate()
-            declared = fh.getnframes() * channels * width
-            raw = fh.readframes(fh.getnframes())
-    except (wave.Error, EOFError, RuntimeError) as exc:  # RuntimeError: a chunk size past EOF
-        raise DataFormatError(f"{path}: not a readable WAV file ({exc or type(exc).__name__})") from exc
-    if channels != 1:
-        raise DataFormatError(f"{path}: expected mono audio, found {channels} channels")
-    if width != 2:
-        raise DataFormatError(f"{path}: expected 16-bit PCM, found {8 * width}-bit")
-    if len(raw) != declared:
-        raise DataFormatError(f"{path}: truncated sample data ({len(raw)} of {declared} bytes)")
-    samples = np.frombuffer(raw, dtype="<i2") / 32768.0  # one float64 allocation, exact
-    del raw  # freed before Waveform's finiteness check allocates its mask
-    return Waveform(samples, rate)
+            n = fh.getnframes()
+            if channels != 1:
+                raise DataFormatError(f"{path}: expected mono audio, found {channels} channels")
+            if width != 2:
+                raise DataFormatError(f"{path}: expected 16-bit PCM, found {8 * width}-bit")
+            if n == 0:
+                raise ValidationError("waveform must be a non-empty 1-D sample sequence")
+            if rate < 8000:
+                raise ValidationError(f"sample_rate must be >= 8000, got {rate}")
+            _decode(fh, path, n - 1, n)
+    except _WAV_ERRORS as exc:
+        raise _unreadable(path, exc) from exc
+    return WavFile(PcmSamples(path, n), rate)

@@ -157,16 +157,16 @@ def _streams_read(cfg: ModelConfig) -> tuple[tuple, tuple]:
 
 
 def load_sample_features(record, cfg: ModelConfig) -> SampleFeatures:
-    """Read one sample's feature files. Every stream `cfg` reads must be as
-    wide as `cfg` says, and an embedding file must be one row of
-    `personality_dim` values; anything else is a ValidationError naming the
-    sample, the stream and the file."""
-    audio = {s: load_features_f64(record.audio_paths[s]) for s in AUDIO_STREAMS}
-    visual = {s: load_features_f64(record.visual_paths[s]) for s in VISUAL_STREAMS}
-    for feats, streams, paths, dims in zip((audio, visual), _streams_read(cfg),
-                                           (record.audio_paths, record.visual_paths),
-                                           (cfg.audio_dims, cfg.visual_dims)):
-        for s in streams:
+    """Read the feature files of the streams `cfg` reads for one sample.
+    Each must be as wide as `cfg` says, and an embedding file must be one
+    row of `personality_dim` values; anything else is a ValidationError
+    naming the sample, the stream and the file."""
+    audio_streams, visual_streams = _streams_read(cfg)
+    audio = {s: load_features_f64(record.audio_paths[s]) for s in audio_streams}
+    visual = {s: load_features_f64(record.visual_paths[s]) for s in visual_streams}
+    for feats, paths, dims in zip((audio, visual), (record.audio_paths, record.visual_paths),
+                                  (cfg.audio_dims, cfg.visual_dims)):
+        for s in feats:
             if feats[s].shape[1] != dims[s]:
                 raise ValidationError(f"sample {record.id!r}: {s} stream {paths[s]} has "
                                       f"{feats[s].shape[1]} values a frame, the config expects {dims[s]}")

@@ -11,7 +11,7 @@ import wave
 import numpy as np
 import pytest
 
-from ptmfnet import cli
+from ptmfnet import cli, dsp
 from ptmfnet.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, _build_parser, main
 from ptmfnet.dataio import read_feature_file, write_feature_file
 
@@ -146,6 +146,44 @@ def test_extract_wav_cut_mid_sample_is_io_error(tone_wav, capsys):
     assert main(["extract", str(tone_wav)]) == EXIT_IO
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "tone.wav" in err
+
+
+def test_extract_wav_cut_in_samples_no_frame_reads_fails_before_writing(tone_wav, tmp_path, capsys):
+    # 8000 samples make 48 frames over samples 0..7919: the cut takes 40 of the 80 after them
+    tone_wav.write_bytes(tone_wav.read_bytes()[:-80])
+    out = tmp_path / "feats"
+    assert main(["extract", str(tone_wav), "--out-dir", str(out)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "tone.wav: truncated sample data (15920 of 16000 bytes)" in err
+    assert not list(out.glob("*.mpft"))
+
+
+def test_extract_wav_that_fails_a_block_read_exits_2_with_one_line(tone_wav, tmp_path, capsys, monkeypatch):
+    # the file is damaged after its header was checked, so only a block read sees it
+    def read_then_damage(path):
+        w = dsp.read_wav(path)
+        path.write_bytes(b"not a wav" * 8)
+        return w
+
+    monkeypatch.setattr(cli, "read_wav", read_then_damage)
+    out = tmp_path / "feats"
+    assert main(["extract", str(tone_wav), "--out-dir", str(out)]) == EXIT_IO
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "tone.wav: not a readable WAV file" in errors[0]
+    assert not list(out.glob("*.mpft"))
+
+
+def test_extract_writes_the_in_memory_analysis_byte_for_byte(tone_wav, tmp_path):
+    out = tmp_path / "feats"
+    assert main(["extract", str(tone_wav), "--out-dir", str(out)]) == EXIT_OK
+    with wave.open(str(tone_wav), "rb") as fh:
+        w = dsp.Waveform(np.frombuffer(fh.readframes(fh.getnframes()), "<i2") / 32768.0, 16000)
+    fcfg = dsp.default_frame_config(16000)
+    for name, feats in (("mfcc", dsp.mfcc(w, fcfg, dsp.MelConfig(n_fft=512))),
+                        ("lld", dsp.extract_lld_bundle(w, fcfg))):
+        write_feature_file(feats, tmp_path / f"{name}.mpft")
+        assert (out / f"tone_{name}.mpft").read_bytes() == (tmp_path / f"{name}.mpft").read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,19 @@ def test_signal_shorter_than_frame_rejected():
         _frame_signal(_wave(np.ones(399)), FCFG)
 
 
+def test_signal_shorter_than_frame_rejected_before_window_and_filter_bank(monkeypatch):
+    # a WAV header's sample rate sizes both, so a corrupted one must not reach them
+    def unreachable(*args):
+        raise AssertionError("built before the length check")
+
+    monkeypatch.setattr(dsp, "_WINDOWS", {"hamming": unreachable})
+    monkeypatch.setattr(dsp, "mel_filterbank", unreachable)
+    w = _wave(np.ones(399))
+    for extract in (lambda: dsp.mfcc(w, FCFG, MCFG), lambda: dsp.extract_lld_bundle(w, FCFG)):
+        with pytest.raises(ValidationError, match="shorter than one 400-sample frame"):
+            extract()
+
+
 def test_frame_config_validation():
     with pytest.raises(ValidationError):
         FrameConfig(frame_len=400, hop_len=0, window="hamming")
@@ -392,7 +405,7 @@ def test_read_wav_round_trip(tmp_path):
         fh.writeframes(pcm.tobytes())
     w = dsp.read_wav(path)
     assert w.sample_rate == sr
-    np.testing.assert_allclose(w.samples, pcm / 32768.0, atol=1e-12)
+    np.testing.assert_allclose(w.samples[:], pcm / 32768.0, atol=1e-12)
 
 
 def test_read_wav_rejects_stereo(tmp_path):
@@ -427,23 +440,81 @@ def test_read_wav_rejects_data_shorter_than_its_header_declares(tmp_path):
         dsp.read_wav(path)
 
 
-def test_read_wav_peak_memory_stays_near_the_waveform(tmp_path):
-    # the 2-byte PCM samples are freed before Waveform builds its 1-byte
-    # finiteness mask next to the 8-byte float64 samples
+def _write_wav(path, pcm):
     import wave as wavmod
 
-    pcm = np.random.default_rng(6).integers(-32768, 32768, 60 * 16000).astype("<i2")
-    path = tmp_path / "minute.wav"
     with wavmod.open(str(path), "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)
         fh.setframerate(16000)
-        fh.writeframes(pcm.tobytes())
+        fh.writeframes(np.asarray(pcm, dtype="<i2").tobytes())
+    return path
+
+
+@pytest.mark.parametrize("n_frames", [1, dsp.BLOCK - 1, dsp.BLOCK, dsp.BLOCK + 1, 3 * dsp.BLOCK + 7])
+def test_wav_file_features_equal_in_memory_waveform_bitwise(n_frames, tmp_path):
+    # 97 trailing samples fill no frame
+    pcm = np.random.default_rng(n_frames).integers(-32768, 32768, (n_frames - 1) * 160 + 400 + 97)
+    w = dsp.read_wav(_write_wav(tmp_path / "x.wav", pcm))
+    mem = _wave(pcm / 32768.0)
+    mfcc = dsp.mfcc(w, FCFG, MCFG)
+    assert mfcc.shape == (n_frames, 13)
+    assert np.array_equal(mfcc, dsp.mfcc(mem, FCFG, MCFG))
+    assert np.array_equal(dsp.extract_lld_bundle(w, FCFG), dsp.extract_lld_bundle(mem, FCFG))
+
+
+def test_wav_file_slices_are_read_only_pcm_over_32768(tmp_path):
+    pcm = np.array([-32768, -1, 0, 1, 32767] * 100)
+    w = dsp.read_wav(_write_wav(tmp_path / "x.wav", pcm))
+    assert w.samples.size == pcm.size
+    for sl in (slice(None), slice(3, 7), slice(490, None), slice(7, 3)):
+        part = w.samples[sl]
+        assert part.dtype == np.float64 and not part.flags.writeable
+        np.testing.assert_array_equal(part, pcm[sl] / 32768.0)
+    with pytest.raises(ValueError):
+        w.samples[::2]
+
+
+def test_read_wav_rejects_a_cut_in_the_trailing_samples_only(tmp_path):
+    # 8 frames use samples 0..1519; the cut removes 30 of the 97 that fill no frame
+    from ptmfnet.errors import DataFormatError
+
+    path = _write_wav(tmp_path / "cut.wav", np.arange(1520 + 97))
+    path.write_bytes(path.read_bytes()[:-60])
+    with pytest.raises(DataFormatError, match=r"cut\.wav: truncated.*3174 of 3234 bytes"):
+        dsp.read_wav(path)
+
+
+@pytest.mark.parametrize("damage", ["cut", "overwrite"])
+def test_wav_file_read_that_fails_is_a_format_error_naming_the_file(damage, tmp_path):
+    # the file changes after read_wav checked it: every block read sees the damage
+    from ptmfnet.errors import DataFormatError
+
+    path = _write_wav(tmp_path / "late.wav", np.arange(4000))
+    w = dsp.read_wav(path)
+    good = path.read_bytes()
+    path.write_bytes(good[:100] if damage == "cut" else b"junk" * 20)
+    with pytest.raises(DataFormatError, match="late\\.wav"):
+        dsp.mfcc(w, FCFG, MCFG)
+    with pytest.raises(DataFormatError, match="late\\.wav"):
+        dsp.extract_lld_bundle(w, FCFG)
+
+
+def _extract_peak(path):
     tracemalloc.start()
     try:
         w = dsp.read_wav(path)
-        peak = tracemalloc.get_traced_memory()[1]
+        dsp.mfcc(w, FCFG, MCFG)
+        dsp.extract_lld_bundle(w, FCFG)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.3 * w.samples.nbytes, peak / w.samples.nbytes
-    np.testing.assert_array_equal(w.samples, pcm / 32768.0)
+
+
+def test_extract_peak_memory_grows_by_less_than_the_waveform(tmp_path):
+    # a 120 s longer signal adds its outputs (about 4 MB) to the peak, not its
+    # 15.4 MB float64 waveform: the samples are read one block at a time
+    rng = np.random.default_rng(6)
+    peaks = [_extract_peak(_write_wav(tmp_path / f"{s}.wav", rng.integers(-32768, 32768, s * 16000)))
+             for s in (120, 240)]
+    assert peaks[1] - peaks[0] < 120 * 16000 * 8, peaks

@@ -1,6 +1,7 @@
 """Hostile input for every file reader: byte flips and truncations of a valid
 WAV, feature file (.mpft), checkpoint (.ptmf) and manifest may fail only with
-DataFormatError or ValidationError, never with another exception."""
+DataFormatError or ValidationError, never with another exception. A WAV goes
+through the whole extraction, whose block reads decode its samples."""
 
 import wave
 
@@ -9,11 +10,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ptmfnet import dsp
 from ptmfnet.autodiff import Parameter, Tensor
 from ptmfnet.checkpoint import load_checkpoint, save_checkpoint
 from ptmfnet.dataio import (AUDIO_STREAMS, VISUAL_STREAMS, PersonalityProfile, load_manifest,
                             read_feature_file, write_feature_file, write_manifest)
-from ptmfnet.dsp import read_wav
 from ptmfnet.errors import DataFormatError, ValidationError
 
 
@@ -22,7 +23,15 @@ def _wav(path):
         fh.setnchannels(1)
         fh.setsampwidth(2)
         fh.setframerate(16000)
-        fh.writeframes((np.sin(np.arange(400) / 7.0) * 8000).astype("<i2").tobytes())
+        fh.writeframes((np.sin(np.arange(1000) / 7.0) * 8000).astype("<i2").tobytes())
+
+
+def _extract(path):
+    # fixed framing: a corrupted sample rate must not size the window or filter bank
+    w = dsp.read_wav(path)
+    fcfg = dsp.FrameConfig(frame_len=400, hop_len=160)
+    dsp.mfcc(w, fcfg, dsp.MelConfig(n_fft=512, fmax=4000.0))
+    dsp.extract_lld_bundle(w, fcfg)
 
 
 def _mpft(path):
@@ -48,7 +57,7 @@ def _manifest(path):
 
 
 READERS = {
-    "wav": (_wav, read_wav),
+    "wav": (_wav, _extract),
     "mpft": (_mpft, read_feature_file),
     "ptmf": (_ptmf, load_checkpoint),
     "manifest": (_manifest, load_manifest),

@@ -396,6 +396,28 @@ def test_load_sample_features_from_synth_dir(tmp_path):
     assert feats.label == records[0].label("ternary")
 
 
+@pytest.mark.parametrize("overrides, audio, visual", [
+    ({}, AUDIO_STREAMS, VISUAL_STREAMS),
+    ({"multi_audio": False}, ("wav2vec",), VISUAL_STREAMS),
+    ({"multi_visual": False}, AUDIO_STREAMS, ("openface",)),
+])
+def test_load_sample_features_opens_only_the_streams_the_config_reads(tmp_path, monkeypatch,
+                                                                      overrides, audio, visual):
+    import ptmfnet.model as model_mod
+
+    manifest = synth_dataset(SynthSpec(n_samples=2, task="binary"),
+                             np.random.default_rng(4), tmp_path / "d")
+    rec = load_manifest(manifest)[0]
+    opened = []
+    real = model_mod.load_features_f64
+    monkeypatch.setattr(model_mod, "load_features_f64", lambda p: opened.append(str(p)) or real(p))
+    feats = load_sample_features(rec, make_cfg(personality_dim=16, **overrides))
+    expected = ([str(rec.audio_paths[s]) for s in audio] + [str(rec.visual_paths[s]) for s in visual]
+                + [str(rec.personality_embedding_path)])
+    assert opened == expected
+    assert tuple(feats.audio) == audio and tuple(feats.visual) == visual
+
+
 def test_load_sample_features_profile_fallback(tmp_path):
     manifest = synth_dataset(SynthSpec(n_samples=2, task="binary"),
                              np.random.default_rng(4), tmp_path / "d")
