@@ -1,9 +1,10 @@
 """Dataset plumbing: feature files, JSON-lines manifests, prompt building,
 and a synthetic dataset generator for end-to-end testing.
 
-Feature files use a small binary format (magic "MPFT"): f32 on disk,
-widened to f64 where the model consumes them. Widening is exact, so the
-round trip stays bitwise stable.
+Feature files use a small binary format (magic "MPFT"): f32 on disk and
+in memory; `model.collate` widens them to f64 batches. Widening is exact,
+so the round trip stays bitwise stable. Feature files and manifests are
+written atomically.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def write_feature_file(matrix: np.ndarray, path) -> None:
     if not np.all(np.isfinite(m)):
         raise ValidationError("feature matrix contains non-finite values")
     t, d = m.shape
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<III", FEATURE_VERSION, t, d))
         fh.write(np.ascontiguousarray(m, dtype="<f4").tobytes())
@@ -102,14 +103,9 @@ def read_feature_file(path) -> np.ndarray:
     m = np.frombuffer(raw, dtype="<f4", offset=16).reshape(t, d).astype(np.float32)
     if t < 1 or d < 1:
         raise DataFormatError(f"{path}: degenerate shape ({t}, {d})")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise DataFormatError(f"{path}: non-finite values")
     return m
-
-
-def load_features_f64(path) -> np.ndarray:
-    """Read a feature file widened to f64 for model consumption."""
-    return read_feature_file(path).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +306,7 @@ def _parse_record(obj, base, line_no, errors, seen_ids):
 
 
 def write_manifest(records: list[dict], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         for obj in records:
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 

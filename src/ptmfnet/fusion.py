@@ -14,16 +14,17 @@ from .layers import Linear, attention
 
 def align_streams(arrays: list[np.ndarray]) -> list[np.ndarray]:
     """Resample every (T_i, D_i) array to the bundle's minimum T by
-    nearest-frame index selection. Streams already at min T pass through
-    unchanged."""
+    nearest-frame index selection: frame k is row k (T_i - 1) / (t_min - 1)
+    rounded half to even, as `np.round(np.linspace(...))` computes it.
+    Streams already at min T pass through unchanged."""
     t_min = min(a.shape[0] for a in arrays)
     out = []
     for a in arrays:
         if a.shape[0] == t_min:
             out.append(a)
         else:
-            idx = np.round(np.linspace(0.0, a.shape[0] - 1, t_min)).astype(int)
-            out.append(a[idx])
+            idx = np.rint(np.arange(t_min) * ((a.shape[0] - 1) / max(t_min - 1, 1))).astype(int)
+            out.append(a.take(idx, axis=0))
     return out
 
 

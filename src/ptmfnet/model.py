@@ -13,10 +13,10 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
+from . import dataio  # files are read through the module, so a wrapper of its reader sees them
 from .autodiff import Module, Tensor
 from .dataio import (AUDIO_STREAMS, DEFAULT_PERSONALITY_DIM, DEFAULT_STREAM_DIMS,
-                     TASK_CLASSES, TASKS, VISUAL_STREAMS, load_features_f64,
-                     profile_to_embedding)
+                     TASK_CLASSES, TASKS, VISUAL_STREAMS, profile_to_embedding)
 from .encoders import AspPooling, LstmEncoder, run_lstms
 from .errors import ValidationError
 from .fusion import CoAttentionFusion, TransformerFusion, align_streams
@@ -141,37 +141,39 @@ class ModelConfig:
 
 @dataclass
 class SampleFeatures:
-    """In-memory feature bundle for one sample, all f64."""
+    """One sample laid out for `collate`: the streams the config reads,
+    each modality aligned to its shortest stream, in the dtype they were
+    read in (f32 from a feature file)."""
 
-    audio: dict
-    visual: dict
+    audio: dict  # stream -> (T_a, D_s) rows
+    visual: np.ndarray  # (T_v, sum of D_s) rows: the visual streams side by side
     personality: np.ndarray  # (d_p,)
     label: int
 
 
-def _streams_read(cfg: ModelConfig) -> tuple[tuple, tuple]:
-    """The audio and visual streams `cfg` reads: wav2vec alone without
-    multi_audio, openface alone without multi_visual."""
-    return (AUDIO_STREAMS if cfg.multi_audio else ("wav2vec",),
-            VISUAL_STREAMS if cfg.multi_visual else ("openface",))
+def _read_streams(record, streams: tuple, paths: dict, dims: dict) -> list:
+    """The feature files of `streams`, each as wide as `dims` says."""
+    feats = [dataio.read_feature_file(paths[s]) for s in streams]
+    for s, m in zip(streams, feats):
+        if m.shape[1] != dims[s]:
+            raise ValidationError(f"sample {record.id!r}: {s} stream {paths[s]} has "
+                                  f"{m.shape[1]} values a frame, the config expects {dims[s]}")
+    return feats
 
 
 def load_sample_features(record, cfg: ModelConfig) -> SampleFeatures:
-    """Read the feature files of the streams `cfg` reads for one sample.
-    Each must be as wide as `cfg` says, and an embedding file must be one
-    row of `personality_dim` values; anything else is a ValidationError
-    naming the sample, the stream and the file."""
-    audio_streams, visual_streams = _streams_read(cfg)
-    audio = {s: load_features_f64(record.audio_paths[s]) for s in audio_streams}
-    visual = {s: load_features_f64(record.visual_paths[s]) for s in visual_streams}
-    for feats, paths, dims in zip((audio, visual), (record.audio_paths, record.visual_paths),
-                                  (cfg.audio_dims, cfg.visual_dims)):
-        for s in feats:
-            if feats[s].shape[1] != dims[s]:
-                raise ValidationError(f"sample {record.id!r}: {s} stream {paths[s]} has "
-                                      f"{feats[s].shape[1]} values a frame, the config expects {dims[s]}")
+    """Read the feature files of the streams `cfg` reads for one sample and
+    lay them out once for the run: the audio streams aligned to their
+    shortest, the visual streams aligned and concatenated frame by frame.
+    Each stream must be as wide as `cfg` says, and an embedding file must
+    be one row of `personality_dim` values; anything else is a
+    ValidationError naming the sample, the stream and the file."""
+    audio_streams = AUDIO_STREAMS if cfg.multi_audio else ("wav2vec",)
+    visual_streams = VISUAL_STREAMS if cfg.multi_visual else ("openface",)
+    audio = align_streams(_read_streams(record, audio_streams, record.audio_paths, cfg.audio_dims))
+    visual = align_streams(_read_streams(record, visual_streams, record.visual_paths, cfg.visual_dims))
     if record.personality_embedding_path is not None:
-        personality = load_features_f64(record.personality_embedding_path)
+        personality = dataio.read_feature_file(record.personality_embedding_path)
         if personality.shape != (1, cfg.personality_dim):
             raise ValidationError(f"sample {record.id!r}: personality embedding "
                                   f"{record.personality_embedding_path} has shape {personality.shape}, "
@@ -179,8 +181,8 @@ def load_sample_features(record, cfg: ModelConfig) -> SampleFeatures:
         personality = personality[0]
     else:
         personality = profile_to_embedding(record.personality, cfg.personality_dim)
-    return SampleFeatures(audio=audio, visual=visual, personality=personality,
-                          label=record.label(cfg.task))
+    return SampleFeatures(audio=dict(zip(audio_streams, audio)), visual=np.concatenate(visual, axis=1),
+                          personality=personality, label=record.label(cfg.task))
 
 
 @dataclass
@@ -215,19 +217,16 @@ def _pad_rows(seqs: list, name: str) -> np.ndarray:
     return out.reshape(-1, widths[0])
 
 
-def collate(samples: Sequence[SampleFeatures], cfg: ModelConfig) -> Batch:
-    """Align each sample's streams to its shortest one, then pad every
-    stream to the batch's longest sample. Only the streams `cfg` reads are
-    kept."""
+def collate(samples: Sequence[SampleFeatures]) -> Batch:
+    """Zero-pad every stream of samples laid out by `load_sample_features`
+    to the batch's longest sample, widened to f64."""
     if not samples:
         raise ValidationError("cannot collate an empty batch")
-    audio_streams, visual_streams = _streams_read(cfg)
-    audio = [align_streams([f.audio[s] for s in audio_streams]) for f in samples]
-    visual = [np.concatenate(align_streams([f.visual[s] for s in visual_streams]), axis=1) for f in samples]
-    return Batch(audio={s: _pad_rows([a[j] for a in audio], s) for j, s in enumerate(audio_streams)},
-                 audio_lengths=np.array([len(a[0]) for a in audio]),
-                 visual=_pad_rows(visual, "visual"),
-                 visual_lengths=np.array([len(v) for v in visual]),
+    streams = list(samples[0].audio)
+    return Batch(audio={s: _pad_rows([f.audio[s] for f in samples], s) for s in streams},
+                 audio_lengths=np.array([len(f.audio[streams[0]]) for f in samples]),
+                 visual=_pad_rows([f.visual for f in samples], "visual"),
+                 visual_lengths=np.array([len(f.visual) for f in samples]),
                  personality=_pad_rows([f.personality[None, :] for f in samples], "personality"),
                  labels=np.array([f.label for f in samples]))
 

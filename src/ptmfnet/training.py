@@ -131,7 +131,7 @@ def evaluate(model: DepressionModel, samples: list[SampleFeatures]) -> MetricsRe
     list, in batches of `batch_size` samples taken in input order."""
     preds = []
     for chunk in _batches(samples, model.cfg.batch_size):
-        preds.extend(np.argmax(model.forward(collate(chunk, model.cfg)).data, axis=1).tolist())
+        preds.extend(np.argmax(model.forward(collate(chunk)).data, axis=1).tolist())
     return compute_metrics([f.label for f in samples], preds, model.cfg.n_classes)
 
 
@@ -181,7 +181,7 @@ def train(cfg: ModelConfig, records, log_path=None) -> TrainState:
         order = _resample_indices(labels, cfg.n_classes, rng_sample)
         loss_sum = 0.0
         for step, indices in enumerate(_batches(order, cfg.batch_size)):
-            batch = collate([train_feats[i] for i in indices], cfg)
+            batch = collate([train_feats[i] for i in indices])
             with Tape() as tape:
                 batch_loss = cross_entropy(model.forward(batch, training=True, rng=rng_drop),
                                            batch.labels)

@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from test_batching import RawSample, sample_features
 from test_dsp import FCFG, MCFG, _ref_mfcc
 
 from ptmfnet.autodiff import collect_parameters
@@ -26,7 +27,7 @@ from ptmfnet.dsp import Waveform, short_term_energy, zero_crossing_rate
 from ptmfnet.gradcheck import run_battery, worst
 from ptmfnet.layers import ForwardTrace
 from ptmfnet.metrics import compute_metrics
-from ptmfnet.model import DepressionModel, ModelConfig, SampleFeatures, collate, load_sample_features
+from ptmfnet.model import DepressionModel, ModelConfig, collate, load_sample_features
 from ptmfnet.training import evaluate, train
 
 
@@ -59,15 +60,15 @@ def test_criterion_2_attention_gate_invariants():
         for _ in range(passes_per_model):
             t_a = int(rng.integers(2, 11))
             t_v = int(rng.integers(2, 11))
-            feats = SampleFeatures(
+            feats = sample_features(cfg, RawSample(
                 audio={s: rng.standard_normal((t_a, d)) * 3
                        for s, d in cfg.audio_dims.items()},
                 visual={s: rng.standard_normal((t_v, d)) * 3
                         for s, d in cfg.visual_dims.items()},
                 personality=rng.standard_normal(cfg.personality_dim) * 3,
-                label=0)
+                label=0))
             trace = ForwardTrace()
-            model.forward(collate([feats], cfg), trace=trace)
+            model.forward(collate([feats]), trace=trace)
             assert trace.attention_rows and trace.gates and trace.asp_std
             for rows in trace.attention_rows:
                 assert np.max(np.abs(rows.sum(axis=-1) - 1.0)) <= 1e-9

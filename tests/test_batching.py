@@ -1,28 +1,89 @@
-"""The batched forward path against the per-sample one it replaced.
+"""The batched forward path against the per-sample one it replaced, and
+the load-time sample layout against the collate it replaced.
 
 `per_sample_logits` is DepressionModel.forward as it ran one sample at a
 time: it aligns the sample's own streams and calls every block on that
 sample alone, with no collation and no padding. Batched logits and every
 parameter gradient must match it over batches that mix one-frame samples
-with the batch's longest.
+with the batch's longest. `oracle_collate` is `collate` as it ran before
+samples were laid out at load: it selected, aligned and concatenated each
+sample's streams at every call. `collate` of loaded samples must match it
+bitwise.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from ptmfnet import autodiff as ad
+from ptmfnet.ablation import VARIANTS
 from ptmfnet.autodiff import Tape, Tensor, collect_parameters
-from ptmfnet.dataio import AUDIO_STREAMS, VISUAL_STREAMS
+from ptmfnet.dataio import (AUDIO_STREAMS, VISUAL_STREAMS, PersonalityProfile, SampleRecord,
+                            labels_from_severity, profile_to_embedding, write_feature_file)
 from ptmfnet.errors import ValidationError
 from ptmfnet.fusion import align_streams
 from ptmfnet.layers import ForwardTrace
-from ptmfnet.model import DepressionModel, ModelConfig, SampleFeatures, collate
+from ptmfnet.model import (Batch, DepressionModel, ModelConfig, SampleFeatures, collate,
+                           load_sample_features)
 from ptmfnet.training import cross_entropy
 
 REL = 1e-12
 
 
-def per_sample_logits(model, feats, trace=None):
+@dataclass
+class RawSample:
+    """One sample as per-stream arrays of every stream, unaligned."""
+
+    audio: dict
+    visual: dict
+    personality: np.ndarray
+    label: int
+
+
+def streams_read(cfg):
+    return (AUDIO_STREAMS if cfg.multi_audio else ("wav2vec",),
+            VISUAL_STREAMS if cfg.multi_visual else ("openface",))
+
+
+def sample_features(cfg, raw: RawSample) -> SampleFeatures:
+    """`raw` laid out as `load_sample_features` lays out a sample's files:
+    the streams `cfg` reads, each modality aligned to its shortest stream,
+    the visual streams side by side."""
+    audio_streams, visual_streams = streams_read(cfg)
+    return SampleFeatures(audio=dict(zip(audio_streams, align_streams([raw.audio[s] for s in audio_streams]))),
+                          visual=np.concatenate(align_streams([raw.visual[s] for s in visual_streams]), axis=1),
+                          personality=raw.personality, label=raw.label)
+
+
+def _linspace_align(arrays):
+    t_min = min(len(a) for a in arrays)
+    return [a if len(a) == t_min else a[np.round(np.linspace(0.0, len(a) - 1, t_min)).astype(int)]
+            for a in arrays]
+
+
+def _oracle_pad(seqs):
+    out = np.zeros((len(seqs), max(len(a) for a in seqs), seqs[0].shape[1]))
+    for row, a in zip(out, seqs):
+        row[: len(a)] = a
+    return out.reshape(-1, seqs[0].shape[1])
+
+
+def oracle_collate(samples: list, cfg) -> Batch:
+    """A Batch of RawSamples: select the streams `cfg` reads, align each
+    modality, concatenate the visual streams, then zero-pad."""
+    audio_streams, visual_streams = streams_read(cfg)
+    audio = [_linspace_align([f.audio[s] for s in audio_streams]) for f in samples]
+    visual = [np.concatenate(_linspace_align([f.visual[s] for s in visual_streams]), axis=1) for f in samples]
+    return Batch(audio={s: _oracle_pad([a[j] for a in audio]) for j, s in enumerate(audio_streams)},
+                 audio_lengths=np.array([len(a[0]) for a in audio]),
+                 visual=_oracle_pad(visual),
+                 visual_lengths=np.array([len(v) for v in visual]),
+                 personality=_oracle_pad([f.personality[None, :] for f in samples]),
+                 labels=np.array([f.label for f in samples]))
+
+
+def per_sample_logits(model, feats: RawSample, trace=None):
     """(1, n_classes) logits of one sample, through the per-sample wiring."""
     cfg = model.cfg
     if cfg.multi_audio:
@@ -55,13 +116,17 @@ def _sample(cfg, rng, t_audio, t_visual, label):
     audio = {s: rng.standard_normal((t_audio + k, d)) for k, (s, d) in enumerate(cfg.audio_dims.items())}
     visual = {s: rng.standard_normal((t_visual + 2 * k, d))
               for k, (s, d) in enumerate(cfg.visual_dims.items())}
-    return SampleFeatures(audio=audio, visual=visual,
-                          personality=rng.standard_normal(cfg.personality_dim), label=label)
+    return RawSample(audio=audio, visual=visual, personality=rng.standard_normal(cfg.personality_dim),
+                     label=label)
 
 
-def _mixed_batch(cfg, seed, lengths=((1, 9), (13, 1), (5, 4), (1, 1), (8, 12))):
+def _mixed_raw(cfg, seed, lengths=((1, 9), (13, 1), (5, 4), (1, 1), (8, 12))):
     rng = np.random.default_rng(seed)
     return [_sample(cfg, rng, t_a, t_v, i % cfg.n_classes) for i, (t_a, t_v) in enumerate(lengths)]
+
+
+def _mixed_batch(cfg, seed, **kw):
+    return [sample_features(cfg, raw) for raw in _mixed_raw(cfg, seed, **kw)]
 
 
 def _grads(model, loss_fn):
@@ -97,8 +162,8 @@ CONFIGS = {
 def test_batched_logits_and_gradients_match_per_sample_oracle(name):
     cfg = CONFIGS[name]
     model = DepressionModel(cfg, np.random.default_rng(70))
-    samples = _mixed_batch(cfg, 71)
-    batch = collate(samples, cfg)
+    samples = _mixed_raw(cfg, 71)
+    batch = collate([sample_features(cfg, raw) for raw in samples])
 
     logits = model.forward(batch).data
     oracle = np.concatenate([per_sample_logits(model, f).data for f in samples])
@@ -117,16 +182,15 @@ def test_row_logits_do_not_move_when_a_longer_sample_joins():
     model = DepressionModel(cfg, np.random.default_rng(72))
     short = _mixed_batch(cfg, 73, lengths=((1, 2), (3, 1)))
     longer = _mixed_batch(cfg, 74, lengths=((40, 35),))
-    alone = model.forward(collate(short, cfg)).data
-    joined = model.forward(collate(short + longer, cfg)).data[:2]
+    alone = model.forward(collate(short)).data
+    joined = model.forward(collate(short + longer)).data[:2]
     assert np.max(np.abs(joined - alone)) <= REL * np.max(np.abs(alone))
 
 
 def test_padded_frames_carry_no_pooling_weight_and_trace_invariants_hold():
     cfg = ModelConfig.compact()
     model = DepressionModel(cfg, np.random.default_rng(75))
-    samples = _mixed_batch(cfg, 76)
-    batch = collate(samples, cfg)
+    batch = collate(_mixed_batch(cfg, 76))
     trace = ForwardTrace()
     model.forward(batch, trace=trace)
     audio_alpha, visual_alpha = trace.attention_rows[:2]
@@ -146,7 +210,7 @@ def test_padded_frames_carry_no_pooling_weight_and_trace_invariants_hold():
 def test_editing_trace_entries_in_place_leaves_gradients_unchanged():
     cfg = ModelConfig.compact()
     model = DepressionModel(cfg, np.random.default_rng(81))
-    batch = collate(_mixed_batch(cfg, 82), cfg)
+    batch = collate(_mixed_batch(cfg, 82))
     _, ref = _grads(model, lambda: cross_entropy(model.forward(batch), batch.labels))
 
     def loss_then_spoil_trace():
@@ -164,7 +228,7 @@ def test_editing_trace_entries_in_place_leaves_gradients_unchanged():
 def test_collate_pads_rows_and_keeps_lengths():
     cfg = ModelConfig.compact()
     samples = _mixed_batch(cfg, 77, lengths=((2, 3), (4, 1)))
-    batch = collate(samples, cfg)
+    batch = collate(samples)
     # audio aligns to each sample's shortest stream, visual likewise
     np.testing.assert_array_equal(batch.audio_lengths, [2, 4])
     np.testing.assert_array_equal(batch.visual_lengths, [3, 1])
@@ -179,15 +243,15 @@ def test_collate_pads_rows_and_keeps_lengths():
 @pytest.mark.parametrize("field,stream", [("audio", "mfcc"), ("visual", "resnet"), ("personality", None)])
 def test_collate_rejects_widths_that_differ_across_the_batch(field, stream):
     cfg = ModelConfig.compact()
-    samples = _mixed_batch(cfg, 80, lengths=((3, 3), (4, 4)))
+    raws = _mixed_raw(cfg, 80, lengths=((3, 3), (4, 4)))
     if stream is None:
-        samples[1].personality = np.zeros(cfg.personality_dim + 1)
+        raws[1].personality = np.zeros(cfg.personality_dim + 1)
     else:
-        getattr(samples[1], field)[stream] = np.zeros((4, 1))  # every stream is wider than 1
+        getattr(raws[1], field)[stream] = np.zeros((4, 1))  # every stream is wider than 1
     with pytest.raises(ValidationError, match="widths"):
-        collate(samples, cfg)
+        collate([sample_features(cfg, raw) for raw in raws])
     with pytest.raises(ValidationError, match="empty"):
-        collate([], cfg)
+        collate([])
 
 
 @pytest.mark.parametrize("cfg", [ModelConfig.compact(), ModelConfig(dropout=0.0)],
@@ -198,8 +262,63 @@ def test_a_training_step_records_the_same_tape_for_any_batch_size(cfg):
                                              (1, 14), (20, 1)))
     counts = []
     for size in (1, 8):
-        batch = collate(samples[:size], cfg)
+        batch = collate(samples[:size])
         with Tape() as tape:
             cross_entropy(model.forward(batch, training=True, rng=np.random.default_rng(0)), batch.labels)
         counts.append(len(tape.nodes))
     assert counts[0] == counts[1] <= 100
+
+
+# (lld, mfcc, wav2vec) and (openface, resnet, densenet) frame counts: each
+# modality's shortest stream varies, either one can be a single frame, and
+# some nearest frames fall between two rows, one of them halfway
+_T_AUDIO = ((1, 5, 3), (7, 2, 1), (4, 4, 4), (9, 1, 6), (3, 8, 12))
+_T_VISUAL = ((6, 1, 3), (1, 1, 1), (3, 8, 6), (5, 3, 1), (4, 7, 9))
+
+
+def _write_samples(cfg, tmp_path):
+    """Feature files of samples whose streams differ in length, as records
+    and as the RawSamples `oracle_collate` takes; the last sample has no
+    embedding file, so its personality comes from the profile."""
+    rng = np.random.default_rng(83)
+    profile = PersonalityProfile(extraversion=3, agreeableness=4, openness=2, neuroticism=5,
+                                 conscientiousness=1, age=71, gender="female", origin="Chengdu")
+    records, raws = [], []
+    for i, (t_audio, t_visual) in enumerate(zip(_T_AUDIO, _T_VISUAL)):
+        paths, arrays = {}, {}
+        for s, t in zip(AUDIO_STREAMS + VISUAL_STREAMS, t_audio + t_visual):
+            arrays[s] = rng.standard_normal((t, {**cfg.audio_dims, **cfg.visual_dims}[s])).astype(np.float32)
+            paths[s] = tmp_path / f"s{i}_{s}.mpft"
+            write_feature_file(arrays[s], paths[s])
+        emb_path = None
+        personality = profile_to_embedding(profile, cfg.personality_dim)
+        if i < len(_T_AUDIO) - 1:
+            emb_path = tmp_path / f"s{i}_personality.mpft"
+            personality = rng.standard_normal(cfg.personality_dim).astype(np.float32)
+            write_feature_file(personality[None, :], emb_path)
+        labels = labels_from_severity(i % 5)
+        records.append(SampleRecord(id=f"s{i}", audio_paths={s: paths[s] for s in AUDIO_STREAMS},
+                                    visual_paths={s: paths[s] for s in VISUAL_STREAMS}, personality=profile,
+                                    labels=labels, personality_embedding_path=emb_path))
+        wide = {s: a.astype(np.float64) for s, a in arrays.items()}
+        raws.append(RawSample(audio={s: wide[s] for s in AUDIO_STREAMS},
+                              visual={s: wide[s] for s in VISUAL_STREAMS},
+                              personality=personality.astype(np.float64), label=labels[cfg.task]))
+    return records, raws
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_collate_of_loaded_samples_is_bitwise_the_oracle(variant, tmp_path):
+    cfg = ModelConfig.compact(task="ternary", **VARIANTS[variant])
+    records, raws = _write_samples(cfg, tmp_path)
+    loaded = [load_sample_features(r, cfg) for r in records]
+    assert all(a.dtype == np.float32 for f in loaded[:-1] for a in (*f.audio.values(), f.visual, f.personality))
+    for size in (1, 2, len(records)):
+        batch, oracle = collate(loaded[:size]), oracle_collate(raws[:size], cfg)
+        assert list(batch.audio) == list(oracle.audio)
+        for s in oracle.audio:
+            assert batch.audio[s].dtype == np.float64 and np.array_equal(batch.audio[s], oracle.audio[s]), s
+        for name in ("audio_lengths", "visual", "visual_lengths", "personality", "labels"):
+            got, want = getattr(batch, name), getattr(oracle, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert batch.visual.dtype == batch.personality.dtype == np.float64

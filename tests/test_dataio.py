@@ -48,9 +48,23 @@ def test_widening_is_exact(tmp_path):
     m = np.array([[0.1, 2.5]], dtype=np.float32)
     path = tmp_path / "w.mpft"
     dataio.write_feature_file(m, path)
-    wide = dataio.load_features_f64(path)
-    assert wide.dtype == np.float64
-    assert np.all(wide.astype(np.float32) == m)
+    got = dataio.read_feature_file(path)
+    assert got.dtype == np.float32
+    assert np.all(got.astype(np.float64).astype(np.float32) == m)
+
+
+@pytest.mark.parametrize("writer", ["feature_file", "manifest"])
+def test_a_failed_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_path, monkeypatch, writer):
+    path = tmp_path / "out"
+    path.write_bytes(b"old bytes")
+    with pytest.raises((struct.error, TypeError)):
+        if writer == "feature_file":  # the magic is written, then the header cannot be packed
+            monkeypatch.setattr(dataio, "FEATURE_VERSION", -1)
+            dataio.write_feature_file(np.ones((2, 3)), path)
+        else:  # the first line is written, then the second cannot be serialized
+            dataio.write_manifest([{"id": "a"}, {"id": object()}], path)
+    assert path.read_bytes() == b"old bytes"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_bad_magic_names_path(tmp_path):
@@ -270,7 +284,7 @@ def test_synth_linear_probe_when_separable(tmp_path):
     manifest = dataio.synth_dataset(spec, np.random.default_rng(11), tmp_path)
     records = dataio.load_manifest(manifest)
     feats = np.stack([
-        dataio.load_features_f64(r.audio_paths["mfcc"]).mean(axis=0) for r in records
+        dataio.read_feature_file(r.audio_paths["mfcc"]).astype(np.float64).mean(axis=0) for r in records
     ])
     labels = np.array([r.labels["binary"] for r in records])
     x = np.hstack([feats, np.ones((len(records), 1))])

@@ -36,6 +36,18 @@ def test_align_to_single_frame():
     np.testing.assert_array_equal(out[0], [[0.0]])
 
 
+def test_align_index_is_rounded_linspace():
+    # every pair up to 300 frames, then seeded pairs up to 200 000
+    frames = np.arange(200_000)[:, None]
+    rng = np.random.default_rng(84)
+    long_t = rng.integers(2, 200_001, 2000)
+    pairs = [(t, t_min) for t in range(2, 301) for t_min in range(1, t)]
+    pairs += [(int(t), int(rng.integers(1, t))) for t in long_t]
+    for t, t_min in pairs:
+        idx = fusion.align_streams([frames[:t], frames[:t_min]])[0][:, 0]
+        assert np.array_equal(idx, np.round(np.linspace(0.0, t - 1, t_min)).astype(int)), (t, t_min)
+
+
 # ---------------------------------------------------------------------------
 # co-attention
 

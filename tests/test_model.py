@@ -14,6 +14,7 @@ from ptmfnet.layers import ForwardTrace
 from ptmfnet.model import (ClassifierHead, DepressionModel, ModelConfig,
                            SampleFeatures, collate, load_sample_features)
 from ptmfnet.training import cross_entropy
+from test_batching import RawSample, sample_features
 
 SMALL = dict(audio_hidden=4, visual_hidden=4, coatt_lld_dim=4, coatt_mfcc_dim=4,
              coatt_w2v_dim=4, asp_attn_dim=4, d_model=8, tx_layers=1, tx_heads=2,
@@ -29,19 +30,19 @@ def make_feats(cfg: ModelConfig, rng: np.random.Generator, label: int = 0,
                t_audio: int = 7, t_visual: int = 5) -> SampleFeatures:
     audio = {s: rng.standard_normal((t_audio, d)) for s, d in cfg.audio_dims.items()}
     visual = {s: rng.standard_normal((t_visual, d)) for s, d in cfg.visual_dims.items()}
-    return SampleFeatures(audio=audio, visual=visual,
-                          personality=rng.standard_normal(cfg.personality_dim),
-                          label=label)
+    return sample_features(cfg, RawSample(audio=audio, visual=visual,
+                                          personality=rng.standard_normal(cfg.personality_dim),
+                                          label=label))
 
 
 def logits_of(model, feats, **kw):
     """Forward one sample as a batch of one."""
-    return model.forward(collate([feats], model.cfg), **kw)
+    return model.forward(collate([feats]), **kw)
 
 
 def step_loss(model, feats, rng):
     """Training forward and loss of one sample as a batch of one."""
-    batch = collate([feats], model.cfg)
+    batch = collate([feats])
     return cross_entropy(model.forward(batch, training=True, rng=rng), batch.labels)
 
 
@@ -165,7 +166,7 @@ def test_training_step_records_one_lstm_node_per_hidden_width(cfg, total, output
     # stream apart in the default one (8 and 12)
     model = DepressionModel(cfg, np.random.default_rng(38))
     samples = [make_feats(cfg, np.random.default_rng(k), label=k % 2, t_audio=3 + k) for k in range(3)]
-    batch = collate(samples, cfg)
+    batch = collate(samples)
     with ad.Tape() as tape:
         cross_entropy(model.forward(batch, training=True, rng=np.random.default_rng(39)), batch.labels)
     ops = [_op_name(node.vjp) for node in tape.nodes]
@@ -207,7 +208,7 @@ def test_grouped_lstm_node_matches_the_two_node_path_bitwise(overrides, n_seq):
                8: [(5, 9), (1, 1), (7, 2), (3, 4), (6, 1), (2, 8), (4, 4), (1, 3)]}[n_seq]
     samples = [make_feats(cfg, np.random.default_rng(k), label=k % 2, t_audio=t_a, t_visual=t_v)
                for k, (t_a, t_v) in enumerate(t_pairs)]
-    batch = collate(samples, cfg)
+    batch = collate(samples)
     t_audio, t_visual = (len(rows) // n_seq for rows in (next(iter(batch.audio.values())), batch.visual))
     assert t_audio != t_visual
     logits, grads = _logits_and_grads(model, batch)
@@ -389,9 +390,9 @@ def test_load_sample_features_from_synth_dir(tmp_path):
     feats = load_sample_features(records[0], cfg)
     for s in AUDIO_STREAMS:
         assert feats.audio[s].shape[1] == cfg.audio_dims[s]
-        assert feats.audio[s].dtype == np.float64
-    for s in VISUAL_STREAMS:
-        assert feats.visual[s].shape[1] == cfg.visual_dims[s]
+        assert feats.audio[s].dtype == np.float32
+    assert feats.visual.shape[1] == sum(cfg.visual_dims.values())
+    assert feats.visual.dtype == np.float32
     assert feats.personality.shape == (cfg.personality_dim,)
     assert feats.label == records[0].label("ternary")
 
@@ -403,19 +404,20 @@ def test_load_sample_features_from_synth_dir(tmp_path):
 ])
 def test_load_sample_features_opens_only_the_streams_the_config_reads(tmp_path, monkeypatch,
                                                                       overrides, audio, visual):
-    import ptmfnet.model as model_mod
+    import ptmfnet.dataio as dataio_mod
 
     manifest = synth_dataset(SynthSpec(n_samples=2, task="binary"),
                              np.random.default_rng(4), tmp_path / "d")
     rec = load_manifest(manifest)[0]
     opened = []
-    real = model_mod.load_features_f64
-    monkeypatch.setattr(model_mod, "load_features_f64", lambda p: opened.append(str(p)) or real(p))
+    real = dataio_mod.read_feature_file
+    monkeypatch.setattr(dataio_mod, "read_feature_file", lambda p: opened.append(str(p)) or real(p))
     feats = load_sample_features(rec, make_cfg(personality_dim=16, **overrides))
     expected = ([str(rec.audio_paths[s]) for s in audio] + [str(rec.visual_paths[s]) for s in visual]
                 + [str(rec.personality_embedding_path)])
     assert opened == expected
-    assert tuple(feats.audio) == audio and tuple(feats.visual) == visual
+    assert tuple(feats.audio) == audio
+    assert feats.visual.shape[1] == sum(make_cfg().visual_dims[s] for s in visual)
 
 
 def test_load_sample_features_profile_fallback(tmp_path):

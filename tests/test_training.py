@@ -394,7 +394,7 @@ def test_single_step_descends_on_repeated_batch(synth_binary):
     feats = [load_sample_features(r, feats_cfg) for r in synth_binary[:4]]
 
     def batch_loss(model):
-        batch = collate(feats, model.cfg)
+        batch = collate(feats)
         with Tape():
             loss = cross_entropy(model.forward(batch), batch.labels)
             params = collect_parameters(model)
@@ -419,7 +419,7 @@ def test_evaluate_matches_manual_predictions(synth_binary):
     model = DepressionModel(cfg)
     report = evaluate(model, feats)
     from ptmfnet.metrics import compute_metrics
-    alone = [int(np.argmax(model.forward(collate([f], cfg)).data[0])) for f in feats]
+    alone = [int(np.argmax(model.forward(collate([f])).data[0])) for f in feats]
     manual = compute_metrics([f.label for f in feats], alone, cfg.n_classes)
     assert report.to_dict() == manual.to_dict()
 
