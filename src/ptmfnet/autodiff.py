@@ -179,19 +179,34 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _row_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2-D operands, each output row's bits the same whatever other
+    rows `a` has, for two rows or more. With fewer than four columns, the
+    BLAS computes the last a.shape[0] % 4 rows another way, so b is
+    zero-padded to four columns and the product sliced back."""
+    n = b.shape[1]
+    if n > 3:
+        return a @ b
+    wide = np.zeros((b.shape[0], 4))
+    wide[:, :n] = b
+    return (a @ wide)[:, :n]
+
+
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """a @ b, plus a (1, n) bias row on every output row when one is given;
-    one node either way."""
+    one node either way. Each output row's bits depend only on its own row
+    of a, when a has two rows or more (see `_row_matmul`)."""
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner extents disagree: {a.shape} @ {b.shape}")
     if bias is None:
-        out = _result(a.data @ b.data, a.requires_grad or b.requires_grad)
+        out = _result(_row_matmul(a.data, b.data), a.requires_grad or b.requires_grad)
         return _record(out, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
     if bias.shape != (1, b.shape[1]):
         raise ShapeError(f"matmul bias {bias.shape} does not fit {a.shape} @ {b.shape}; it must be (1, {b.shape[1]})")
-    out = _result(a.data @ b.data + bias.data, a.requires_grad or b.requires_grad or bias.requires_grad)
+    out = _result(_row_matmul(a.data, b.data) + bias.data,
+                  a.requires_grad or b.requires_grad or bias.requires_grad)
     return _record(out, (a, b, bias), lambda g: (g @ b.data.T, a.data.T @ g, _unbroadcast(g, bias.shape)))
 
 
@@ -417,6 +432,14 @@ def lstm(xs: Sequence[Tensor], lengths: Sequence, Ws: Sequence[Tensor], Us: Sequ
     return _record(outs, inputs, vjp)
 
 
+def _sum_frames(x: np.ndarray) -> np.ndarray:
+    """Sum of (B, T, ...) over t, adding one frame at a time for B >= 2, so a
+    zero-padded frame adds an exact 0 whatever T is: a column sum of the
+    time-major copy. A sum along a contiguous t would split into partial
+    sums whose grouping depends on T."""
+    return np.ascontiguousarray(np.moveaxis(x, 1, 0)).sum(axis=0)
+
+
 def attentive_stats(h: Tensor, lengths, W: Tensor, b: Tensor, v: Tensor,
                     eps: float) -> tuple[Tensor, np.ndarray]:
     """Attentive statistics pooling of B zero-padded sequences, as one op.
@@ -427,7 +450,10 @@ def attentive_stats(h: Tensor, lengths, W: Tensor, b: Tensor, v: Tensor,
     frame's score is -inf before the max shift, so its weight is exactly 0.
     They give the weighted mean mu and the weighted std
     s = sqrt(relu(sum_t alpha_t h_t^2 - mu^2) + eps). Returns the (B, 2H)
-    rows [mu | s] and the (B, T) weights as a plain array.
+    rows [mu | s] and the (B, T) weights as a plain array. For B >= 2, a
+    sequence's outputs are bitwise the same whatever other sequences share
+    the batch and however far they pad T: every sum over t adds one frame
+    at a time, and the score matmul is `_row_matmul`.
     """
     valid = _valid_frames(h, lengths, "attentive_stats")
     (n_seq, t_len, _), h_dim, a_dim = valid.shape, h.shape[1], W.shape[-1]
@@ -437,11 +463,12 @@ def attentive_stats(h: Tensor, lengths, W: Tensor, b: Tensor, v: Tensor,
         raise ValidationError("attentive_stats eps must be positive")
     hs = h.data.reshape(n_seq, t_len, h_dim)
     proj = np.tanh(h.data @ W.data + b.data)
-    scores = (proj @ v.data).reshape(n_seq, t_len, 1)
-    alpha = _softmax(np.where(valid, scores, -np.inf), axis=1)
-    mu = (alpha * hs).sum(axis=1)
+    scores = np.where(valid[:, :, 0], _row_matmul(proj, v.data).reshape(n_seq, t_len), -np.inf)
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    alpha = (e / _sum_frames(e)[:, None])[:, :, None]
+    mu = _sum_frames(alpha * hs)
     sq = hs * hs
-    diff = (alpha * sq).sum(axis=1) - mu * mu
+    diff = _sum_frames(alpha * sq) - mu * mu
     s = np.sqrt(np.maximum(diff, 0.0) + eps)
     out = _result(np.concatenate([mu, s], axis=1), any(t.requires_grad for t in (h, W, b, v)))
 

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import struct
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -60,13 +60,15 @@ def labels_from_severity(severity: int) -> dict:
 def atomic_write(path, mode: str = "w", **open_kw):
     """Write through a temp file beside `path`, renamed over it once the body
     is done; on failure `path` keeps its old contents. No fsync."""
-    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
     try:
         with open(tmp, mode, **open_kw) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
         raise
 
 
@@ -88,21 +90,26 @@ def write_feature_file(matrix: np.ndarray, path) -> None:
 
 
 def read_feature_file(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != FEATURE_MAGIC:
-        raise DataFormatError(f"{path}: bad magic {raw[:4]!r}, expected {FEATURE_MAGIC!r}")
-    if len(raw) < 16:
-        raise DataFormatError(f"{path}: truncated header")
-    version, t, d = struct.unpack_from("<III", raw, 4)
-    if version != FEATURE_VERSION:
-        raise DataFormatError(f"{path}: unsupported version {version}")
-    expected = 16 + 4 * t * d
-    if len(raw) != expected:
-        raise DataFormatError(f"{path}: truncated or oversized payload ({len(raw)} bytes, expected {expected})")
-    m = np.frombuffer(raw, dtype="<f4", offset=16).reshape(t, d).astype(np.float32)
-    if t < 1 or d < 1:
-        raise DataFormatError(f"{path}: degenerate shape ({t}, {d})")
+    """The (T, D) float32 rows of a feature file. Unbuffered, the header
+    and the payload are one read each, the payload straight into the
+    returned array once the header and the file size check out."""
+    with open(path, "rb", buffering=0) as fh:
+        head = fh.read(16)
+        if head[:4] != FEATURE_MAGIC:
+            raise DataFormatError(f"{path}: bad magic {head[:4]!r}, expected {FEATURE_MAGIC!r}")
+        if len(head) < 16:
+            raise DataFormatError(f"{path}: truncated header")
+        version, t, d = struct.unpack_from("<III", head, 4)
+        if version != FEATURE_VERSION:
+            raise DataFormatError(f"{path}: unsupported version {version}")
+        size, expected = os.fstat(fh.fileno()).st_size, 16 + 4 * t * d
+        if size != expected:
+            raise DataFormatError(f"{path}: truncated or oversized payload ({size} bytes, expected {expected})")
+        if t < 1 or d < 1:
+            raise DataFormatError(f"{path}: degenerate shape ({t}, {d})")
+        m = np.empty((t, d), dtype="<f4")
+        if fh.readinto(m) != m.nbytes:  # the file shrank after its size was taken
+            raise DataFormatError(f"{path}: truncated payload")
     if not np.isfinite(m).all():
         raise DataFormatError(f"{path}: non-finite values")
     return m

@@ -3,7 +3,10 @@ splitting, the epoch loop with best-snapshot selection, and evaluation.
 
 Each training step collates its mini-batch into one padded batch and
 records one tape: one forward pass and one loss op, whatever the batch
-size. Evaluation runs the same forward on batches of `batch_size` samples.
+size. Evaluation runs the same forward, untaped, on batches it picks for
+speed: samples sorted by length and cut by a padded-frame budget. The
+forward is batch-invariant, so a sample's logits are bitwise the same in
+any batch of two or more, and the batches change no prediction.
 
 Runs are bitwise deterministic for a fixed config: every random choice
 (init, split, resampling, dropout) draws from independent generators
@@ -126,13 +129,40 @@ class TrainState:
     train_metrics: MetricsReport | None = None
 
 
+# Padded frames an evaluation batch may hold: its size times its longest
+# sample. It bounds evaluation memory, and it keeps the frame-level matmuls
+# below the size at which OpenBLAS changes kernel and a row's bits change.
+EVAL_FRAMES = 1024
+
+
 def evaluate(model: DepressionModel, samples: list[SampleFeatures]) -> MetricsReport:
     """Deterministic inference (dropout off, no random draws) over a feature
-    list, in batches of `batch_size` samples taken in input order."""
-    preds = []
-    for chunk in _batches(samples, model.cfg.batch_size):
-        preds.extend(np.argmax(model.forward(collate(chunk)).data, axis=1).tolist())
-    return compute_metrics([f.label for f in samples], preds, model.cfg.n_classes)
+    list, in the batches `_eval_batches` cuts; predictions stay in input
+    order. `batch_size` plays no part."""
+    preds = np.empty(len(samples), dtype=np.int64)
+    for chunk in _eval_batches(samples):
+        preds[chunk] = np.argmax(model.forward(collate([samples[i] for i in chunk])).data, axis=1)
+    return compute_metrics([f.label for f in samples], preds.tolist(), model.cfg.n_classes)
+
+
+def _eval_batches(samples: list[SampleFeatures]) -> list[list[int]]:
+    """Sample indices in batches, longest samples first. A batch starts at
+    the longest sample left and takes as many as keep B x T within
+    EVAL_FRAMES, T being a sample's padded length max(T_audio, T_visual).
+    It holds at least two samples, and three rather than leave one behind,
+    because a one-row matmul takes other kernels with other bits; so a
+    batch exceeds the budget only when its longest sample is over a third
+    of it. A single sample is a batch of one."""
+    frames = [max(len(next(iter(f.audio.values()))), len(f.visual)) for f in samples]
+    order = sorted(range(len(samples)), key=lambda i: -frames[i])
+    batches, start = [], 0
+    while start < len(order):
+        size = max(2, EVAL_FRAMES // frames[order[start]])
+        if len(order) - start - size == 1:  # leave two, or take the last one too
+            size += 1 if size == 2 else -1
+        batches.append(order[start:start + size])
+        start += size
+    return batches
 
 
 def _batches(seq: list, size: int):

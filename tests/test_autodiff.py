@@ -68,6 +68,48 @@ def test_matmul_bias_of_the_wrong_shape_names_the_shapes(bias_shape):
         ad.matmul(t(np.zeros((2, 4))), t(np.zeros((4, 3))), t(np.zeros(bias_shape)))
 
 
+@pytest.mark.parametrize("bias", [False, True], ids=["no_bias", "bias"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_matmul_rows_do_not_depend_on_the_row_count(n, bias):
+    # with fewer than four output columns, OpenBLAS computes the last M % 4
+    # rows of a product another way; every M >= 2 must give each row the
+    # bits of the same row in a taller product (M = 1 takes matrix-vector
+    # kernels and is not covered)
+    rng = np.random.default_rng(20 + n)
+    for k in (3, 16, 64):
+        a, b = rng.normal(size=(40, k)), t(rng.normal(size=(k, n)))
+        c = t(rng.normal(size=(1, n))) if bias else None
+        tall = ad.matmul(t(a), b, c).data
+        for m in range(2, 41):
+            assert np.array_equal(ad.matmul(t(a[:m]), b, c).data, tall[:m]), (k, m)
+
+
+@pytest.mark.parametrize("h_dim", [1, 5])
+def test_attentive_stats_of_a_sequence_do_not_depend_on_its_batch(h_dim):
+    # the same sequence pooled beside others, padded to a longer T, and in
+    # another place of the batch gives the same bits; B = 1 is not covered.
+    # With H = 1 the frames of a sequence lie contiguous in memory.
+    rng = np.random.default_rng(23)
+    a_dim = 4
+    w, b, v = t(rng.normal(size=(h_dim, a_dim))), t(rng.normal(size=(1, a_dim))), t(rng.normal(size=(a_dim, 1)))
+    seqs = [rng.normal(size=(n, h_dim)) for n in (11, 3, 30, 1, 17)]
+
+    def pool(members):
+        t_len = max(len(seqs[j]) for j in members)
+        rows = np.zeros((len(members), t_len, h_dim))
+        for row, j in zip(rows, members):
+            row[: len(seqs[j])] = seqs[j]
+        out, alpha = ad.attentive_stats(t(rows.reshape(-1, h_dim)), [len(seqs[j]) for j in members],
+                                        w, b, v, eps=1e-6)
+        return {j: (out.data[i], alpha[i, : len(seqs[j])]) for i, j in enumerate(members)}
+
+    ref = pool([0, 1])
+    ref.update(pool([3, 2, 4]))
+    for members in ([1, 0], [0, 2], [4, 0, 3], [2, 1, 0, 4, 3], [3, 0], [0, 1, 2, 3, 4]):
+        for j, (out, alpha) in pool(members).items():
+            assert np.array_equal(out, ref[j][0]) and np.array_equal(alpha, ref[j][1]), (members, j)
+
+
 def _pooling_weights(values):
     """attentive_stats frame weights for frames h_t = values[t] with W = 1,
     b = 0 and v = 1000, i.e. for scores 1000 tanh(values[t])."""

@@ -5,10 +5,15 @@ the load-time sample layout against the collate it replaced.
 time: it aligns the sample's own streams and calls every block on that
 sample alone, with no collation and no padding. Batched logits and every
 parameter gradient must match it over batches that mix one-frame samples
-with the batch's longest. `oracle_collate` is `collate` as it ran before
-samples were laid out at load: it selected, aligned and concatenated each
-sample's streams at every call. `collate` of loaded samples must match it
-bitwise.
+with the batch's longest. It runs batches of one, which take matrix-vector
+kernels with other bits, so it matches to REL: B = 1 is the one exception
+to batch invariance, and gradients, which sum over the batch, match to REL
+too. In every batch of two or more, a sample's logits must be bitwise the
+same whatever else shares its batch and in whatever order, up to the
+padded-frame budget `evaluate` cuts its batches by. `oracle_collate` is
+`collate` as it ran before samples were laid out at load: it selected,
+aligned and concatenated each sample's streams at every call. `collate` of
+loaded samples must match it bitwise.
 """
 
 from dataclasses import dataclass
@@ -17,6 +22,7 @@ import numpy as np
 import pytest
 
 from ptmfnet import autodiff as ad
+from ptmfnet import training
 from ptmfnet.ablation import VARIANTS
 from ptmfnet.autodiff import Tape, Tensor, collect_parameters
 from ptmfnet.dataio import (AUDIO_STREAMS, VISUAL_STREAMS, PersonalityProfile, SampleRecord,
@@ -184,7 +190,68 @@ def test_row_logits_do_not_move_when_a_longer_sample_joins():
     longer = _mixed_batch(cfg, 74, lengths=((40, 35),))
     alone = model.forward(collate(short)).data
     joined = model.forward(collate(short + longer)).data[:2]
-    assert np.max(np.abs(joined - alone)) <= REL * np.max(np.abs(alone))
+    assert np.array_equal(joined, alone)
+
+
+def _logits_in(model, samples, groups):
+    """Each sample's logit row, from one forward per group of indices."""
+    out = np.empty((len(samples), model.cfg.n_classes))
+    for idx in groups:
+        out[idx] = model.forward(collate([samples[i] for i in idx])).data
+    return out
+
+
+def _in_order(n, size):
+    return [list(range(start, min(start + size, n))) for start in range(0, n, size)]
+
+
+def _random_groups(rng, n):
+    """A random order of n indices cut into groups of 2 to 16, none of one."""
+    order, groups, start = rng.permutation(n), [], 0
+    while start < n:
+        size = int(rng.integers(2, 17))
+        if n - start - size == 1:
+            size += 1
+        groups.append(order[start:start + size])
+        start += size
+    return groups
+
+
+@pytest.mark.parametrize("task", ["binary", "ternary", "quinary"])
+@pytest.mark.parametrize("width", ["compact", "paper_width"])
+def test_logits_are_bitwise_the_same_in_every_batch_of_two_or_more(width, task):
+    cfg = (ModelConfig.compact if width == "compact" else ModelConfig)(task=task, dropout=0.0)
+    model = DepressionModel(cfg, np.random.default_rng(84))
+    lengths = np.random.default_rng(85).integers(1, 41, size=(42, 2))
+    samples = _mixed_batch(cfg, 86, lengths=[tuple(map(int, pair)) for pair in lengths])
+    n = len(samples)
+    ref = _logits_in(model, samples, _in_order(n, 8))  # 5 batches of 8, then one of 2
+    rng = np.random.default_rng(87)
+    # odd sizes leave every M % 4 tail in the row-level matmuls
+    groupings = [[order[start:start + size] for start in range(0, n, size)]
+                 for size, order in ((3, rng.permutation(n)), (5, rng.permutation(n)),
+                                     (13, rng.permutation(n)), (n, rng.permutation(n)))]
+    groupings += [_random_groups(rng, n) for _ in range(3)]
+    for groups in groupings:
+        assert min(len(g) for g in groups) >= 2
+        assert np.array_equal(_logits_in(model, samples, groups), ref), [len(g) for g in groups]
+
+
+def test_logits_at_the_full_evaluation_frame_budget_are_bitwise_those_of_batches_of_8():
+    # the first of `evaluate`'s batches fills the budget exactly in both
+    # branches, so every frame-level matmul has EVAL_FRAMES rows, at paper
+    # width: above some size OpenBLAS changes kernel and rows change bits
+    cfg = ModelConfig(dropout=0.0)
+    model = DepressionModel(cfg, np.random.default_rng(88))
+    t_max = 32
+    lengths = [(1 + i % t_max, t_max - i % t_max) for i in range(2 * training.EVAL_FRAMES // t_max)]
+    samples = _mixed_batch(cfg, 89, lengths=lengths)
+    groups = training._eval_batches(samples)
+    first = [samples[i] for i in groups[0]]
+    for frames in ([len(f.audio["lld"]) for f in first], [len(f.visual) for f in first]):
+        assert len(first) * max(frames) == training.EVAL_FRAMES
+    ref = _logits_in(model, samples, _in_order(len(samples), 8))
+    assert np.array_equal(_logits_in(model, samples, groups), ref)
 
 
 def test_padded_frames_carry_no_pooling_weight_and_trace_invariants_hold():

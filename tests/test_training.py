@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 from ptmfnet import autodiff as ad
+from ptmfnet import training
 from ptmfnet.autodiff import Tape, Tensor, collect_parameters
 from ptmfnet.dataio import SynthSpec, load_manifest, synth_dataset
 from ptmfnet.errors import ValidationError
-from ptmfnet.model import DepressionModel, ModelConfig, collate, load_sample_features
+from ptmfnet.metrics import compute_metrics
+from ptmfnet.model import DepressionModel, ModelConfig, SampleFeatures, collate, load_sample_features
 from ptmfnet.training import (Adam, TrainState, _resample_indices, cross_entropy, evaluate,
                               split_train_val, train)
 
@@ -418,21 +420,80 @@ def test_evaluate_matches_manual_predictions(synth_binary):
     feats = [load_sample_features(r, cfg) for r in synth_binary[:6]]
     model = DepressionModel(cfg)
     report = evaluate(model, feats)
-    from ptmfnet.metrics import compute_metrics
     alone = [int(np.argmax(model.forward(collate([f])).data[0])) for f in feats]
     manual = compute_metrics([f.label for f in feats], alone, cfg.n_classes)
     assert report.to_dict() == manual.to_dict()
 
 
 def test_evaluate_ignores_batch_size_and_dropout(synth_binary):
-    # evaluation batches are cut in input order and draw no random numbers,
-    # so neither the batch size nor the dropout rate changes a report
+    # evaluation batches are cut by a frame budget, not by the batch size,
+    # and draw no random numbers, so neither changes a report
     feats = [load_sample_features(r, _tiny_cfg()) for r in synth_binary[:7]]
     reports = []
     for batch_size, dropout in ((1, 0.0), (3, 0.0), (8, 0.5)):
         cfg = _tiny_cfg(seed=8, batch_size=batch_size, dropout=dropout)
         reports.append(evaluate(DepressionModel(cfg), feats).to_dict())
     assert reports[0] == reports[1] == reports[2]
+
+
+def _oracle_predictions(model, samples, batch_size):
+    """The predictions of `evaluate` as it ran before: batches of
+    `batch_size` samples, in input order."""
+    preds = []
+    for start in range(0, len(samples), batch_size):
+        preds.extend(np.argmax(model.forward(collate(samples[start:start + batch_size])).data, axis=1).tolist())
+    return preds
+
+
+@pytest.mark.parametrize("budget", [training.EVAL_FRAMES, 40])
+def test_evaluate_predicts_what_input_order_batches_of_batch_size_predict(synth_binary, monkeypatch, budget):
+    state = train(_tiny_cfg(seed=8, epochs=3), synth_binary)
+    feats = [load_sample_features(r, state.config) for r in synth_binary]
+    monkeypatch.setattr(training, "EVAL_FRAMES", budget)
+    seen = []
+    monkeypatch.setattr(training, "compute_metrics", lambda y, p, n: seen.append(p) or compute_metrics(y, p, n))
+    report = evaluate(state.model, feats)
+    for batch_size in (1, 3, 8):
+        oracle = _oracle_predictions(state.model, feats, batch_size)
+        assert seen[0] == oracle
+        assert report.to_dict() == compute_metrics([f.label for f in feats], oracle, 2).to_dict()
+
+
+def _frames(f):
+    return max(len(f.audio["lld"]), len(f.visual))
+
+
+def test_evaluate_batches_hold_two_samples_or_more_within_the_budget(synth_binary, monkeypatch):
+    feats = [load_sample_features(r, _tiny_cfg()) for r in synth_binary]
+    frames = [_frames(f) for f in feats]
+    assert frames != sorted(frames) and frames != sorted(frames, reverse=True)
+    # no sample is over a third of the budget, so no batch needs to exceed it
+    monkeypatch.setattr(training, "EVAL_FRAMES", 3 * max(frames))
+    batches = []
+    monkeypatch.setattr(training, "collate", lambda chunk: batches.append(chunk) or collate(chunk))
+    evaluate(DepressionModel(_tiny_cfg(seed=8)), feats)
+    assert len(batches) > 2
+    assert sorted(id(f) for chunk in batches for f in chunk) == sorted(id(f) for f in feats)
+    for chunk in batches:
+        assert 2 <= len(chunk) and len(chunk) * max(_frames(f) for f in chunk) <= training.EVAL_FRAMES
+
+
+def _feats_of_length(frames):
+    return [SampleFeatures(audio={"lld": np.zeros((t, 1))}, visual=np.zeros((1, 1)), personality=np.zeros(1),
+                           label=0) for t in frames]
+
+
+@pytest.mark.parametrize("frames,expected", [
+    ([5], [[0]]),  # one sample is a batch of one
+    ([30, 25], [[0, 1]]),  # over the budget, but never alone
+    ([3, 9, 4, 8, 2], [[1, 3], [2, 0, 4]]),  # longest first, stable among equals
+    ([10, 10, 10, 10, 10], [[0, 1], [2, 3, 4]]),  # three, not two and one
+    ([4, 4, 4, 4, 4, 4, 12], [[6, 0], [1, 2, 3, 4, 5]]),
+    ([5, 5, 5, 5, 5, 5, 5, 5, 5], [[0, 1, 2, 3], [4, 5, 6], [7, 8]]),  # 3 and 2, not 4 and 1
+])
+def test_eval_batches_sort_by_length_and_leave_no_sample_alone(monkeypatch, frames, expected):
+    monkeypatch.setattr(training, "EVAL_FRAMES", 20)
+    assert training._eval_batches(_feats_of_length(frames)) == expected
 
 
 def test_train_zero_epochs_still_reports(synth_binary):
