@@ -229,12 +229,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _binary(a, b, np.multiply, lambda g, x, y: (g * y, g * x))
 
 
-def scale(x: Tensor, c: float) -> Tensor:
-    """Multiply by a python constant (no gradient for c)."""
-    out = _result(x.data * c, x.requires_grad)
-    return _record(out, (x,), lambda g: (g * c,))
-
-
 def _sigmoid(d: np.ndarray) -> np.ndarray:
     # exp of -|d| never overflows; the quotient is 1 / (1 + exp(-d)) for
     # d >= 0 and exp(d) / (1 + exp(d)) below, both to the last bit
@@ -576,18 +570,8 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             if i != ax and t.shape[i] != tensors[0].shape[i]:
                 raise ShapeError(f"concat extent mismatch on axis {i}: {t.shape} vs {tensors[0].shape}")
     out = _result(np.concatenate([t.data for t in tensors], axis=ax), any(t.requires_grad for t in tensors))
-    sizes = [t.shape[ax] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g):
-        pieces = []
-        for i in range(len(sizes)):
-            idx = [slice(None)] * rank
-            idx[ax] = slice(offsets[i], offsets[i + 1])
-            pieces.append(g[tuple(idx)])
-        return tuple(pieces)
-
-    return _record(out, tuple(tensors), vjp)
+    cuts = np.cumsum([t.shape[ax] for t in tensors[:-1]])
+    return _record(out, tuple(tensors), lambda g: tuple(np.split(g, cuts, axis=ax)))
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -608,8 +592,15 @@ def tsum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
 
 
 def tmean(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    n = x.size if axis is None else x.shape[axis]
-    return scale(tsum(x, axis=axis, keepdims=keepdims), 1.0 / n)
+    """tsum scaled by 1/n, one node: g is scaled before tsum's VJP spreads it."""
+    c = 1.0 / (x.size if axis is None else x.shape[axis])
+    out = _result(x.data.sum(axis=axis, keepdims=keepdims) * c, x.requires_grad)
+
+    def vjp(g):
+        gg = g * c if axis is None or keepdims else np.expand_dims(g * c, axis)
+        return (np.broadcast_to(gg, x.shape).copy(),)
+
+    return _record(out, (x,), vjp)
 
 
 # ---------------------------------------------------------------------------

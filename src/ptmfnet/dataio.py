@@ -135,8 +135,8 @@ class PersonalityProfile:
             value = getattr(self, trait)
             if value is None or (isinstance(value, str) and not value.strip()):
                 raise ValidationError(f"personality trait {trait!r} is missing")
-        if self.age <= 0:
-            raise ValidationError(f"age must be positive, got {self.age}")
+        if type(self.age) is not int or self.age < 1:  # not a bool, nor a float such as JSON's NaN
+            raise ValidationError(f"age must be a positive integer, got {self.age!r}")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -188,25 +188,14 @@ def profile_to_embedding(profile: PersonalityProfile, dim: int = DEFAULT_PERSONA
 # manifests
 
 
-def _require(condition, errors, line_no, message):
-    if not condition:
-        errors.append(f"line {line_no}: {message}")
-    return condition
-
-
-def _resolve(base: Path, value: str) -> Path:
-    p = Path(value)
-    return p if p.is_absolute() else base / p
-
-
-def _field(obj: dict, key: str, kind: type, errors, line_no, default=None):
+def _field(obj: dict, key: str, kind: type, problems: list, default=None):
     """obj[key] when it is a `kind` (or `default` when absent), else None with
-    the error recorded."""
+    the problem recorded."""
     value = obj.get(key, default)
     if isinstance(value, kind) and (kind is not str or value):
         return value
     wanted = "a non-empty string" if kind is str else "a JSON object"
-    errors.append(f"line {line_no}: {key!r} must be {wanted}, got {json.dumps(value)[:40]}")
+    problems.append(f"{key!r} must be {wanted}, got {json.dumps(value)[:40]}")
     return None
 
 
@@ -222,6 +211,7 @@ def load_manifest(path) -> list[SampleRecord]:
     base = path.parent
     records: list[SampleRecord] = []
     errors: list[str] = []
+    bad_lines = 0
     seen_ids: dict[str, int] = {}
 
     for line_no, raw in enumerate(path.read_bytes().splitlines(), start=1):
@@ -231,85 +221,79 @@ def load_manifest(path) -> list[SampleRecord]:
             raise DataFormatError(f"{path}: line {line_no} is not UTF-8 text ({exc.reason})") from exc
         if not line:
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            errors.append(f"line {line_no}: invalid JSON ({exc.msg})")
-            continue
-        if not isinstance(obj, dict):
-            errors.append(f"line {line_no}: expected a JSON object, got {type(obj).__name__}")
-            continue
-        record = _parse_record(obj, base, line_no, errors, seen_ids)
-        if record is not None:
+        problems: list[str] = []
+        sample_id, record = _parse_line(line, base, problems)
+        if sample_id in seen_ids:  # the first check after the id's own
+            problems.insert(0, f"duplicate id {sample_id!r} (first seen on line {seen_ids[sample_id]})")
+        elif sample_id is not None:
+            seen_ids[sample_id] = line_no
+        if problems:
+            bad_lines += 1
+            errors.extend(f"line {line_no}: {p}" for p in problems)
+        else:
             records.append(record)
 
     if errors:
-        raise ValidationError(f"{path}: {len(errors)} invalid manifest line(s)\n" + "\n".join(errors))
+        raise ValidationError(f"{path}: {bad_lines} invalid manifest line(s)\n" + "\n".join(errors))
     return records
 
 
-def _parse_record(obj, base, line_no, errors, seen_ids):
-    ok = True
+def _parse_line(line: str, base: Path, problems: list):
+    """(id, record) of one manifest line, with what is wrong with it appended
+    to `problems`; the record counts only when that list stays empty. The id
+    is None when the line has none. Checking stops at a missing id, an
+    invalid profile or an embedding path that is not a string."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        problems.append(f"invalid JSON ({exc.msg})")
+        return None, None
+    if not isinstance(obj, dict):
+        problems.append(f"expected a JSON object, got {type(obj).__name__}")
+        return None, None
     sample_id = obj.get("id")
-    if not _require(isinstance(sample_id, str) and sample_id, errors, line_no, "missing or empty 'id'"):
-        return None
-    if sample_id in seen_ids:
-        errors.append(f"line {line_no}: duplicate id {sample_id!r} (first seen on line {seen_ids[sample_id]})")
-        ok = False
-    else:
-        seen_ids[sample_id] = line_no
+    if not (isinstance(sample_id, str) and sample_id):
+        problems.append("missing or empty 'id'")
+        return None, None
 
-    resolved_audio, resolved_visual = {}, {}
-    for streams, key, dst, label in ((AUDIO_STREAMS, "audio_paths", resolved_audio, "audio"),
-                                     (VISUAL_STREAMS, "visual_paths", resolved_visual, "visual")):
-        src = _field(obj, key, dict, errors, line_no, {})
-        if src is None:
-            ok = False
-            continue
-        for stream in streams:
-            if not _require(stream in src, errors, line_no, f"missing {label} stream {stream!r}"):
-                ok = False
-                continue
-            if _field(src, stream, str, errors, line_no) is None:
-                ok = False
-                continue
-            p = _resolve(base, src[stream])
-            if not _require(p.exists(), errors, line_no, f"{label} path for {stream!r} does not exist: {p}"):
-                ok = False
-            dst[stream] = p
+    paths = {"audio": {}, "visual": {}}
+    for streams, label in ((AUDIO_STREAMS, "audio"), (VISUAL_STREAMS, "visual")):
+        src = _field(obj, f"{label}_paths", dict, problems, {})
+        for stream in streams if src is not None else ():
+            if stream not in src:
+                problems.append(f"missing {label} stream {stream!r}")
+            elif _field(src, stream, str, problems) is not None:
+                p = paths[label][stream] = base / src[stream]  # an absolute path replaces base
+                if not p.exists():
+                    problems.append(f"{label} path for {stream!r} does not exist: {p}")
 
-    labels = _field(obj, "labels", dict, errors, line_no, {})
-    ok = ok and labels is not None
+    labels = _field(obj, "labels", dict, problems, {})
     for task in TASKS if labels is not None else ():
-        if not _require(task in labels, errors, line_no, f"missing label for task {task!r}"):
-            ok = False
-            continue
-        value = labels[task]
-        in_range = type(value) is int and 0 <= value < TASK_CLASSES[task]
-        if not _require(in_range, errors, line_no, f"label {json.dumps(value)[:40]} for task {task!r} "
-                        f"is not an integer in 0..{TASK_CLASSES[task] - 1}"):
-            ok = False
+        if task not in labels:
+            problems.append(f"missing label for task {task!r}")
+        elif not (type(labels[task]) is int and 0 <= labels[task] < TASK_CLASSES[task]):
+            problems.append(f"label {json.dumps(labels[task])[:40]} for task {task!r} "
+                            f"is not an integer in 0..{TASK_CLASSES[task] - 1}")
 
     try:
         profile = PersonalityProfile(**obj.get("personality", {}))
     except (TypeError, ValidationError) as exc:
-        errors.append(f"line {line_no}: invalid personality profile ({exc})")
-        return None
+        problems.append(f"invalid personality profile ({exc})")
+        return sample_id, None
 
     emb_path = None
     if obj.get("personality_embedding_path") is not None:
-        if _field(obj, "personality_embedding_path", str, errors, line_no) is None:
-            return None
-        emb_path = _resolve(base, obj["personality_embedding_path"])
-        if not _require(emb_path.exists(), errors, line_no,
-                        f"personality embedding path does not exist: {emb_path}"):
-            ok = False
+        if _field(obj, "personality_embedding_path", str, problems) is None:
+            return sample_id, None
+        emb_path = base / obj["personality_embedding_path"]
+        if not emb_path.exists():
+            problems.append(f"personality embedding path does not exist: {emb_path}")
 
-    if not ok:
-        return None
-    return SampleRecord(id=sample_id, audio_paths=resolved_audio, visual_paths=resolved_visual,
-                        personality=profile, labels={t: labels[t] for t in TASKS},
-                        personality_embedding_path=emb_path)
+    if problems:
+        return sample_id, None
+    return sample_id, SampleRecord(id=sample_id, audio_paths=paths["audio"],
+                                   visual_paths=paths["visual"], personality=profile,
+                                   labels={t: labels[t] for t in TASKS}, personality_embedding_path=emb_path)
 
 
 def write_manifest(records: list[dict], path) -> None:

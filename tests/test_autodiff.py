@@ -426,7 +426,7 @@ UNARY_OPS = [
     _pool,
     lambda x: ad.attention(x, x, x)[0],
     lambda x: ad.cross_entropy(x, np.arange(x.shape[0]) % x.shape[1]),
-    lambda x: ad.scale(x, 1.7),
+    lambda x: ad.mul(x, t([[1.7]])),
     lambda x: ad.reshape(x, (x.size, 1)),
     _cross_attention,
     lambda x: _pool(x, _mixed_lengths(x.shape[0])),
@@ -707,7 +707,7 @@ def test_grad_check_detects_nondeterminism():
 
     def f():
         state["n"] += 1
-        return ad.scale(x, float(state["n"]))
+        return ad.mul(x, t([[float(state["n"])]]))
 
     with pytest.raises(RuntimeError, match="deterministic"):
         grad_check(f, [Parameter("x", x)])

@@ -151,7 +151,7 @@ def _per_sample_loss(model, samples):
     total = losses[0]
     for extra in losses[1:]:
         total = ad.add(total, extra)
-    return ad.scale(total, 1.0 / len(samples))
+    return ad.mul(total, Tensor([[1.0 / len(samples)]]))
 
 
 CONFIGS = {

@@ -132,8 +132,10 @@ def test_extract_stereo_is_io_error(tmp_path, capsys):
     assert main(["extract", str(path)]) == EXIT_IO
 
 
-@pytest.mark.parametrize("flag,value", [("--frame-ms", "nan"), ("--hop-ms", "inf")])
+@pytest.mark.parametrize("flag,value", [("--frame-ms", "nan"), ("--hop-ms", "inf"),
+                                        ("--frame-ms", "1e+308"), ("--hop-ms", "1e+308")])
 def test_extract_non_finite_duration_exits_1_with_one_line(tone_wav, tmp_path, capsys, flag, value):
+    # 1e+308 ms is finite, but not its count of samples
     code = main(["extract", str(tone_wav), flag, value, "--out-dir", str(tmp_path / "feats")])
     err = capsys.readouterr().err
     assert code == EXIT_VALIDATION

@@ -137,6 +137,12 @@ def test_profile_validation():
         _profile(age=0)
 
 
+@pytest.mark.parametrize("age", [float("nan"), float("inf"), True, 70.5, "70", -3])
+def test_profile_age_must_be_a_positive_integer(age):
+    with pytest.raises(ValidationError, match=f"age must be a positive integer, got {age!r}"):
+        _profile(age=age)
+
+
 def test_profile_embedding_deterministic():
     e1 = dataio.profile_to_embedding(_profile(), dim=32)
     e2 = dataio.profile_to_embedding(_profile(), dim=32)
@@ -232,6 +238,87 @@ def test_errors_aggregate_across_lines(tmp_path):
         dataio.load_manifest(tmp_path / "m.jsonl")
     text = str(exc.value)
     assert "line 1" in text and "line 2" in text and "line 3" in text
+
+
+def _every_problem_manifest(tmp_path):
+    """A manifest whose lines, together, raise every line-level problem."""
+    many = _record_dict(tmp_path, "a", labels={"binary": 7, "quinary": True},
+                        personality_embedding_path="missing_emb.mpft")
+    del many["audio_paths"]["lld"]
+    many["audio_paths"]["mfcc"] = 5
+    many["visual_paths"]["resnet"] = "missing.mpft"
+    no_visual = _record_dict(tmp_path, "b", audio_paths=["lld"])
+    del no_visual["visual_paths"]
+    lines = [
+        "not json",
+        "[1, 2]",
+        json.dumps({"id": "", "labels": {}}),
+        json.dumps(_record_dict(tmp_path, "a")),
+        "",
+        json.dumps(many),
+        json.dumps(no_visual),
+        json.dumps(_record_dict(tmp_path, "c", labels="binary")),
+        json.dumps(_record_dict(tmp_path, "d", personality=dict(_profile().to_dict(), openness=None))),
+        json.dumps(_record_dict(tmp_path, "e", labels={"binary": 0, "ternary": 0, "quinary": 9},
+                                personality_embedding_path=3)),
+        json.dumps(_record_dict(tmp_path, "a", personality=dict(_profile().to_dict(), age=0))),
+        json.dumps(_record_dict(tmp_path, "f", personality=dict(_profile().to_dict(), age=float("nan")))),
+        json.dumps(_record_dict(tmp_path, "g")),
+    ]
+    _write_lines(tmp_path / "m.jsonl", lines)
+    return tmp_path / "m.jsonl"
+
+
+EVERY_PROBLEM = """<dir>/m.jsonl: 10 invalid manifest line(s)
+line 1: invalid JSON (Expecting value)
+line 2: expected a JSON object, got list
+line 3: missing or empty 'id'
+line 6: duplicate id 'a' (first seen on line 4)
+line 6: missing audio stream 'lld'
+line 6: 'mfcc' must be a non-empty string, got 5
+line 6: visual path for 'resnet' does not exist: <dir>/missing.mpft
+line 6: label 7 for task 'binary' is not an integer in 0..1
+line 6: missing label for task 'ternary'
+line 6: label true for task 'quinary' is not an integer in 0..4
+line 6: personality embedding path does not exist: <dir>/missing_emb.mpft
+line 7: 'audio_paths' must be a JSON object, got ["lld"]
+line 7: missing visual stream 'openface'
+line 7: missing visual stream 'resnet'
+line 7: missing visual stream 'densenet'
+line 8: 'labels' must be a JSON object, got "binary"
+line 9: invalid personality profile (personality trait 'openness' is missing)
+line 10: label 9 for task 'quinary' is not an integer in 0..4
+line 10: 'personality_embedding_path' must be a non-empty string, got 3
+line 11: duplicate id 'a' (first seen on line 4)
+line 11: invalid personality profile (age must be a positive integer, got 0)
+line 12: invalid personality profile (age must be a positive integer, got nan)"""
+
+
+def test_every_line_problem_is_reported_in_line_order(tmp_path):
+    with pytest.raises(ValidationError) as exc:
+        dataio.load_manifest(_every_problem_manifest(tmp_path))
+    assert str(exc.value).replace(str(tmp_path), "<dir>") == EVERY_PROBLEM
+
+
+def test_error_header_counts_lines_not_problems(tmp_path):
+    bad = _record_dict(tmp_path, "b", labels={"binary": 5, "ternary": 5, "quinary": 5})
+    _write_lines(tmp_path / "m.jsonl", [json.dumps(_record_dict(tmp_path, "a")), json.dumps(bad)])
+    with pytest.raises(ValidationError, match=r"m\.jsonl: 1 invalid manifest line\(s\)\n(line 2: .*\n){2}line 2"):
+        dataio.load_manifest(tmp_path / "m.jsonl")
+
+
+def test_absolute_paths_are_kept_as_given(tmp_path):
+    feats = tmp_path / "feats"
+    feats.mkdir()
+    obj = _record_dict(feats, "s1", personality_embedding_path=str(feats / "s1_lld.mpft"))
+    for key in ("audio_paths", "visual_paths"):
+        obj[key] = {s: str(feats / p) for s, p in obj[key].items()}
+    (tmp_path / "elsewhere").mkdir()
+    _write_lines(tmp_path / "elsewhere" / "m.jsonl", [json.dumps(obj)])
+    (r,) = dataio.load_manifest(tmp_path / "elsewhere" / "m.jsonl")
+    assert r.audio_paths == {s: feats / f"s1_{s}.mpft" for s in dataio.AUDIO_STREAMS}
+    assert r.visual_paths == {s: feats / f"s1_{s}.mpft" for s in dataio.VISUAL_STREAMS}
+    assert r.personality_embedding_path == feats / "s1_lld.mpft"
 
 
 # ---------------------------------------------------------------------------
