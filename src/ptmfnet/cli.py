@@ -177,9 +177,10 @@ def _cmd_train(args) -> int:
     if args.checkpoint_out:
         ckpt = Path(args.checkpoint_out)
         ckpt.parent.mkdir(parents=True, exist_ok=True)
+        # the new sidecar replaces the old one only once the checkpoint is written
         with atomic_write(str(ckpt) + ".json", encoding="utf-8") as fh:
             fh.write(json.dumps(cfg.to_dict(), sort_keys=True, indent=2) + "\n")
-        save_checkpoint(ckpt, collect_parameters(state.model))
+            save_checkpoint(ckpt, collect_parameters(state.model))
     summary = {
         "best_epoch": state.best_epoch,
         "best_val_f1_task": state.best_val_f1,

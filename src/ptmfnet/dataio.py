@@ -135,6 +135,14 @@ class PersonalityProfile:
             value = getattr(self, trait)
             if value is None or (isinstance(value, str) and not value.strip()):
                 raise ValidationError(f"personality trait {trait!r} is missing")
+            if (isinstance(value, bool) or not isinstance(value, (int, float, str))
+                    or (isinstance(value, float) and not math.isfinite(value))):
+                raise ValidationError(f"personality trait {trait!r} must be a finite number "
+                                      f"or a non-blank string, got {value!r}")
+        for name in ("gender", "origin"):
+            value = getattr(self, name)
+            if not (isinstance(value, str) and value.strip()):
+                raise ValidationError(f"{name} must be a non-blank string, got {value!r}")
         if type(self.age) is not int or self.age < 1:  # not a bool, nor a float such as JSON's NaN
             raise ValidationError(f"age must be a positive integer, got {self.age!r}")
 

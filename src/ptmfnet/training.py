@@ -1,5 +1,6 @@
 """Training harness: objective, optimizer, class rebalancing, stratified
-splitting, the epoch loop with best-snapshot selection, and evaluation.
+splitting, the `Trainer` that runs epochs and keeps the best snapshot, and
+evaluation.
 
 Each training step collates its mini-batch into one padded batch and
 records one tape: one forward pass and one loss op, whatever the batch
@@ -18,12 +19,11 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, Tape, Tensor, collect_parameters, cross_entropy
+from .autodiff import Tape, Tensor, collect_parameters, cross_entropy
 from .dataio import atomic_write
 from .errors import ValidationError
 from .metrics import MetricsReport, compute_metrics
@@ -118,17 +118,6 @@ def split_train_val(records, task: str, val_fraction: float, rng: np.random.Gene
 # training loop
 
 
-@dataclass
-class TrainState:
-    model: DepressionModel
-    config: ModelConfig
-    log: list = field(default_factory=list)
-    best_epoch: int = -1
-    best_val_f1: float = -1.0
-    val_metrics: MetricsReport | None = None
-    train_metrics: MetricsReport | None = None
-
-
 # Padded frames an evaluation batch may hold: its size times its longest
 # sample. It bounds evaluation memory, and it keeps the frame-level matmuls
 # below the size at which OpenBLAS changes kernel and a row's bits change.
@@ -165,91 +154,93 @@ def _eval_batches(samples: list[SampleFeatures]) -> list[list[int]]:
     return batches
 
 
-def _batches(seq: list, size: int):
-    for start in range(0, len(seq), size):
-        yield seq[start : start + size]
+class Trainer:
+    """A training run's whole state: its config, the model and its flat
+    parameters under `Adam`, the train and val features, the sample and
+    dropout generators, the log rows, and the best snapshot with its epoch,
+    F1 and metrics. Nothing else carries over from one `epoch()` to the next."""
 
+    def __init__(self, cfg: ModelConfig, records):
+        # the init and split generators are spent here; a resumed run re-runs them
+        init_ss, split_ss, sample_ss, drop_ss = np.random.SeedSequence(cfg.seed).spawn(4)
+        self.config = cfg
+        self.model = DepressionModel(cfg, np.random.default_rng(init_ss))
+        self.params = collect_parameters(self.model)
+        self.optimizer = Adam(*ad.flatten(self.params), cfg.lr)
+        train_recs, val_recs = split_train_val(records, cfg.task, cfg.val_fraction,
+                                               np.random.default_rng(split_ss))
+        self.train_feats = [load_sample_features(r, cfg) for r in train_recs]
+        self.val_feats = [load_sample_features(r, cfg) for r in val_recs]
+        self.rng_sample = np.random.default_rng(sample_ss)
+        self.rng_drop = np.random.default_rng(drop_ss)
+        self.log: list[dict] = []
+        self.best = self.optimizer.data.copy()
+        self.best_epoch, self.best_val_f1 = -1, -1.0
+        self.val_metrics: MetricsReport | None = None
+        self.train_metrics: MetricsReport | None = None
 
-def _check_finite(loss: Tensor, grad: np.ndarray, params: list[Parameter], epoch: int, step: int) -> None:
-    """Stop on a non-finite batch loss or global gradient norm, naming the
-    step and the first parameter whose gradient is not finite."""
-    norm = math.sqrt(float(np.vdot(grad, grad)))
-    if math.isfinite(loss.item()) and math.isfinite(norm):
-        return
-    bad = next((p.name for p in params if not np.all(np.isfinite(p.tensor.grad))), None)
-    where = f"; first non-finite gradient in {bad}" if bad else ""
-    raise ValidationError(f"training diverged at epoch {epoch}, step {step}: loss {loss.item()}, "
-                          f"gradient norm {norm}{where}")
-
-
-def train(cfg: ModelConfig, records, log_path=None) -> TrainState:
-    """Full training run over manifest records; returns the model rolled
-    back to its best validation f1_task snapshot. A non-finite loss or
-    gradient raises ValidationError before the optimizer step or any log
-    is written."""
-    ss = np.random.SeedSequence(cfg.seed)
-    init_ss, split_ss, sample_ss, drop_ss = ss.spawn(4)
-
-    model = DepressionModel(cfg, np.random.default_rng(init_ss))
-    params = collect_parameters(model)
-    data, grad = ad.flatten(params)
-    optimizer = Adam(data, grad, cfg.lr)
-
-    train_recs, val_recs = split_train_val(records, cfg.task, cfg.val_fraction,
-                                           np.random.default_rng(split_ss))
-    train_feats = [load_sample_features(r, cfg) for r in train_recs]
-    val_feats = [load_sample_features(r, cfg) for r in val_recs]
-    labels = [f.label for f in train_feats]
-
-    rng_sample = np.random.default_rng(sample_ss)
-    rng_drop = np.random.default_rng(drop_ss)
-
-    state = TrainState(model=model, config=cfg)
-    best_snapshot = data.copy()
-
-    for epoch in range(cfg.epochs):
-        order = _resample_indices(labels, cfg.n_classes, rng_sample)
+    def epoch(self) -> None:
+        """One rebalanced pass over the train set, one tape per mini-batch,
+        then both splits evaluated and one log row appended; the snapshot is
+        kept when val f1_task improves. A non-finite loss or gradient raises
+        ValidationError before the optimizer step, and no row is appended."""
+        cfg, opt = self.config, self.optimizer
+        order = _resample_indices([f.label for f in self.train_feats], cfg.n_classes, self.rng_sample)
         loss_sum = 0.0
-        for step, indices in enumerate(_batches(order, cfg.batch_size)):
-            batch = collate([train_feats[i] for i in indices])
+        for step, start in enumerate(range(0, len(order), cfg.batch_size)):
+            batch = collate([self.train_feats[i] for i in order[start:start + cfg.batch_size]])
             with Tape() as tape:
-                batch_loss = cross_entropy(model.forward(batch, training=True, rng=rng_drop),
-                                           batch.labels)
-                grad[...] = 0.0
-                ad.backward(batch_loss)
+                loss = cross_entropy(self.model.forward(batch, training=True, rng=self.rng_drop),
+                                     batch.labels)
+                opt.grad[...] = 0.0
+                ad.backward(loss)
             # The tape and the tensors it recorded refer to each other. Emptying
             # it lets reference counting free the step's buffers now, rather
             # than whenever the cycle collector next runs.
             tape.nodes.clear()
-            _check_finite(batch_loss, grad, params, epoch, step)
-            optimizer.step()
-            loss_sum += batch_loss.item() * len(batch)
+            self._check_finite(loss, step)
+            opt.step()
+            loss_sum += loss.item() * len(batch)
 
-        train_metrics = evaluate(model, train_feats)
-        val_metrics = evaluate(model, val_feats)
-        row = {
-            "epoch": epoch,
-            "train_loss": loss_sum / len(order),
-            "train_acc": train_metrics.acc_weighted,
-            "train_f1_task": train_metrics.f1_task,
-            "val_acc_task": val_metrics.acc_task,
-            "val_f1_task": val_metrics.f1_task,
-        }
-        state.log.append(row)
-        if val_metrics.f1_task > state.best_val_f1:
-            state.best_val_f1 = val_metrics.f1_task
-            state.best_epoch = epoch
-            state.val_metrics = val_metrics
-            state.train_metrics = train_metrics
-            best_snapshot = data.copy()
+        train_metrics = evaluate(self.model, self.train_feats)
+        val_metrics = evaluate(self.model, self.val_feats)
+        self.log.append({"epoch": len(self.log), "train_loss": loss_sum / len(order),
+                         "train_acc": train_metrics.acc_weighted, "train_f1_task": train_metrics.f1_task,
+                         "val_acc_task": val_metrics.acc_task, "val_f1_task": val_metrics.f1_task})
+        if val_metrics.f1_task > self.best_val_f1:
+            self.best_epoch, self.best_val_f1 = len(self.log) - 1, val_metrics.f1_task
+            self.val_metrics, self.train_metrics = val_metrics, train_metrics
+            self.best = opt.data.copy()
 
-    data[...] = best_snapshot
-    if cfg.epochs == 0:
-        state.val_metrics = evaluate(model, val_feats)
-        state.train_metrics = evaluate(model, train_feats)
+    def restore_best(self) -> None:
+        """Roll back to the best snapshot: before any epoch, the initial weights, with their metrics."""
+        self.optimizer.data[...] = self.best
+        if not self.log:
+            self.val_metrics = evaluate(self.model, self.val_feats)
+            self.train_metrics = evaluate(self.model, self.train_feats)
 
+    def _check_finite(self, loss: Tensor, step: int) -> None:
+        """Stop on a non-finite batch loss or global gradient norm, naming the
+        epoch, the step and the first parameter whose gradient is not finite."""
+        grad = self.optimizer.grad
+        norm = math.sqrt(float(np.vdot(grad, grad)))
+        if math.isfinite(loss.item()) and math.isfinite(norm):
+            return
+        bad = next((p.name for p in self.params if not np.all(np.isfinite(p.tensor.grad))), None)
+        where = f"; first non-finite gradient in {bad}" if bad else ""
+        raise ValidationError(f"training diverged at epoch {len(self.log)}, step {step}: "
+                              f"loss {loss.item()}, gradient norm {norm}{where}")
+
+
+def train(cfg: ModelConfig, records, log_path=None) -> Trainer:
+    """Full training run over manifest records: `cfg.epochs` epochs, then the
+    model rolled back to its best validation f1_task snapshot. A non-finite
+    loss or gradient raises ValidationError before any log is written."""
+    trainer = Trainer(cfg, records)
+    for _ in range(cfg.epochs):
+        trainer.epoch()
+    trainer.restore_best()
     if log_path is not None:
         with atomic_write(log_path, encoding="utf-8") as fh:
-            for row in state.log:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
-    return state
+            fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in trainer.log)
+    return trainer

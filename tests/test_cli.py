@@ -2,6 +2,7 @@
 formats, and the config-resolution order (defaults < file < flags)."""
 
 import argparse
+import errno
 import json
 import shutil
 import subprocess
@@ -450,6 +451,27 @@ def test_diverging_training_exits_1_and_writes_nothing(tmp_path, capsys):
     assert not (tmp_path / "m.ptmf").exists()
     assert not (tmp_path / "m.ptmf.json").exists()
     assert not (tmp_path / "log.jsonl").exists()
+
+
+def test_failed_checkpoint_write_keeps_the_old_checkpoint_and_its_sidecar(synth_dir, tmp_path, monkeypatch,
+                                                                          capsys):
+    ckpt = tmp_path / "m.ptmf"
+    sidecar = tmp_path / "m.ptmf.json"
+    argv = ["train", "--manifest", str(synth_dir / "manifest.jsonl"), "--epochs", "1",
+            "--checkpoint-out", str(ckpt)]
+    assert main(argv) == EXIT_OK
+    first = (ckpt.read_bytes(), sidecar.read_bytes())
+
+    def no_space(path, params):
+        raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+    monkeypatch.setattr(cli, "save_checkpoint", no_space)
+    assert main(argv + ["--task", "ternary"]) == EXIT_IO
+    assert (ckpt.read_bytes(), sidecar.read_bytes()) == first
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ptmf", "m.ptmf.json"]
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--manifest", str(synth_dir / "manifest.jsonl")]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["confusion"]
 
 
 def test_config_file_invalid_json_exits_2(synth_dir, tmp_path):

@@ -143,6 +143,22 @@ def test_profile_age_must_be_a_positive_integer(age):
         _profile(age=age)
 
 
+@pytest.mark.parametrize("name,value", [
+    ("extraversion", float("nan")), ("neuroticism", float("-inf")), ("agreeableness", [1]),
+    ("openness", True), ("conscientiousness", {"score": 3}), ("gender", ""), ("gender", " "),
+    ("gender", None), ("origin", 7), ("origin", ["Beijing"]),
+])
+def test_profile_rejects_a_slot_the_prompt_cannot_render(name, value):
+    with pytest.raises(ValidationError) as exc:
+        _profile(**{name: value})
+    assert name in str(exc.value) and f"got {value!r}" in str(exc.value)
+
+
+def test_profile_traits_may_be_finite_numbers_or_words():
+    profile = _profile(extraversion=3.5, openness="high", agreeableness=10**400)
+    assert "Openness score is high" in dataio.build_prompt(profile)
+
+
 def test_profile_embedding_deterministic():
     e1 = dataio.profile_to_embedding(_profile(), dim=32)
     e2 = dataio.profile_to_embedding(_profile(), dim=32)
@@ -238,6 +254,20 @@ def test_errors_aggregate_across_lines(tmp_path):
         dataio.load_manifest(tmp_path / "m.jsonl")
     text = str(exc.value)
     assert "line 1" in text and "line 2" in text and "line 3" in text
+
+
+@pytest.mark.parametrize("name,value,message", [
+    ("extraversion", float("nan"), "personality trait 'extraversion' must be a finite number "
+                                   "or a non-blank string, got nan"),
+    ("origin", 7, "origin must be a non-blank string, got 7"),
+])
+def test_manifest_line_with_an_unrenderable_profile_cites_line(tmp_path, name, value, message):
+    lines = [json.dumps(_record_dict(tmp_path, "a")),
+             json.dumps(_record_dict(tmp_path, "b", personality=dict(_profile().to_dict(), **{name: value})))]
+    _write_lines(tmp_path / "m.jsonl", lines)
+    with pytest.raises(ValidationError) as exc:
+        dataio.load_manifest(tmp_path / "m.jsonl")
+    assert str(exc.value).splitlines()[1:] == [f"line 2: invalid personality profile ({message})"]
 
 
 def _every_problem_manifest(tmp_path):

@@ -1,6 +1,7 @@
 """Training-harness tests: loss oracle and closed-form gradient, Adam
 behavior, rebalancing/splitting invariants, and end-to-end determinism."""
 
+import copy
 import gc
 import json
 import math
@@ -16,7 +17,7 @@ from ptmfnet.dataio import SynthSpec, load_manifest, synth_dataset
 from ptmfnet.errors import ValidationError
 from ptmfnet.metrics import compute_metrics
 from ptmfnet.model import DepressionModel, ModelConfig, SampleFeatures, collate, load_sample_features
-from ptmfnet.training import (Adam, TrainState, _resample_indices, cross_entropy, evaluate,
+from ptmfnet.training import (Adam, Trainer, _resample_indices, cross_entropy, evaluate,
                               split_train_val, train)
 
 SMALL = dict(audio_hidden=4, visual_hidden=4, coatt_lld_dim=4, coatt_mfcc_dim=4,
@@ -323,7 +324,7 @@ def test_train_produces_log_and_best_snapshot(synth_binary, tmp_path):
     cfg = _tiny_cfg(seed=1)
     log_path = tmp_path / "log.jsonl"
     state = train(cfg, synth_binary, log_path=log_path)
-    assert isinstance(state, TrainState)
+    assert isinstance(state, Trainer)
     assert len(state.log) == cfg.epochs
     for row in state.log:
         assert set(row) == {"epoch", "train_loss", "train_acc", "train_f1_task",
@@ -363,6 +364,49 @@ def test_train_bitwise_deterministic(synth_binary, tmp_path):
                       collect_parameters(state_b.model)):
         assert pa.name == pb.name
         np.testing.assert_array_equal(pa.tensor.data, pb.tensor.data)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_a_trainer_resumed_from_its_state_finishes_the_run_byte_for_byte(synth_binary, tmp_path, k):
+    # a second Trainer re-runs the init and split draws in its constructor;
+    # given only the optimizer's moments, step count and parameters, the
+    # sample and dropout generators' states, the log and the best snapshot
+    # of a run stopped after k epochs, it finishes that run exactly as an
+    # uninterrupted train() does
+    cfg = _tiny_cfg(seed=4, epochs=3, dropout=0.2)
+    log = tmp_path / "log.jsonl"
+    whole = train(cfg, synth_binary, log_path=log)
+    stopped = Trainer(cfg, synth_binary)
+    for _ in range(k):
+        stopped.epoch()
+
+    resumed = Trainer(cfg, synth_binary)
+    for name in ("m", "v", "data"):
+        getattr(resumed.optimizer, name)[...] = getattr(stopped.optimizer, name)
+    resumed.optimizer.t = stopped.optimizer.t
+    for name in ("rng_sample", "rng_drop"):
+        getattr(resumed, name).bit_generator.state = getattr(stopped, name).bit_generator.state
+    for name in ("log", "best", "best_epoch", "best_val_f1", "val_metrics", "train_metrics"):
+        setattr(resumed, name, copy.deepcopy(getattr(stopped, name)))
+    for _ in range(k, cfg.epochs):
+        resumed.epoch()
+    resumed.restore_best()
+
+    assert "".join(json.dumps(row, sort_keys=True) + "\n" for row in resumed.log) == log.read_text()
+    assert resumed.optimizer.data.tobytes() == whole.optimizer.data.tobytes()
+    assert (resumed.best_epoch, resumed.best_val_f1) == (whole.best_epoch, whole.best_val_f1)
+    assert resumed.val_metrics.to_dict() == whole.val_metrics.to_dict()
+
+
+def test_divergence_in_a_later_epoch_names_that_epoch_and_logs_no_row(synth_binary, monkeypatch):
+    # the trainer's own check, which PTMFNET_DEBUG=1's per-op check would pre-empt
+    monkeypatch.setattr(ad, "DEBUG_CHECKS", False)
+    trainer = Trainer(_tiny_cfg(seed=1), synth_binary)
+    trainer.epoch()
+    trainer.optimizer.lr = 1e300  # the first step of the next epoch blows the parameters up
+    with np.errstate(all="ignore"), pytest.raises(ValidationError, match="diverged at epoch 1, step 1"):
+        trainer.epoch()
+    assert [row["epoch"] for row in trainer.log] == [0]
 
 
 def test_train_frees_each_step_graph_without_the_cycle_collector(synth_binary):
