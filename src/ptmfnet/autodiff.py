@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -24,6 +25,10 @@ DEBUG_CHECKS = bool(os.environ.get("PTMFNET_DEBUG"))
 
 class ShapeError(ValidationError):
     """Operand shapes are incompatible."""
+
+
+class NonFiniteError(ValidationError, FloatingPointError):
+    """An op produced NaN or Inf (checked only when DEBUG_CHECKS is on)."""
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +80,10 @@ def _result(data: np.ndarray, requires_grad: bool) -> Tensor:
     t.grad = None
     t._tape = None
     if DEBUG_CHECKS and not np.all(np.isfinite(data)):
-        raise FloatingPointError("op produced non-finite values")
+        frame = sys._getframe(1)
+        while frame.f_code.co_name[0] in "_<":  # helpers and generator expressions run for an op
+            frame = frame.f_back
+        raise NonFiniteError(f"op {frame.f_code.co_name} produced non-finite values")
     return t
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -130,9 +131,7 @@ def _cmd_extract(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     w = read_wav(wav_path)
     fcfg = default_frame_config(w.sample_rate, args.frame_ms, args.hop_ms)
-    n_fft = 1
-    while n_fft < fcfg.frame_len:
-        n_fft *= 2
+    n_fft = 1 << (fcfg.frame_len - 1).bit_length()  # the least power of two >= frame_len
     mcfg = MelConfig(n_fft=n_fft, n_mels=26, n_mfcc=args.n_mfcc,
                      fmin=0.0, fmax=w.sample_rate / 2.0)
     _echo_config("extract", {"wav": str(wav_path), "features": args.features,
@@ -262,6 +261,7 @@ def _cmd_gradcheck(args) -> int:
 # parser
 
 
+@functools.cache  # one parser per process: parse_args keeps no state between calls
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ptmfnet",
                      description="Multimodal depression-detection pipeline tools",

@@ -12,6 +12,7 @@ are read from the file one block at a time and so are never whole in memory.
 
 from __future__ import annotations
 
+import functools
 import math
 import wave
 from dataclasses import dataclass
@@ -131,6 +132,17 @@ def mel_edges_hz(n_mels: int, fmin: float, fmax: float) -> np.ndarray:
     return hz_from_mel(mels)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)  # the tables below are cached: no caller may write into one
+    return array
+
+
+@functools.lru_cache(maxsize=8, typed=True)
+def _window(name: str, n: int) -> np.ndarray:
+    return _read_only(_WINDOWS[name](n))
+
+
+@functools.lru_cache(maxsize=8, typed=True)
 def mel_filterbank(sample_rate: int, n_fft: int, n_mels: int, fmin: float, fmax: float) -> np.ndarray:
     """Triangular filters evaluated at FFT bin centres, shape (n_mels, n_fft//2 + 1)."""
     edges = mel_edges_hz(n_mels, fmin, fmax)
@@ -138,16 +150,17 @@ def mel_filterbank(sample_rate: int, n_fft: int, n_mels: int, fmin: float, fmax:
     lo, mid, hi = edges[:-2, None], edges[1:-1, None], edges[2:, None]
     rising = (bin_hz[None, :] - lo) / (mid - lo)
     falling = (hi - bin_hz[None, :]) / (hi - mid)
-    return np.maximum(0.0, np.minimum(rising, falling))
+    return _read_only(np.maximum(0.0, np.minimum(rising, falling)))
 
 
+@functools.lru_cache(maxsize=8, typed=True)
 def dct_matrix(n: int) -> np.ndarray:
     """Orthonormal DCT-II basis; row k dotted with a length-n vector gives coefficient k."""
     k = np.arange(n)[:, None]
     i = np.arange(n)[None, :]
     mat = np.cos(np.pi * k * (2 * i + 1) / (2.0 * n)) * np.sqrt(2.0 / n)
     mat[0] /= np.sqrt(2.0)
-    return mat
+    return _read_only(mat)
 
 
 def _frame_blocks(samples, fcfg: FrameConfig):
@@ -172,7 +185,7 @@ def log_mel_energies(w: Waveform | WavFile, fcfg: FrameConfig, mcfg: MelConfig) 
         raise ValidationError(f"n_fft={mcfg.n_fft} shorter than frame_len={fcfg.frame_len}")
     x = w.samples
     n_frames, blocks = _frame_blocks(x, fcfg)  # first: it rejects a signal shorter than the window
-    window = _WINDOWS[fcfg.window](fcfg.frame_len)
+    window = _window(fcfg.window, fcfg.frame_len)
     fb_t = mel_filterbank(w.sample_rate, mcfg.n_fft, mcfg.n_mels, mcfg.fmin, mcfg.fmax).T
     out = np.empty((n_frames, mcfg.n_mels))
     for a, b, lo, hi in blocks:
@@ -186,15 +199,13 @@ def log_mel_energies(w: Waveform | WavFile, fcfg: FrameConfig, mcfg: MelConfig) 
 
 def mfcc(w: Waveform | WavFile, fcfg: FrameConfig, mcfg: MelConfig) -> np.ndarray:
     """Mel-frequency cepstral coefficients, shape (T, n_mfcc)."""
-    logmel = log_mel_energies(w, fcfg, mcfg)
-    basis = dct_matrix(mcfg.n_mels)[: mcfg.n_mfcc]
-    return logmel @ basis.T
+    return log_mel_energies(w, fcfg, mcfg) @ dct_matrix(mcfg.n_mels)[: mcfg.n_mfcc].T
 
 
 def extract_lld_bundle(w: Waveform | WavFile, fcfg: FrameConfig) -> np.ndarray:
     """Short-term energy and zero-crossing rate side by side, shape (T, 2)."""
     n_frames, blocks = _frame_blocks(w.samples, fcfg)
-    window = _WINDOWS[fcfg.window](fcfg.frame_len)
+    window = _window(fcfg.window, fcfg.frame_len)
     out = np.empty((n_frames, 2))
     for a, b, lo, hi in blocks:
         raw = _frame_raw(w.samples[lo:hi], fcfg.frame_len, fcfg.hop_len)

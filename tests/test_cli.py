@@ -12,7 +12,7 @@ import wave
 import numpy as np
 import pytest
 
-from ptmfnet import cli, dsp
+from ptmfnet import autodiff, cli, dsp
 from ptmfnet.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, _build_parser, main
 from ptmfnet.dataio import read_feature_file, write_feature_file
 
@@ -453,6 +453,29 @@ def test_diverging_training_exits_1_and_writes_nothing(tmp_path, capsys):
     assert not (tmp_path / "log.jsonl").exists()
 
 
+def test_diverging_training_with_per_op_checks_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    # PTMFNET_DEBUG=1 checks every op's output; the first non-finite one names its op
+    assert main(["synth", "--n", "20", "--task", "binary", "--seed", "7",
+                 "--out-dir", str(tmp_path / "d")]) == EXIT_OK
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"lr": 1e300}))
+    capsys.readouterr()
+    monkeypatch.setattr(autodiff, "DEBUG_CHECKS", True)
+    with np.errstate(all="ignore"):
+        code = main(["train", "--manifest", str(tmp_path / "d" / "manifest.jsonl"),
+                     "--config", str(cfg_file), "--epochs", "2",
+                     "--checkpoint-out", str(tmp_path / "m.ptmf"), "--log-out", str(tmp_path / "log.jsonl")])
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith("error: op ") and errors[0].endswith(" produced non-finite values")
+    assert not any(name in errors[0] for name in ("op _", "op <"))  # an op, not a helper
+    assert not (tmp_path / "m.ptmf").exists()
+    assert not (tmp_path / "log.jsonl").exists()
+
+
 def test_failed_checkpoint_write_keeps_the_old_checkpoint_and_its_sidecar(synth_dir, tmp_path, monkeypatch,
                                                                           capsys):
     ckpt = tmp_path / "m.ptmf"
@@ -598,6 +621,33 @@ def test_negative_float_in_exponent_form_gets_the_range_message(command, flag, s
 def test_unknown_flag_exits_1(synth_dir):
     assert main(["train", "--manifest", str(synth_dir / "manifest.jsonl"),
                  "--bogus"]) == EXIT_VALIDATION
+
+
+def test_one_parser_serves_many_calls_with_no_state_between_them(tone_wav, synth_dir, tmp_path, capsys):
+    # main builds its parser once per process: no call may see another's flags
+    def extract(out, *flags):
+        return main(["extract", str(tone_wav), "--out-dir", str(tmp_path / out), *flags])
+
+    assert extract("a", "--n-mfcc", "8") == EXIT_OK
+    assert read_feature_file(tmp_path / "a" / "tone_mfcc.mpft").shape[1] == 8
+    assert extract("b") == EXIT_OK
+    assert read_feature_file(tmp_path / "b" / "tone_mfcc.mpft").shape[1] == 13
+    assert extract("c", "--n-mfcc", "8", "--bogus") == EXIT_VALIDATION
+    assert not (tmp_path / "c").exists()
+    assert extract("d") == EXIT_OK
+    for name in ("mfcc", "lld"):
+        assert ((tmp_path / "d" / f"tone_{name}.mpft").read_bytes()
+                == (tmp_path / "b" / f"tone_{name}.mpft").read_bytes())
+
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"epochs": 3}))
+    for out, flags in (("one", ["--epochs", "1"]), ("file", [])):
+        capsys.readouterr()
+        assert main(["train", "--manifest", str(synth_dir / "manifest.jsonl"), "--config", str(cfg_file),
+                     "--log-out", str(tmp_path / f"{out}.jsonl"), *flags]) == EXIT_OK
+        echoed = json.loads(capsys.readouterr().err.splitlines()[0].split(": ", 1)[1])
+        assert echoed["epochs"] == len((tmp_path / f"{out}.jsonl").read_text().splitlines())
+    assert echoed["epochs"] == 3  # the second run took its epochs from the file, not the first run's flag
 
 
 def test_unknown_subcommand_exits_1():

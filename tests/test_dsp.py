@@ -324,12 +324,13 @@ def _whole_log_mel(w, fcfg, mcfg):
     emphasized[1:] -= 0.97 * w.samples[:-1]
     frames = _whole_frames(emphasized, fcfg) * _WHOLE_WINDOWS[fcfg.window](fcfg.frame_len)
     mag = np.abs(np.fft.rfft(frames, n=mcfg.n_fft, axis=1))
-    fb = dsp.mel_filterbank(w.sample_rate, mcfg.n_fft, mcfg.n_mels, mcfg.fmin, mcfg.fmax)
+    # __wrapped__ builds the table afresh, so the oracle never reads the tables' cache
+    fb = dsp.mel_filterbank.__wrapped__(w.sample_rate, mcfg.n_fft, mcfg.n_mels, mcfg.fmin, mcfg.fmax)
     return np.log(np.maximum(mag @ fb.T, mcfg.log_floor))
 
 
 def _whole_mfcc(w, fcfg, mcfg):
-    return _whole_log_mel(w, fcfg, mcfg) @ dsp.dct_matrix(mcfg.n_mels)[: mcfg.n_mfcc].T
+    return _whole_log_mel(w, fcfg, mcfg) @ dsp.dct_matrix.__wrapped__(mcfg.n_mels)[: mcfg.n_mfcc].T
 
 
 def _whole_lld(w, fcfg):
@@ -352,6 +353,33 @@ def test_block_wise_features_equal_whole_signal_bitwise(n_frames, window):
     np.testing.assert_array_equal(logmel, _whole_log_mel(w, fcfg, MCFG))
     np.testing.assert_array_equal(dsp.mfcc(w, fcfg, MCFG), _whole_mfcc(w, fcfg, MCFG))
     np.testing.assert_array_equal(dsp.extract_lld_bundle(w, fcfg), _whole_lld(w, fcfg))
+
+
+def test_analysis_tables_are_cached_read_only():
+    tables = (dsp.mel_filterbank(16000, 512, 26, 0.0, 8000.0), dsp.dct_matrix(26), dsp._window("hamming", 400))
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 1.0
+        with pytest.raises(ValueError):
+            table.T.setflags(write=True)  # nor through a view
+    assert dsp.dct_matrix(26) is tables[1]
+    np.testing.assert_array_equal(tables[2], np.hamming(400))  # the writes above changed nothing
+
+
+def test_interleaved_configs_each_get_their_own_tables():
+    # a table cache keyed on the wrong arguments hands one config another's table
+    configs = [(16000, FCFG, MCFG),
+               (8000, FrameConfig(200, 80), MelConfig(n_fft=256, fmax=4000.0)),
+               (16000, FCFG, MelConfig(n_fft=512, n_mfcc=8)),
+               (8000, FrameConfig(200, 80, "rect"), MelConfig(n_fft=512, n_mfcc=5, fmax=4000.0))]
+    rng = np.random.default_rng(11)
+    for sr, fcfg, mcfg in configs + configs[::-1]:
+        w = _wave(rng.uniform(-1, 1, sr // 2 + 37), sr)
+        np.testing.assert_array_equal(dsp.mfcc(w, fcfg, mcfg), _whole_mfcc(w, fcfg, mcfg))
+        np.testing.assert_array_equal(dsp.extract_lld_bundle(w, fcfg), _whole_lld(w, fcfg))
+        np.testing.assert_allclose(dsp.mel_filterbank(sr, mcfg.n_fft, mcfg.n_mels, mcfg.fmin, mcfg.fmax),
+                                   _ref_filterbank(sr, mcfg.n_fft, mcfg.n_mels, mcfg.fmin, mcfg.fmax), atol=1e-12)
 
 
 def test_extraction_memory_is_bounded_by_the_block_not_the_signal():
