@@ -21,6 +21,7 @@ from .errors import ValidationError
 # Debug mode re-checks every op output for NaN/Inf (set PTMFNET_DEBUG=1 or
 # flip at runtime); the Tensor constructor always checks user-supplied data.
 DEBUG_CHECKS = bool(os.environ.get("PTMFNET_DEBUG"))
+LN_EPS = 1e-5  # added to the variance in layer_norm
 
 
 class ShapeError(ValidationError):
@@ -265,17 +266,15 @@ def _softmax_vjp(g: np.ndarray, s: np.ndarray, axis: int) -> np.ndarray:
     return s * (g - (g * s).sum(axis=axis, keepdims=True))
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to mean 0 / variance 1, then apply affine."""
-    if eps <= 0:
-        raise ValidationError("layer_norm eps must be positive")
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"gain/bias must have shape ({d},), got {gain.shape}/{bias.shape}")
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     out = _result(xhat * gain.data + bias.data, x.requires_grad or gain.requires_grad or bias.requires_grad)
 
@@ -554,11 +553,11 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     return _record(out, (logits,), vjp)
 
 
-def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) -> Tensor:
-    """Zero elements with probability `rate` and rescale survivors; identity at inference."""
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Zero elements with probability `rate`, drawn from `rng`, and rescale survivors; `rng` None is inference."""
     if not 0.0 <= rate < 1.0:
         raise ValidationError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x
     keep = rng.random(x.shape) >= rate
     factor = 1.0 / (1.0 - rate)
@@ -599,16 +598,14 @@ def tsum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     return _record(out, (x,), vjp)
 
 
-def tmean(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    """tsum scaled by 1/n, one node: g is scaled before tsum's VJP spreads it."""
-    c = 1.0 / (x.size if axis is None else x.shape[axis])
-    out = _result(x.data.sum(axis=axis, keepdims=keepdims) * c, x.requires_grad)
-
-    def vjp(g):
-        gg = g * c if axis is None or keepdims else np.expand_dims(g * c, axis)
-        return (np.broadcast_to(gg, x.shape).copy(),)
-
-    return _record(out, (x,), vjp)
+def tmean(x: Tensor, n: int) -> Tensor:
+    """The mean of each n consecutive rows of a 2-D tensor, as one node:
+    (m*n, d) -> (m, d)."""
+    if x.data.ndim != 2 or n < 1 or x.shape[0] % n:
+        raise ShapeError(f"tmean: {x.shape} rows do not split into groups of {n}")
+    c = 1.0 / n
+    out = _result(x.data.reshape(-1, n, x.shape[1]).sum(axis=1) * c, x.requires_grad)
+    return _record(out, (x,), lambda g: (np.repeat(g * c, n, axis=0),))
 
 
 # ---------------------------------------------------------------------------

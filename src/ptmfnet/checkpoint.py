@@ -90,7 +90,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 
 
 def load_into(params: Iterable[Parameter], path) -> None:
-    """Assign checkpoint arrays onto a model's parameters, matching by name."""
+    """Copy checkpoint arrays into a model's parameters in place, matching by name."""
     stored = load_checkpoint(path)
     params = list(params)
     names = {p.name for p in params}
@@ -102,4 +102,4 @@ def load_into(params: Iterable[Parameter], path) -> None:
         arr = stored[name]
         if arr.shape != tensor.shape:
             raise ValidationError(f"parameter {name!r}: checkpoint shape {arr.shape} vs model {tensor.shape}")
-        tensor.data = arr
+        tensor.data[...] = arr

@@ -170,12 +170,13 @@ def _cmd_train(args) -> int:
     cfg = _model_config_from(args, "task")
     _echo_config("train", {"manifest": str(manifest), **cfg.to_dict()})
     records = load_manifest(manifest)
+    for out in filter(None, (args.log_out, args.checkpoint_out)):  # made before training, not after
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
     state = train(cfg, records, log_path=args.log_out)
     for row in state.log:
         sys.stderr.write(json.dumps(row, sort_keys=True) + "\n")
     if args.checkpoint_out:
         ckpt = Path(args.checkpoint_out)
-        ckpt.parent.mkdir(parents=True, exist_ok=True)
         # the new sidecar replaces the old one only once the checkpoint is written
         with atomic_write(str(ckpt) + ".json", encoding="utf-8") as fh:
             fh.write(json.dumps(cfg.to_dict(), sort_keys=True, indent=2) + "\n")
@@ -229,6 +230,7 @@ def _cmd_ablate(args) -> int:
     _echo_config("ablate", {"manifest": str(manifest), "tasks": list(tasks),
                             "variants": list(variants), "out": args.out, **cfg.to_dict()})
     records = load_manifest(manifest)
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)  # made before training, not after
     rows = run_ablation(cfg, records, tasks=tasks, variants=variants,
                         progress=lambda line: sys.stderr.write(line + "\n"))
     write_ablation_csv(rows, args.out)

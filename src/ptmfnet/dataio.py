@@ -15,7 +15,7 @@ import math
 import os
 import struct
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -327,8 +327,6 @@ class SynthSpec:
     task: str = "binary"
     class_sep: float = 1.0
     personality_sep: float | None = None
-    stream_dims: dict = field(default_factory=lambda: dict(DEFAULT_STREAM_DIMS))
-    personality_dim: int = DEFAULT_PERSONALITY_DIM
     t_range: tuple = (4, 12)
 
     def __post_init__(self):
@@ -373,12 +371,12 @@ def synth_dataset(spec: SynthSpec, rng: np.random.Generator, out_dir) -> Path:
     feat_dir = out_dir / "features"
     feat_dir.mkdir(parents=True, exist_ok=True)
 
-    streams = list(spec.stream_dims.items())
+    streams = list(DEFAULT_STREAM_DIMS.items())
     directions = {}
     for name, dim in streams:
         v = rng.standard_normal(dim)
         directions[name] = v / np.linalg.norm(v)
-    v = rng.standard_normal(spec.personality_dim)
+    v = rng.standard_normal(DEFAULT_PERSONALITY_DIM)
     pers_direction = v / np.linalg.norm(v)
     pers_sep = spec.class_sep if spec.personality_sep is None else spec.personality_sep
 
@@ -397,7 +395,7 @@ def synth_dataset(spec: SynthSpec, rng: np.random.Generator, out_dir) -> Path:
             write_feature_file(m.astype(np.float32), out_dir / rel)
             (audio_paths if name in AUDIO_STREAMS else visual_paths)[name] = rel
 
-        emb = rng.standard_normal(spec.personality_dim) + pers_sep * cls * pers_direction
+        emb = rng.standard_normal(DEFAULT_PERSONALITY_DIM) + pers_sep * cls * pers_direction
         emb_rel = f"features/{sample_id}_personality.mpft"
         write_feature_file(emb[None, :].astype(np.float32), out_dir / emb_rel)
 

@@ -214,18 +214,14 @@ def extract_lld_bundle(w: Waveform | WavFile, fcfg: FrameConfig) -> np.ndarray:
     return out
 
 
-def default_frame_config(sample_rate: int, frame_ms: float = 25.0, hop_ms: float = 10.0,
-                         window: str = "hamming") -> FrameConfig:
+def default_frame_config(sample_rate: int, frame_ms: float = 25.0, hop_ms: float = 10.0) -> FrameConfig:
     for name, ms in (("frame_ms", frame_ms), ("hop_ms", hop_ms)):
         if not (math.isfinite(ms) and ms > 0):
             raise ValidationError(f"{name} must be a positive, finite duration in ms, got {ms!r}")
         if not math.isfinite(sample_rate * ms / 1000.0):
             raise ValidationError(f"{name} of {ms!r} ms is too long to count in samples at {sample_rate} Hz")
-    return FrameConfig(
-        frame_len=int(round(sample_rate * frame_ms / 1000.0)),
-        hop_len=int(round(sample_rate * hop_ms / 1000.0)),
-        window=window,
-    )
+    return FrameConfig(frame_len=int(round(sample_rate * frame_ms / 1000.0)),
+                       hop_len=int(round(sample_rate * hop_ms / 1000.0)))
 
 
 _WAV_ERRORS = (wave.Error, EOFError, RuntimeError)  # RuntimeError: a chunk size past EOF

@@ -48,19 +48,18 @@ class CoAttentionFusion(Module):
         self.dropout = dropout
         self.out_dim = d_w2v_out + d_lld_out + d_mfcc_out
 
-    def _transform(self, x: Tensor, proj: Linear, training: bool, rng) -> Tensor:
-        return ad.relu(ad.dropout(proj.forward(x), self.dropout, training, rng))
+    def _transform(self, x: Tensor, proj: Linear, rng) -> Tensor:
+        return ad.relu(ad.dropout(proj.forward(x), self.dropout, rng))
 
     def forward(self, lld_seq: Tensor, mfcc_seq: Tensor, w2v_seq: Tensor,
-                training: bool = False, rng: np.random.Generator | None = None,
-                weighting: bool = True) -> Tensor:
+                rng: np.random.Generator | None = None, weighting: bool = True) -> Tensor:
         frames = {"lld": lld_seq.shape[0], "mfcc": mfcc_seq.shape[0], "wav2vec": w2v_seq.shape[0]}
         if len(set(frames.values())) > 1:
             detail = ", ".join(f"{name}: T={t}" for name, t in frames.items())
             raise ValidationError(f"frame-count mismatch across streams ({detail})")
-        lld_t = self._transform(lld_seq, self.lld, training, rng)
-        mfcc_t = self._transform(mfcc_seq, self.mfcc, training, rng)
-        w2v_t = self._transform(w2v_seq, self.w2v, training, rng)
+        lld_t = self._transform(lld_seq, self.lld, rng)
+        mfcc_t = self._transform(mfcc_seq, self.mfcc, rng)
+        w2v_t = self._transform(w2v_seq, self.w2v, rng)
         if not weighting:
             return ad.concat([w2v_t, lld_t, mfcc_t], axis=1)
         c = ad.concat([lld_t, mfcc_t], axis=1)
@@ -93,14 +92,14 @@ class TransformerLayer(Module):
                           self.n_heads, batch)
         return self.o.forward(heads)
 
-    def forward(self, x: Tensor, batch: int, training: bool, rng, trace=None) -> Tensor:
-        """x: the token rows of `batch` samples, each sample's in turn; a
-        token attends only to its own sample's tokens."""
+    def forward(self, x: Tensor, batch: int, rng, trace=None) -> Tensor:
+        """x: the token rows of `batch` samples, each sample's in turn; a token
+        attends only to its own sample's tokens. Dropout draws from `rng`."""
         attn = self._attend(ad.layer_norm(x, self.ln1_gain, self.ln1_bias), batch, trace)
-        x = ad.add(x, ad.dropout(attn, self.dropout, training, rng))
+        x = ad.add(x, ad.dropout(attn, self.dropout, rng))
         ffn = self.ffn2.forward(ad.relu(self.ffn1.forward(
             ad.layer_norm(x, self.ln2_gain, self.ln2_bias))))
-        return ad.add(x, ad.dropout(ffn, self.dropout, training, rng))
+        return ad.add(x, ad.dropout(ffn, self.dropout, rng))
 
 
 class TransformerFusion(Module):
@@ -119,13 +118,13 @@ class TransformerFusion(Module):
         self.layers = [TransformerLayer(d_model, n_heads, d_ffn, dropout, rng)
                        for _ in range(n_layers)]
 
-    def forward(self, u_a: Tensor, u_v: Tensor, training: bool = False,
-                rng: np.random.Generator | None = None, trace=None) -> Tensor:
+    def forward(self, u_a: Tensor, u_v: Tensor, rng: np.random.Generator | None = None,
+                trace=None) -> Tensor:
         """u_a: (B, d_audio) and u_v: (B, d_visual) rows -> (2B, d_model)."""
         batch, d_model = u_a.shape[0], self.m_a.shape[1]
         tok_a = ad.add(self.proj_a.forward(u_a), self.m_a)
         tok_v = ad.add(self.proj_v.forward(u_v), self.m_v)
         x = ad.reshape(ad.concat([tok_a, tok_v], axis=1), (2 * batch, d_model))
         for layer in self.layers:
-            x = layer.forward(x, batch, training, rng, trace)
+            x = layer.forward(x, batch, rng, trace)
         return x

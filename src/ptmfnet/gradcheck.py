@@ -87,8 +87,8 @@ def _projected(out: Tensor, seed: int) -> Tensor:
 
 
 def run_battery(seed: int) -> dict[str, dict[str, tuple[float, float]]]:
-    """Gradient-check every block once with weights/inputs drawn from `seed`;
-    returns block -> parameter -> (relative, block-scaled) error."""
+    """Gradient-check every block and the loss once, with weights/inputs drawn
+    from `seed`; returns block -> parameter -> (relative, block-scaled) error."""
     rng = np.random.default_rng(seed)
     lstm = LstmEncoder(3, 4, rng)
     x_seq = Tensor(rng.standard_normal((3 * 5, 3)))  # three sequences padded to T = 5
@@ -114,6 +114,9 @@ def run_battery(seed: int) -> dict[str, dict[str, tuple[float, float]]]:
     grouped.lstm = [LstmEncoder(d, 3, rng) for d in (2, 5, 3, 4)]
     grouped_x = [Tensor(rng.standard_normal((3 * t, d))) for d, t in ((2, 4), (5, 4), (3, 4), (4, 6))]
     grouped_len = [[4, 1, 3]] * 3 + [[6, 1, 2]]
+    # drawn after every other block, so their draws do not depend on it
+    loss_head = ClassifierHead(4, 5, 3, rng)
+    x_loss = Tensor(rng.standard_normal((3, 4)))
 
     def grouped_forward():
         (enc, x, lengths), *peers = zip(grouped.lstm, grouped_x, grouped_len)
@@ -127,5 +130,6 @@ def run_battery(seed: int) -> dict[str, dict[str, tuple[float, float]]]:
         "transformer_fusion": (tx, lambda: _projected(tx.forward(u_a, u_v), 104)),
         "ptmfim": (pim, lambda: _projected(pim.forward(pers, tokens), 105)),
         "classifier_head": (head, lambda: _projected(head.forward(x_head), 106)),
+        "loss": (loss_head, lambda: ad.cross_entropy(loss_head.forward(x_loss), [2, 0, 1])),
     }
     return {name: grad_check(f, collect_parameters(module)) for name, (module, f) in cases.items()}

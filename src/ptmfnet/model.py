@@ -302,21 +302,24 @@ class DepressionModel(Module):
         *audio, visual = run_lstms(runs)
         return dict(zip(batch.audio, audio)), visual
 
-    def _audio_branch(self, batch: Batch, hidden: dict, training, rng, trace) -> Tensor:
+    def _audio_branch(self, batch: Batch, hidden: dict, rng, trace) -> Tensor:
         if self.cfg.multi_audio:
             seq = self.fuse["coatt"].forward(hidden["lld"], hidden["mfcc"], hidden["wav2vec"],
-                                             training=training, rng=rng, weighting=self.cfg.co_att)
+                                             rng=rng, weighting=self.cfg.co_att)
         else:
             seq = hidden["wav2vec"]
         return self.enc["audio"]["asp"].forward(seq, batch.audio_lengths, trace)
 
     def forward(self, batch: Batch, training: bool = False,
                 rng: np.random.Generator | None = None, trace=None) -> Tensor:
-        """Returns class logits of shape (B, n_classes), one row per sample."""
+        """Class logits (B, n_classes), one row per sample; a training forward draws dropout from `rng`."""
+        if training and rng is None and self.cfg.dropout > 0:
+            raise ValidationError(f"a training forward with dropout {self.cfg.dropout} needs a generator")
+        rng = rng if training else None
         audio, visual = self._encode(batch)
-        u_a = self._audio_branch(batch, audio, training, rng, trace)
+        u_a = self._audio_branch(batch, audio, rng, trace)
         u_v = self.enc["visual"]["asp"].forward(visual, batch.visual_lengths, trace)
-        tokens = self.fuse["tx"].forward(u_a, u_v, training=training, rng=rng, trace=trace)
+        tokens = self.fuse["tx"].forward(u_a, u_v, rng=rng, trace=trace)
         pers = Tensor(batch.personality)
         if self.cfg.ptmfim:
             head_in = self.ptmfim.forward(pers, tokens, trace)

@@ -39,10 +39,6 @@ class Ptmfim(Module):
         """(B, d_p) embeddings -> (B*n_p, d_h) token rows, n_p per sample."""
         return ad.reshape(self.pers_proj.forward(embedding), (-1, self.d_h))
 
-    def _token_mean(self, tokens: Tensor) -> Tensor:
-        """(B*n_p, d_h) rows -> (B, d_h) mean over each sample's n_p rows."""
-        return ad.tmean(ad.reshape(tokens, (-1, self.n_p, self.d_h)), axis=1)
-
     def binary_correlation(self, p_tok: Tensor, m_tok: Tensor, trace=None) -> Tensor:
         return attention(ad.matmul(p_tok, self.Q_b), ad.matmul(m_tok, self.K_b),
                          ad.matmul(m_tok, self.V_b), trace, batch=p_tok.shape[0] // self.n_p)
@@ -54,8 +50,8 @@ class Ptmfim(Module):
     def gate(self, bca: Tensor, tia: Tensor, p_pooled: Tensor, trace=None) -> Tensor:
         """(B, d_h) g * mean(tia) + p_pooled, means taken per sample; each
         sample's gate row g goes to `trace` if given."""
-        b_bar = self._token_mean(bca)
-        t_bar = self._token_mean(tia)
+        b_bar = ad.tmean(bca, self.n_p)
+        t_bar = ad.tmean(tia, self.n_p)
         pre = ad.matmul(ad.concat([b_bar, t_bar], axis=1), self.W_g, self.b_g)
         g = ad.sigmoid(pre)
         if trace is not None:
@@ -69,4 +65,4 @@ class Ptmfim(Module):
         m_tok = self.mm_proj.forward(tokens)
         bca = self.binary_correlation(p_tok, m_tok, trace)
         tia = self.triple_interaction(p_tok, bca, trace)
-        return self.gate(bca, tia, self._token_mean(p_tok), trace)
+        return self.gate(bca, tia, ad.tmean(p_tok, self.n_p), trace)

@@ -40,7 +40,7 @@ def test_criterion_1_gradient_integrity():
     for seed in (0, 1, 2):
         blocks = run_battery(seed)
         assert set(blocks) == {"lstm", "lstm_grouped", "asp", "co_attention", "transformer_fusion",
-                               "ptmfim", "classifier_head"}
+                               "ptmfim", "classifier_head", "loss"}
         for block, errors in blocks.items():  # relative and block-scaled errors alike
             assert worst(errors) <= 1e-4, (seed, block, errors)
     assert time.perf_counter() - start < 120.0

@@ -185,35 +185,56 @@ def test_relu_definition():
 
 
 def test_layer_norm_constant_row_is_zero():
-    out = ad.layer_norm(t([[5.0, 5.0, 5.0]]), t(np.ones(3)), t(np.zeros(3)), eps=1e-5)
+    out = ad.layer_norm(t([[5.0, 5.0, 5.0]]), t(np.ones(3)), t(np.zeros(3)))
     np.testing.assert_allclose(out.data, np.zeros((1, 3)))
 
 
 def test_layer_norm_moments():
     rng = np.random.default_rng(1)
     x = t(rng.normal(size=(4, 32)) * 3.0)
-    eps = 1e-5
-    out = ad.layer_norm(x, t(np.ones(32)), t(np.zeros(32)), eps=eps)
+    out = ad.layer_norm(x, t(np.ones(32)), t(np.zeros(32)))
     assert np.abs(out.data.mean(axis=1)).max() <= 1e-10
-    np.testing.assert_allclose(out.data.var(axis=1), 1.0, atol=10 * eps)
+    np.testing.assert_allclose(out.data.var(axis=1), 1.0, atol=10 * ad.LN_EPS)
 
 
 def test_dropout_degenerate_cases():
     rng = np.random.default_rng(2)
     x = t(np.arange(6.0).reshape(2, 3))
-    assert ad.dropout(x, 0.0, training=True, rng=rng) is x
-    assert ad.dropout(x, 0.9, training=False, rng=rng) is x
-    with pytest.raises(ValidationError):
-        ad.dropout(x, 1.0, training=True, rng=rng)
+    assert ad.dropout(x, 0.0, rng) is x
+    assert ad.dropout(x, 0.9, None) is x  # no generator: inference
+    for gen in (rng, None):
+        with pytest.raises(ValidationError):
+            ad.dropout(x, 1.0, gen)
 
 
 def test_dropout_monte_carlo():
     rng = np.random.default_rng(3)
     x = t(np.ones(100_000).reshape(1, -1))
-    out = ad.dropout(x, 0.5, training=True, rng=rng)
+    out = ad.dropout(x, 0.5, rng)
     survivors = np.count_nonzero(out.data) / x.size
     assert abs(survivors - 0.5) <= 0.01
     assert abs(out.data.mean() - 1.0) <= 0.02
+
+
+def test_tmean_is_each_row_groups_mean_as_one_node():
+    # forward and VJP bitwise a reshape to (m, n, d), a sum over the n rows
+    # times 1/n, and that gradient spread back over each group's rows
+    rng = np.random.default_rng(4)
+    x = t(rng.normal(size=(12, 5)), rg=True)
+    g = rng.normal(size=(4, 5))
+    with Tape() as tape:
+        out = ad.tmean(x, 3)
+    assert len(tape.nodes) == 1
+    np.testing.assert_array_equal(out.data, x.data.reshape(4, 3, 5).sum(axis=1) * (1.0 / 3))
+    (dx,) = tape.nodes[0].vjp(g)
+    np.testing.assert_array_equal(dx, np.broadcast_to((g * (1.0 / 3))[:, None], (4, 3, 5)).reshape(12, 5))
+    np.testing.assert_array_equal(ad.tmean(x, 1).data, x.data)
+
+
+@pytest.mark.parametrize("shape,n", [((12, 5), 5), ((12, 5), 0), ((12,), 3), ((2, 6, 5), 2)])
+def test_tmean_rejects_rows_that_do_not_split_into_groups(shape, n):
+    with pytest.raises(ShapeError, match="tmean"):
+        ad.tmean(t(np.zeros(shape)), n)
 
 
 def test_broadcast_restricted_to_unit_axes():
@@ -377,7 +398,7 @@ def test_forward_backward_bitwise_reproducible():
         x = t(rng.normal(size=(4, 3)), rg=True)
         w = t(rng.normal(size=(3, 2)), rg=True)
         with Tape():
-            h = ad.dropout(ad.sigmoid(ad.matmul(x, w)), 0.3, training=True, rng=rng)
+            h = ad.dropout(ad.sigmoid(ad.matmul(x, w)), 0.3, rng)
             loss = ad.tsum(ad.mul(h, h))
             ad.backward(loss)
         return loss.item(), x.grad.copy(), w.grad.copy()
@@ -431,7 +452,7 @@ UNARY_OPS = [
     _cross_attention,
     lambda x: _pool(x, _mixed_lengths(x.shape[0])),
     lambda x: ad.tsum(x, axis=0, keepdims=True),
-    lambda x: ad.tmean(x, axis=1, keepdims=True),
+    lambda x: ad.tmean(x, 2 if x.shape[0] % 2 == 0 else x.shape[0]),  # groups of two rows, or one group
 ]
 
 SHAPES = [(2, 3), (4, 2), (3, 5)]
@@ -509,7 +530,7 @@ def test_gradcheck_layer_norm(shape):
     probe = t(rng.normal(size=shape))
 
     def f():
-        return ad.tsum(ad.mul(ad.layer_norm(x, gain, bias, eps=1e-5), probe))
+        return ad.tsum(ad.mul(ad.layer_norm(x, gain, bias), probe))
 
     params = [Parameter("x", x), Parameter("gain", gain), Parameter("bias", bias)]
     report = grad_check(f, params, eps=1e-5)
@@ -677,7 +698,7 @@ def test_gradcheck_dropout_fixed_mask():
 
     def f():
         rng = np.random.default_rng(99)
-        return ad.tsum(ad.mul(ad.dropout(x, 0.4, training=True, rng=rng), probe))
+        return ad.tsum(ad.mul(ad.dropout(x, 0.4, rng), probe))
 
     report = grad_check(f, [Parameter("x", x)])
     assert worst(report) <= 1e-4, report

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptmfnet import checkpoint as ckpt
-from ptmfnet.autodiff import Parameter, Tensor
+from ptmfnet.autodiff import Parameter, Tensor, flatten
 from ptmfnet.errors import DataFormatError, ValidationError
 
 
@@ -137,3 +137,19 @@ def test_load_into_checks_names_and_shapes(tmp_path):
         ckpt.load_into(_params(rng, [("a", (2, 2)), ("c", (3,))]), path)
     with pytest.raises(ValidationError, match="shape"):
         ckpt.load_into(_params(rng, [("a", (2, 3)), ("b", (3,))]), path)
+
+
+def test_load_into_a_flattened_model_writes_through_to_its_flat_vector(tmp_path):
+    # an optimizer steps the flat vector `flatten` returns, so a load must
+    # copy into the parameters' views of it, not rebind them
+    rng = np.random.default_rng(5)
+    path = tmp_path / "m.ptmf"
+    spec = [("a", (2, 3)), ("b", (4,))]
+    ckpt.save_checkpoint(path, _params(rng, spec))
+    target = _params(rng, spec)
+    data, _ = flatten(target)
+    ckpt.load_into(target, path)
+    loaded = ckpt.load_checkpoint(path)
+    np.testing.assert_array_equal(data, np.concatenate([loaded["a"].ravel(), loaded["b"].ravel()]))
+    data += 1.0
+    np.testing.assert_array_equal(target[0].tensor.data, loaded["a"] + 1.0)

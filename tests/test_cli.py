@@ -497,6 +497,28 @@ def test_failed_checkpoint_write_keeps_the_old_checkpoint_and_its_sidecar(synth_
     assert json.loads(capsys.readouterr().out)["confusion"]
 
 
+def test_outputs_under_missing_directories_are_written(synth_dir, tmp_path):
+    # train and ablate make the parent directories of their outputs
+    manifest = str(synth_dir / "manifest.jsonl")
+    log, ck, table = tmp_path / "logs" / "a" / "log.jsonl", tmp_path / "ck" / "m.ptmf", tmp_path / "t" / "ab.csv"
+    assert main(["train", "--manifest", manifest, "--epochs", "1", "--log-out", str(log),
+                 "--checkpoint-out", str(ck)]) == EXIT_OK
+    assert main(["ablate", "--manifest", manifest, "--tasks", "binary", "--variants", "full",
+                 "--epochs", "1", "--out", str(table)]) == EXIT_OK
+    assert len(log.read_text().splitlines()) == 1 and ck.read_bytes()[:4] == b"PTMF"
+    assert table.read_text().startswith("variant,task,")
+
+
+@pytest.mark.parametrize("flag", ["--log-out", "--checkpoint-out"])
+def test_output_directory_that_cannot_be_made_exits_2_before_training(synth_dir, tmp_path, monkeypatch,
+                                                                     capsys, flag):
+    (tmp_path / "file").write_text("")
+    monkeypatch.setattr(cli, "train", lambda *a, **kw: pytest.fail("trained before making its directories"))
+    assert main(["train", "--manifest", str(synth_dir / "manifest.jsonl"),
+                 flag, str(tmp_path / "file" / "out")]) == EXIT_IO
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+
+
 def test_config_file_invalid_json_exits_2(synth_dir, tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text("{not json")

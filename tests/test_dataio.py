@@ -374,7 +374,7 @@ def test_synth_loads_and_nests_labels(tmp_path):
         assert t == (0 if q == 0 else 1 if q <= 2 else 2)
         assert r.personality_embedding_path is not None
         emb = dataio.read_feature_file(r.personality_embedding_path)
-        assert emb.shape == (1, spec.personality_dim)
+        assert emb.shape == (1, dataio.DEFAULT_PERSONALITY_DIM)
 
 
 def test_synth_reproducible_bitwise(tmp_path):

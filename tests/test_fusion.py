@@ -133,8 +133,8 @@ def test_coatt_frame_mismatch():
 def test_coatt_dropout_scales_in_training():
     mod = _coatt(dropout=0.5)
     x = [Tensor(np.ones((30, 3))), Tensor(np.ones((30, 3))), Tensor(np.ones((30, 4)))]
-    out_eval = mod.forward(*x, training=False).data
-    out_train = mod.forward(*x, training=True, rng=np.random.default_rng(11)).data
+    out_eval = mod.forward(*x).data
+    out_train = mod.forward(*x, rng=np.random.default_rng(11)).data
     assert np.any(out_train != out_eval)
 
 
@@ -220,8 +220,8 @@ def test_tx_deterministic_without_dropout():
     mod = _tx(dropout=0.3)
     rng = np.random.default_rng(26)
     u_a, u_v = Tensor(rng.normal(size=(1, 5))), Tensor(rng.normal(size=(1, 5)))
-    a = mod.forward(u_a, u_v, training=False).data
-    b = mod.forward(u_a, u_v, training=False).data
+    a = mod.forward(u_a, u_v).data
+    b = mod.forward(u_a, u_v).data
     np.testing.assert_array_equal(a, b)
 
 

@@ -13,7 +13,7 @@ from ptmfnet.gradcheck import grad_check, run_battery, worst
 from test_autodiff import BATCHED_OPS, batched_grad_check
 
 EXPECTED_MODULES = ["lstm", "lstm_grouped", "asp", "co_attention", "transformer_fusion",
-                    "ptmfim", "classifier_head"]
+                    "ptmfim", "classifier_head", "loss"]
 
 
 def test_battery_covers_all_blocks_once():
@@ -101,14 +101,16 @@ VJP_MUTATIONS = {
         "attention", "attn, axis=-1) * c", "attn, axis=-1)", {"transformer_fusion", "ptmfim", "batched attention"}),
     "layer_norm_xhat_term_dropped": (
         "layer_norm", " - xhat * (h * xhat).mean(axis=-1, keepdims=True)", "", {"transformer_fusion"}),
-    "cross_entropy_mean_dropped": ("cross_entropy", "gc = g[0, 0] * c", "gc = g[0, 0]", {"batched cross_entropy"}),
+    "cross_entropy_mean_dropped": (
+        "cross_entropy", "gc = g[0, 0] * c", "gc = g[0, 0]", {"loss", "batched cross_entropy"}),
+    "tmean_scale_dropped": ("tmean", "np.repeat(g * c, n, axis=0)", "np.repeat(g, n, axis=0)", {"ptmfim"}),
     "backward_routes_first_output_only": (
         "backward", "[flows.get(id(o)) for o in node.out]",
         "[flows.get(id(node.out[0]))] + [None] * (len(node.out) - 1)",
         {"lstm_grouped", "batched lstm_three_streams"}),
     "matmul_bias_grad_scaled": (
         "matmul", "_unbroadcast(g, bias.shape)", "_unbroadcast(g, bias.shape) * (1 + 1e-3)",
-        {"co_attention", "transformer_fusion", "ptmfim", "classifier_head", "batched matmul_bias"}),
+        {"co_attention", "transformer_fusion", "ptmfim", "classifier_head", "loss", "batched matmul_bias"}),
 }
 
 

@@ -82,6 +82,21 @@ def test_training_dropout_changes_output_inference_ignores_rng():
     assert np.array_equal(c, d)
 
 
+def test_training_forward_with_dropout_needs_a_generator():
+    cfg = make_cfg(dropout=0.1)
+    model = DepressionModel(cfg, np.random.default_rng(5))
+    feats = make_feats(cfg, np.random.default_rng(6))
+    with pytest.raises(ValidationError, match="generator"):
+        logits_of(model, feats, training=True)
+    # an inference forward draws nothing from a generator it is given
+    rng = np.random.default_rng(0)
+    np.testing.assert_array_equal(logits_of(model, feats, rng=rng).data, logits_of(model, feats).data)
+    assert rng.random() == np.random.default_rng(0).random()
+    # with dropout off, a training forward needs none and equals inference
+    model = DepressionModel(make_cfg(dropout=0.0), np.random.default_rng(5))
+    np.testing.assert_array_equal(logits_of(model, feats, training=True).data, logits_of(model, feats).data)
+
+
 # ---------------------------------------------------------------------------
 # parameter namespace
 
@@ -144,7 +159,7 @@ def test_parameters_feed_no_glue_op():
     assert not bad, bad
 
 
-@pytest.mark.parametrize("cfg,limit", [(ModelConfig.compact(), 57), (ModelConfig(dropout=0.0), 70)],
+@pytest.mark.parametrize("cfg,limit", [(ModelConfig.compact(), 54), (ModelConfig(dropout=0.0), 67)],
                          ids=["compact", "default_dropout_off"])
 def test_training_forward_and_loss_record_at_most_100_tape_nodes(cfg, limit):
     # one node per LSTM, ASP, attention call and affine map, whatever T and the head count;
@@ -157,13 +172,15 @@ def test_training_forward_and_loss_record_at_most_100_tape_nodes(cfg, limit):
         assert len(tape.nodes) <= limit
 
 
-@pytest.mark.parametrize("cfg,total,outputs", [(ModelConfig.compact(), 57, [4]),
-                                               (ModelConfig(dropout=0.0), 70, [3, 1])],
-                         ids=["compact", "default_dropout_off"])
+@pytest.mark.parametrize("cfg,total,outputs", [(ModelConfig.compact(), 54, [4]),
+                                               (ModelConfig(dropout=0.0), 67, [3, 1]),
+                                               (ModelConfig(), 74, [3, 1])],
+                         ids=["compact", "default_dropout_off", "default"])
 def test_training_step_records_one_lstm_node_per_hidden_width(cfg, total, outputs):
     # LSTMs of one hidden width share a node: all four in the compact config
     # (audio_hidden = visual_hidden), the three audio streams and the visual
-    # stream apart in the default one (8 and 12)
+    # stream apart in the default one (8 and 12); dropout adds a node at
+    # each of its seven sites
     model = DepressionModel(cfg, np.random.default_rng(38))
     samples = [make_feats(cfg, np.random.default_rng(k), label=k % 2, t_audio=3 + k) for k in range(3)]
     batch = collate(samples)
