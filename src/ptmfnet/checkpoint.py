@@ -98,8 +98,9 @@ def load_into(params: Iterable[Parameter], path) -> None:
     extra = sorted(stored.keys() - names)
     if missing or extra:
         raise ValidationError(f"checkpoint/model parameter mismatch: missing={missing} extra={extra}")
+    for name, tensor in params:  # every shape before any copy, so a failed load changes nothing
+        shape = stored[name].shape
+        if shape != tensor.shape:
+            raise ValidationError(f"parameter {name!r}: checkpoint shape {shape} vs model {tensor.shape}")
     for name, tensor in params:
-        arr = stored[name]
-        if arr.shape != tensor.shape:
-            raise ValidationError(f"parameter {name!r}: checkpoint shape {arr.shape} vs model {tensor.shape}")
-        tensor.data[...] = arr
+        tensor.data[...] = stored[name]

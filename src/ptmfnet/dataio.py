@@ -86,7 +86,7 @@ def write_feature_file(matrix: np.ndarray, path) -> None:
     with atomic_write(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<III", FEATURE_VERSION, t, d))
-        fh.write(np.ascontiguousarray(m, dtype="<f4").tobytes())
+        fh.write(np.ascontiguousarray(m, dtype="<f4"))  # the array's own buffer, not a bytes copy
 
 
 def read_feature_file(path) -> np.ndarray:

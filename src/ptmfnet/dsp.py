@@ -3,11 +3,15 @@
 All functions are pure and operate on mono float64 waveforms; frame
 layouts follow the usual short-time analysis convention (frame t starts
 at t*hop_len, trailing samples that do not fill a frame are dropped).
-`log_mel_energies`, `mfcc` and `extract_lld_bundle` analyse BLOCK frames
-at a time, so their temporaries scale with the block, not the signal, and
-their output has the same bits as a whole-signal analysis. Their source is
-a `Waveform` held in memory or a `WavFile` from `read_wav`, whose samples
-are read from the file one block at a time and so are never whole in memory.
+`log_mel_energies`, `mfcc` and `extract_lld_bundle` analyse the frames in
+near-equal blocks of at most BLOCK, writing each block's rows into a
+preallocated `(T, n)` output, so their temporaries scale with the block,
+not the signal; `mfcc` multiplies each block's log-mel rows by the DCT, so
+no `(T, n_mels)` table is ever whole. Their output has the same bits as a
+whole-signal analysis wherever a BLAS product's row bits do not depend on
+its row count, which not every OpenBLAS kernel ensures. Their source is a
+`Waveform` held in memory or a `WavFile` from `read_wav`, whose samples are
+read from the file one block at a time and so are never whole in memory.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 from .errors import DataFormatError, ValidationError
 
 PRE_EMPHASIS = 0.97
-BLOCK = 2048  # frames analysed at a time
+BLOCK = 512  # the most frames analysed at a time
 
 _WINDOWS = {
     "hamming": np.hamming,
@@ -166,19 +170,20 @@ def dct_matrix(n: int) -> np.ndarray:
 def _frame_blocks(samples, fcfg: FrameConfig):
     """T, and one (a, b, lo, hi) per block: frames a..b-1 lie within samples lo..hi-1.
 
-    Past BLOCK frames every block holds exactly BLOCK, the last overlapping the
-    one before it: BLAS rounds a matmul of a few rows differently.
+    ceil(T / BLOCK) blocks of near-equal size cover the frames in order
+    without overlap, so none holds more than BLOCK frames, and none fewer
+    than BLOCK // 2 once T >= BLOCK; a shorter signal is one block.
     """
     n_frames = _n_frames(samples.size, fcfg.frame_len, fcfg.hop_len)
-    blocks = []
-    for a in [*range(0, n_frames - BLOCK, BLOCK), max(n_frames - BLOCK, 0)]:
-        b = min(a + BLOCK, n_frames)
-        blocks.append((a, b, a * fcfg.hop_len, (b - 1) * fcfg.hop_len + fcfg.frame_len))
-    return n_frames, blocks
+    n_blocks = -(-n_frames // BLOCK)
+    edges = [n_frames * i // n_blocks for i in range(n_blocks + 1)]
+    return n_frames, [(a, b, a * fcfg.hop_len, (b - 1) * fcfg.hop_len + fcfg.frame_len)
+                      for a, b in zip(edges, edges[1:])]
 
 
-def log_mel_energies(w: Waveform | WavFile, fcfg: FrameConfig, mcfg: MelConfig) -> np.ndarray:
-    """Floored log mel-band magnitudes, shape (T, n_mels)."""
+def _mel_analysis(w: Waveform | WavFile, fcfg: FrameConfig, mcfg: MelConfig, basis=None) -> np.ndarray:
+    """Floored log mel-band magnitudes block by block, each block's rows
+    multiplied by `basis` when one is given, into one (T, n) output."""
     if mcfg.fmax > w.sample_rate / 2:
         raise ValidationError(f"fmax={mcfg.fmax} exceeds Nyquist for sample_rate={w.sample_rate}")
     if mcfg.n_fft < fcfg.frame_len:
@@ -187,19 +192,25 @@ def log_mel_energies(w: Waveform | WavFile, fcfg: FrameConfig, mcfg: MelConfig) 
     n_frames, blocks = _frame_blocks(x, fcfg)  # first: it rejects a signal shorter than the window
     window = _window(fcfg.window, fcfg.frame_len)
     fb_t = mel_filterbank(w.sample_rate, mcfg.n_fft, mcfg.n_mels, mcfg.fmin, mcfg.fmax).T
-    out = np.empty((n_frames, mcfg.n_mels))
+    out = np.empty((n_frames, mcfg.n_mels if basis is None else basis.shape[1]))
     for a, b, lo, hi in blocks:
         # emphasizing from lo-1 and dropping that sample equals emphasizing the whole signal
         emphasized = pre_emphasize(x[lo - 1:hi])[1:] if lo else pre_emphasize(x[:hi])
         frames = _frame_raw(emphasized, fcfg.frame_len, fcfg.hop_len) * window
         mag = np.abs(np.fft.rfft(frames, n=mcfg.n_fft, axis=1))
-        out[a:b] = np.log(np.maximum(mag @ fb_t, mcfg.log_floor))
+        log_mel = np.log(np.maximum(mag @ fb_t, mcfg.log_floor))
+        out[a:b] = log_mel if basis is None else log_mel @ basis
     return out
+
+
+def log_mel_energies(w: Waveform | WavFile, fcfg: FrameConfig, mcfg: MelConfig) -> np.ndarray:
+    """Floored log mel-band magnitudes, shape (T, n_mels)."""
+    return _mel_analysis(w, fcfg, mcfg)
 
 
 def mfcc(w: Waveform | WavFile, fcfg: FrameConfig, mcfg: MelConfig) -> np.ndarray:
     """Mel-frequency cepstral coefficients, shape (T, n_mfcc)."""
-    return log_mel_energies(w, fcfg, mcfg) @ dct_matrix(mcfg.n_mels)[: mcfg.n_mfcc].T
+    return _mel_analysis(w, fcfg, mcfg, dct_matrix(mcfg.n_mels)[: mcfg.n_mfcc].T)
 
 
 def extract_lld_bundle(w: Waveform | WavFile, fcfg: FrameConfig) -> np.ndarray:

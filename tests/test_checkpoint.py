@@ -139,6 +139,17 @@ def test_load_into_checks_names_and_shapes(tmp_path):
         ckpt.load_into(_params(rng, [("a", (2, 3)), ("b", (3,))]), path)
 
 
+def test_load_into_with_a_bad_later_shape_leaves_every_parameter_as_it_was(tmp_path):
+    # the shapes are checked before any copy: a failed load changes nothing
+    path = tmp_path / "m.ptmf"
+    ckpt.save_checkpoint(path, [Parameter("a", Tensor(np.ones(2))), Parameter("b", Tensor(np.ones(3)))])
+    target = [Parameter("a", Tensor(np.zeros(2))), Parameter("b", Tensor(np.zeros(4)))]
+    with pytest.raises(ValidationError, match="parameter 'b'"):
+        ckpt.load_into(target, path)
+    np.testing.assert_array_equal(target[0].tensor.data, [0.0, 0.0])
+    np.testing.assert_array_equal(target[1].tensor.data, np.zeros(4))
+
+
 def test_load_into_a_flattened_model_writes_through_to_its_flat_vector(tmp_path):
     # an optimizer steps the flat vector `flatten` returns, so a load must
     # copy into the parameters' views of it, not rebind them

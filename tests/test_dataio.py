@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,22 @@ def test_round_trip_bitwise(tmp_path):
     assert got.tobytes() == m.tobytes()
     dataio.write_feature_file(got, tmp_path / "m2.mpft")
     assert path.read_bytes() == (tmp_path / "m2.mpft").read_bytes()
+
+
+def test_writing_a_feature_file_makes_no_copy_of_its_payload(tmp_path):
+    m = np.random.default_rng(1).standard_normal((60000, 13)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        dataio.write_feature_file(m, tmp_path / "big.mpft")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the finiteness mask is a quarter of the payload; a bytes copy would be all of it
+    assert peak < m.nbytes // 2, (peak, m.nbytes)
+    assert (tmp_path / "big.mpft").read_bytes()[16:] == m.tobytes()
+    # a column-major matrix is written in row order all the same
+    dataio.write_feature_file(np.asfortranarray(m[:50]), tmp_path / "f.mpft")
+    assert (tmp_path / "f.mpft").read_bytes()[16:] == m[:50].tobytes()
 
 
 def test_widening_is_exact(tmp_path):

@@ -312,6 +312,22 @@ def test_mfcc_fmax_above_nyquist_rejected():
 # block-wise analysis against the whole-signal expressions
 
 
+@pytest.mark.parametrize("n_frames", [1, 2, dsp.BLOCK - 1, dsp.BLOCK, dsp.BLOCK + 1, 2 * dsp.BLOCK - 1,
+                                      2 * dsp.BLOCK, 2 * dsp.BLOCK + 1, 3 * dsp.BLOCK + 7, 37501])
+def test_frame_blocks_cover_the_frames_in_order_in_near_equal_blocks(n_frames):
+    fcfg = FrameConfig(frame_len=400, hop_len=160)
+    samples = np.zeros((n_frames - 1) * 160 + 400 + 97)
+    total, blocks = dsp._frame_blocks(samples, fcfg)
+    assert total == n_frames
+    assert [a for a, *_ in blocks] == [0] + [b for _, b, *_ in blocks[:-1]]  # in order, no gap, no overlap
+    assert blocks[-1][1] == n_frames
+    for a, b, lo, hi in blocks:
+        assert (lo, hi) == (a * 160, (b - 1) * 160 + 400)
+        assert b - a <= dsp.BLOCK
+        assert b - a >= (dsp.BLOCK // 2 if n_frames >= dsp.BLOCK else n_frames)
+    assert len(blocks) == -(-n_frames // dsp.BLOCK)
+
+
 _WHOLE_WINDOWS = {"hamming": np.hamming, "rect": np.ones}
 
 
@@ -341,7 +357,8 @@ def _whole_lld(w, fcfg):
     return np.hstack([np.mean(np.square(windowed), axis=1, keepdims=True), zcr])
 
 
-@pytest.mark.parametrize("n_frames", [1, dsp.BLOCK - 1, dsp.BLOCK, dsp.BLOCK + 1, 3 * dsp.BLOCK + 7])
+@pytest.mark.parametrize("n_frames", [1, dsp.BLOCK - 1, dsp.BLOCK, dsp.BLOCK + 1, 2 * dsp.BLOCK - 1,
+                                      2 * dsp.BLOCK + 1, 3 * dsp.BLOCK + 7])
 @pytest.mark.parametrize("window", ["hamming", "rect"])
 def test_block_wise_features_equal_whole_signal_bitwise(n_frames, window):
     # hop 160 does not divide frame 400, and 97 trailing samples fill no frame
@@ -384,7 +401,8 @@ def test_interleaved_configs_each_get_their_own_tables():
 
 def test_extraction_memory_is_bounded_by_the_block_not_the_signal():
     # 120 s is 12k frames; a whole-signal analysis holds several (T, 400-512)
-    # float64 arrays at once, about 128 MB traced
+    # float64 arrays at once, about 128 MB traced, and 2048-frame blocks with
+    # a whole (T, n_mels) log-mel table about 28 MB
     w = _wave(np.random.default_rng(5).uniform(-1, 1, 120 * 16000))
     tracemalloc.start()
     try:
@@ -393,7 +411,7 @@ def test_extraction_memory_is_bounded_by_the_block_not_the_signal():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40e6, peak
+    assert peak < 16e6, peak
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +497,8 @@ def _write_wav(path, pcm):
     return path
 
 
-@pytest.mark.parametrize("n_frames", [1, dsp.BLOCK - 1, dsp.BLOCK, dsp.BLOCK + 1, 3 * dsp.BLOCK + 7])
+@pytest.mark.parametrize("n_frames", [1, dsp.BLOCK - 1, dsp.BLOCK, dsp.BLOCK + 1, 2 * dsp.BLOCK - 1,
+                                      2 * dsp.BLOCK + 1, 3 * dsp.BLOCK + 7])
 def test_wav_file_features_equal_in_memory_waveform_bitwise(n_frames, tmp_path):
     # 97 trailing samples fill no frame
     pcm = np.random.default_rng(n_frames).integers(-32768, 32768, (n_frames - 1) * 160 + 400 + 97)
