@@ -357,8 +357,13 @@ def _whole_lld(w, fcfg):
     return np.hstack([np.mean(np.square(windowed), axis=1, keepdims=True), zcr])
 
 
-@pytest.mark.parametrize("n_frames", [1, dsp.BLOCK - 1, dsp.BLOCK, dsp.BLOCK + 1, 2 * dsp.BLOCK - 1,
-                                      2 * dsp.BLOCK + 1, 3 * dsp.BLOCK + 7])
+# Sizes around the block edges, plus fixed multi-block sizes whose remainders differ: 2047, 2048, 2049
+# and 6151 frames split into 4, 4, 5 and 13 blocks.
+BOUNDARY_FRAMES = [1, dsp.BLOCK - 1, dsp.BLOCK, dsp.BLOCK + 1, 2 * dsp.BLOCK - 1, 2 * dsp.BLOCK + 1,
+                   3 * dsp.BLOCK + 7, 2047, 2048, 2049, 6151]
+
+
+@pytest.mark.parametrize("n_frames", BOUNDARY_FRAMES)
 @pytest.mark.parametrize("window", ["hamming", "rect"])
 def test_block_wise_features_equal_whole_signal_bitwise(n_frames, window):
     # hop 160 does not divide frame 400, and 97 trailing samples fill no frame
@@ -497,8 +502,7 @@ def _write_wav(path, pcm):
     return path
 
 
-@pytest.mark.parametrize("n_frames", [1, dsp.BLOCK - 1, dsp.BLOCK, dsp.BLOCK + 1, 2 * dsp.BLOCK - 1,
-                                      2 * dsp.BLOCK + 1, 3 * dsp.BLOCK + 7])
+@pytest.mark.parametrize("n_frames", BOUNDARY_FRAMES)
 def test_wav_file_features_equal_in_memory_waveform_bitwise(n_frames, tmp_path):
     # 97 trailing samples fill no frame
     pcm = np.random.default_rng(n_frames).integers(-32768, 32768, (n_frames - 1) * 160 + 400 + 97)
