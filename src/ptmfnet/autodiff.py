@@ -586,16 +586,9 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _record(out, (x,), lambda g: (g.reshape(x.shape),))
 
 
-def tsum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    out = _result(x.data.sum(axis=axis, keepdims=keepdims), x.requires_grad)
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, x.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, x.shape).copy(),)
-
-    return _record(out, (x,), vjp)
+def tsum(x: Tensor) -> Tensor:
+    out = _result(x.data.sum(), x.requires_grad)
+    return _record(out, (x,), lambda g: (np.broadcast_to(g, x.shape).copy(),))
 
 
 def tmean(x: Tensor, n: int) -> Tensor:

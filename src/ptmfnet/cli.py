@@ -25,7 +25,7 @@ from .autodiff import collect_parameters
 from .checkpoint import load_into, save_checkpoint
 from .dataio import (TASKS, SynthSpec, atomic_write, load_manifest, synth_dataset,
                      write_feature_file)
-from .dsp import MelConfig, default_frame_config, extract_lld_bundle, mfcc, read_wav
+from .dsp import check_n_mfcc, default_frame_config, extract_lld_bundle, mfcc, read_wav
 from .errors import DataFormatError, ValidationError
 from .gradcheck import run_battery
 from .model import DepressionModel, ModelConfig, load_sample_features
@@ -126,23 +126,21 @@ def _model_config_from(args, *own_fields: str) -> ModelConfig:
 
 
 def _cmd_extract(args) -> int:
+    check_n_mfcc(args.n_mfcc)  # also when only LLDs are asked for
     wav_path = _require_file(args.wav, "wav file")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     w = read_wav(wav_path)
     fcfg = default_frame_config(w.sample_rate, args.frame_ms, args.hop_ms)
-    n_fft = 1 << (fcfg.frame_len - 1).bit_length()  # the least power of two >= frame_len
-    mcfg = MelConfig(n_fft=n_fft, n_mels=26, n_mfcc=args.n_mfcc,
-                     fmin=0.0, fmax=w.sample_rate / 2.0)
+    out_dir = Path(args.out_dir)
     _echo_config("extract", {"wav": str(wav_path), "features": args.features,
                              "frame_ms": args.frame_ms, "hop_ms": args.hop_ms,
                              "n_mfcc": args.n_mfcc, "sample_rate": w.sample_rate,
                              "frame_len": fcfg.frame_len, "hop_len": fcfg.hop_len,
-                             "n_fft": n_fft, "out_dir": str(out_dir)})
+                             "n_fft": fcfg.n_fft, "out_dir": str(out_dir)})
+    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     if args.features in ("mfcc", "both"):
         path = out_dir / f"{wav_path.stem}_mfcc.mpft"
-        write_feature_file(mfcc(w, fcfg, mcfg), path)
+        write_feature_file(mfcc(w, fcfg, args.n_mfcc), path)
         written.append(path)
     if args.features in ("lld", "both"):
         path = out_dir / f"{wav_path.stem}_lld.mpft"
@@ -282,7 +280,7 @@ def _build_parser() -> _Parser:
                    help="which feature matrices to write")
     p.add_argument("--frame-ms", type=float, default=25.0, help="frame length in ms")
     p.add_argument("--hop-ms", type=float, default=10.0, help="hop length in ms")
-    p.add_argument("--n-mfcc", type=int, default=13, help="number of cepstral coefficients")
+    p.add_argument("--n-mfcc", type=int, default=13, help="number of cepstral coefficients, 1-26")
     p.add_argument("--out-dir", default=".", help="directory for the output files")
 
     p = add("synth", "generate a labeled synthetic corpus with a manifest", _cmd_synth)

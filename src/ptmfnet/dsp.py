@@ -3,11 +3,14 @@
 All functions are pure and operate on mono float64 waveforms; frame
 layouts follow the usual short-time analysis convention (frame t starts
 at t*hop_len, trailing samples that do not fill a frame are dropped).
+The analysis is fixed but for the framing and `n_mfcc`: a Hamming window,
+an FFT of `FrameConfig.n_fft` points, N_MELS HTK mel bands from 0 Hz to
+Nyquist, and magnitudes floored at LOG_FLOOR before the log.
 `log_mel_energies`, `mfcc` and `extract_lld_bundle` analyse the frames in
 near-equal blocks of at most BLOCK, writing each block's rows into a
 preallocated `(T, n)` output, so their temporaries scale with the block,
 not the signal; `mfcc` multiplies each block's log-mel rows by the DCT, so
-no `(T, n_mels)` table is ever whole. Their output has the same bits as a
+no `(T, N_MELS)` table is ever whole. Their output has the same bits as a
 whole-signal analysis wherever a BLAS product's row bits do not depend on
 its row count, which not every OpenBLAS kernel ensures. Their source is a
 `Waveform` held in memory or a `WavFile` from `read_wav`, whose samples are
@@ -26,13 +29,9 @@ import numpy as np
 from .errors import DataFormatError, ValidationError
 
 PRE_EMPHASIS = 0.97
+N_MELS = 26
+LOG_FLOOR = 1e-10
 BLOCK = 512  # the most frames analysed at a time
-
-_WINDOWS = {
-    "hamming": np.hamming,
-    "hann": np.hanning,
-    "rect": np.ones,
-}
 
 
 @dataclass(frozen=True)
@@ -57,35 +56,25 @@ class Waveform:
 class FrameConfig:
     frame_len: int
     hop_len: int
-    window: str = "hamming"
 
     def __post_init__(self):
+        if self.frame_len < 2:  # a zero-crossing rate needs two samples a frame
+            raise ValidationError(f"frame_len must be at least 2 samples, got frame_len={self.frame_len}")
         if not 0 < self.hop_len <= self.frame_len:
             raise ValidationError(
                 f"need 0 < hop_len <= frame_len, got hop_len={self.hop_len} frame_len={self.frame_len}"
             )
-        if self.window not in _WINDOWS:
-            raise ValidationError(f"unknown window {self.window!r}; choose from {sorted(_WINDOWS)}")
+
+    @property
+    def n_fft(self) -> int:
+        """The least power of two >= frame_len."""
+        return 1 << (self.frame_len - 1).bit_length()
 
 
-@dataclass(frozen=True)
-class MelConfig:
-    n_fft: int = 512
-    n_mels: int = 26
-    n_mfcc: int = 13
-    fmin: float = 0.0
-    fmax: float = 8000.0
-    log_floor: float = 1e-10
-
-    def __post_init__(self):
-        if self.n_fft < 1 or self.n_fft & (self.n_fft - 1):
-            raise ValidationError(f"n_fft must be a power of two, got {self.n_fft}")
-        if not 1 <= self.n_mfcc <= self.n_mels:
-            raise ValidationError(f"need 1 <= n_mfcc <= n_mels, got n_mfcc={self.n_mfcc} n_mels={self.n_mels}")
-        if not 0.0 <= self.fmin < self.fmax:
-            raise ValidationError(f"need 0 <= fmin < fmax, got fmin={self.fmin} fmax={self.fmax}")
-        if self.log_floor <= 0.0:
-            raise ValidationError("log_floor must be positive")
+def check_n_mfcc(n_mfcc: int) -> int:
+    if not 1 <= n_mfcc <= N_MELS:
+        raise ValidationError(f"need 1 <= n_mfcc <= n_mels, got n_mfcc={n_mfcc} n_mels={N_MELS}")
+    return n_mfcc
 
 
 def _n_frames(size: int, frame_len: int, hop_len: int) -> int:
@@ -116,9 +105,9 @@ def zero_crossing_rate(frames: np.ndarray) -> np.ndarray:
     return changes / float(frames.shape[1] - 1)
 
 
-def pre_emphasize(samples: np.ndarray, coef: float = PRE_EMPHASIS) -> np.ndarray:
+def pre_emphasize(samples: np.ndarray) -> np.ndarray:
     out = samples.copy()
-    out[1:] -= coef * samples[:-1]
+    out[1:] -= PRE_EMPHASIS * samples[:-1]
     return out
 
 
@@ -130,9 +119,9 @@ def hz_from_mel(m):
     return 700.0 * (np.power(10.0, np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_edges_hz(n_mels: int, fmin: float, fmax: float) -> np.ndarray:
-    """n_mels + 2 band edges, equally spaced on the HTK mel scale."""
-    mels = np.linspace(mel_from_hz(fmin), mel_from_hz(fmax), n_mels + 2)
+def mel_edges_hz(sample_rate: int) -> np.ndarray:
+    """N_MELS + 2 band edges from 0 Hz to Nyquist, equally spaced on the HTK mel scale."""
+    mels = np.linspace(mel_from_hz(0.0), mel_from_hz(sample_rate / 2.0), N_MELS + 2)
     return hz_from_mel(mels)
 
 
@@ -142,14 +131,14 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8, typed=True)
-def _window(name: str, n: int) -> np.ndarray:
-    return _read_only(_WINDOWS[name](n))
+def _window(n: int) -> np.ndarray:
+    return _read_only(np.hamming(n))
 
 
 @functools.lru_cache(maxsize=8, typed=True)
-def mel_filterbank(sample_rate: int, n_fft: int, n_mels: int, fmin: float, fmax: float) -> np.ndarray:
-    """Triangular filters evaluated at FFT bin centres, shape (n_mels, n_fft//2 + 1)."""
-    edges = mel_edges_hz(n_mels, fmin, fmax)
+def mel_filterbank(sample_rate: int, n_fft: int) -> np.ndarray:
+    """Triangular filters evaluated at FFT bin centres, shape (N_MELS, n_fft//2 + 1)."""
+    edges = mel_edges_hz(sample_rate)
     bin_hz = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
     lo, mid, hi = edges[:-2, None], edges[1:-1, None], edges[2:, None]
     rising = (bin_hz[None, :] - lo) / (mid - lo)
@@ -181,42 +170,38 @@ def _frame_blocks(samples, fcfg: FrameConfig):
                       for a, b in zip(edges, edges[1:])]
 
 
-def _mel_analysis(w: Waveform | WavFile, fcfg: FrameConfig, mcfg: MelConfig, basis=None) -> np.ndarray:
+def _mel_analysis(w: Waveform | WavFile, fcfg: FrameConfig, basis=None) -> np.ndarray:
     """Floored log mel-band magnitudes block by block, each block's rows
     multiplied by `basis` when one is given, into one (T, n) output."""
-    if mcfg.fmax > w.sample_rate / 2:
-        raise ValidationError(f"fmax={mcfg.fmax} exceeds Nyquist for sample_rate={w.sample_rate}")
-    if mcfg.n_fft < fcfg.frame_len:
-        raise ValidationError(f"n_fft={mcfg.n_fft} shorter than frame_len={fcfg.frame_len}")
     x = w.samples
     n_frames, blocks = _frame_blocks(x, fcfg)  # first: it rejects a signal shorter than the window
-    window = _window(fcfg.window, fcfg.frame_len)
-    fb_t = mel_filterbank(w.sample_rate, mcfg.n_fft, mcfg.n_mels, mcfg.fmin, mcfg.fmax).T
-    out = np.empty((n_frames, mcfg.n_mels if basis is None else basis.shape[1]))
+    window = _window(fcfg.frame_len)
+    fb_t = mel_filterbank(w.sample_rate, fcfg.n_fft).T
+    out = np.empty((n_frames, N_MELS if basis is None else basis.shape[1]))
     for a, b, lo, hi in blocks:
         # emphasizing from lo-1 and dropping that sample equals emphasizing the whole signal
         emphasized = pre_emphasize(x[lo - 1:hi])[1:] if lo else pre_emphasize(x[:hi])
         frames = _frame_raw(emphasized, fcfg.frame_len, fcfg.hop_len) * window
-        mag = np.abs(np.fft.rfft(frames, n=mcfg.n_fft, axis=1))
-        log_mel = np.log(np.maximum(mag @ fb_t, mcfg.log_floor))
+        mag = np.abs(np.fft.rfft(frames, n=fcfg.n_fft, axis=1))
+        log_mel = np.log(np.maximum(mag @ fb_t, LOG_FLOOR))
         out[a:b] = log_mel if basis is None else log_mel @ basis
     return out
 
 
-def log_mel_energies(w: Waveform | WavFile, fcfg: FrameConfig, mcfg: MelConfig) -> np.ndarray:
-    """Floored log mel-band magnitudes, shape (T, n_mels)."""
-    return _mel_analysis(w, fcfg, mcfg)
+def log_mel_energies(w: Waveform | WavFile, fcfg: FrameConfig) -> np.ndarray:
+    """Floored log mel-band magnitudes, shape (T, N_MELS)."""
+    return _mel_analysis(w, fcfg)
 
 
-def mfcc(w: Waveform | WavFile, fcfg: FrameConfig, mcfg: MelConfig) -> np.ndarray:
+def mfcc(w: Waveform | WavFile, fcfg: FrameConfig, n_mfcc: int) -> np.ndarray:
     """Mel-frequency cepstral coefficients, shape (T, n_mfcc)."""
-    return _mel_analysis(w, fcfg, mcfg, dct_matrix(mcfg.n_mels)[: mcfg.n_mfcc].T)
+    return _mel_analysis(w, fcfg, dct_matrix(N_MELS)[: check_n_mfcc(n_mfcc)].T)
 
 
 def extract_lld_bundle(w: Waveform | WavFile, fcfg: FrameConfig) -> np.ndarray:
     """Short-term energy and zero-crossing rate side by side, shape (T, 2)."""
     n_frames, blocks = _frame_blocks(w.samples, fcfg)
-    window = _window(fcfg.window, fcfg.frame_len)
+    window = _window(fcfg.frame_len)
     out = np.empty((n_frames, 2))
     for a, b, lo, hi in blocks:
         raw = _frame_raw(w.samples[lo:hi], fcfg.frame_len, fcfg.hop_len)

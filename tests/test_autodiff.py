@@ -451,7 +451,7 @@ UNARY_OPS = [
     lambda x: ad.reshape(x, (x.size, 1)),
     _cross_attention,
     lambda x: _pool(x, _mixed_lengths(x.shape[0])),
-    lambda x: ad.tsum(x, axis=0, keepdims=True),
+    ad.tsum,
     lambda x: ad.tmean(x, 2 if x.shape[0] % 2 == 0 else x.shape[0]),  # groups of two rows, or one group
 ]
 

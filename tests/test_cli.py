@@ -26,18 +26,20 @@ def synth_dir(tmp_path_factory):
     return root / "d"
 
 
-@pytest.fixture()
-def tone_wav(tmp_path):
-    rate = 16000
-    t = np.arange(rate // 2) / rate
-    sig = (0.4 * np.sin(2 * np.pi * 440 * t) * 32767).astype(np.int16)
-    path = tmp_path / "tone.wav"
+def _write_tone(path, rate, n):
+    """n samples of a 440 Hz tone as a 16-bit mono WAV."""
+    sig = (0.4 * np.sin(2 * np.pi * 440 * np.arange(n) / rate) * 32767).astype(np.int16)
     with wave.open(str(path), "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)
         fh.setframerate(rate)
         fh.writeframes(sig.tobytes())
     return path
+
+
+@pytest.fixture()
+def tone_wav(tmp_path):
+    return _write_tone(tmp_path / "tone.wav", 16000, 8000)
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +180,41 @@ def test_extract_wav_that_fails_a_block_read_exits_2_with_one_line(tone_wav, tmp
 
 
 def test_extract_writes_the_in_memory_analysis_byte_for_byte(tone_wav, tmp_path):
+    # the defaults, then 40 ms frames (n_fft 512, 1024 and 1024) over clips with trailing samples
+    framed = ["--frame-ms", "40", "--hop-ms", "20", "--n-mfcc", "8"]
+    cases = [(tone_wav, [], (25.0, 10.0), 13)] + [
+        (_write_tone(tmp_path / f"tone{rate}.wav", rate, rate // 2 + 37), framed, (40.0, 20.0), 8)
+        for rate in (8000, 16000, 22050)]
+    for wav, flags, (frame_ms, hop_ms), n_mfcc in cases:
+        out = tmp_path / f"feats_{wav.stem}"
+        assert main(["extract", str(wav), "--out-dir", str(out), *flags]) == EXIT_OK
+        with wave.open(str(wav), "rb") as fh:
+            w = dsp.Waveform(np.frombuffer(fh.readframes(fh.getnframes()), "<i2") / 32768.0, fh.getframerate())
+        fcfg = dsp.default_frame_config(w.sample_rate, frame_ms, hop_ms)
+        for name, feats in (("mfcc", dsp.mfcc(w, fcfg, n_mfcc)), ("lld", dsp.extract_lld_bundle(w, fcfg))):
+            write_feature_file(feats, tmp_path / f"{name}.mpft")
+            assert (out / f"{wav.stem}_{name}.mpft").read_bytes() == (tmp_path / f"{name}.mpft").read_bytes()
+
+
+def test_extract_one_sample_frames_exit_1_with_one_line_and_write_nothing(tmp_path, capsys):
+    # 0.125 ms at 8 kHz is one sample, whose zero-crossing rate would be 0/0
+    wav = _write_tone(tmp_path / "tone.wav", 8000, 800)
     out = tmp_path / "feats"
-    assert main(["extract", str(tone_wav), "--out-dir", str(out)]) == EXIT_OK
-    with wave.open(str(tone_wav), "rb") as fh:
-        w = dsp.Waveform(np.frombuffer(fh.readframes(fh.getnframes()), "<i2") / 32768.0, 16000)
-    fcfg = dsp.default_frame_config(16000)
-    for name, feats in (("mfcc", dsp.mfcc(w, fcfg, dsp.MelConfig(n_fft=512))),
-                        ("lld", dsp.extract_lld_bundle(w, fcfg))):
-        write_feature_file(feats, tmp_path / f"{name}.mpft")
-        assert (out / f"tone_{name}.mpft").read_bytes() == (tmp_path / f"{name}.mpft").read_bytes()
+    assert main(["extract", str(wav), "--frame-ms", "0.125", "--hop-ms", "0.125",
+                 "--out-dir", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == "error: frame_len must be at least 2 samples, got frame_len=1\n"
+    assert [f.name for f in tmp_path.rglob("*")] == ["tone.wav"]
+
+
+@pytest.mark.parametrize("features", ["mfcc", "lld", "both"])
+def test_extract_n_mfcc_out_of_range_exits_1_before_reading_or_writing(features, tone_wav, tmp_path,
+                                                                       capsys, monkeypatch):
+    monkeypatch.setattr(cli, "read_wav", lambda path: pytest.fail("read the WAV"))
+    assert main(["extract", str(tone_wav), "--features", features, "--n-mfcc", "27",
+                 "--out-dir", str(tmp_path / "feats")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: need 1 <= n_mfcc <= n_mels, got n_mfcc=27 n_mels=26\n"
+    assert [f.name for f in tmp_path.rglob("*")] == ["tone.wav"]
 
 
 # ---------------------------------------------------------------------------

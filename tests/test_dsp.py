@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptmfnet import dsp
-from ptmfnet.dsp import FrameConfig, MelConfig, Waveform
+from ptmfnet.dsp import FrameConfig, Waveform
 from ptmfnet.errors import ValidationError
 
 
@@ -81,18 +81,21 @@ def _sine(freq, sr=16000, dur=1.0, amp=0.5):
     return amp * np.sin(2.0 * np.pi * freq * t)
 
 
-FCFG = FrameConfig(frame_len=400, hop_len=160, window="hamming")
-MCFG = MelConfig(n_fft=512, n_mels=26, n_mfcc=13, fmin=0.0, fmax=8000.0, log_floor=1e-10)
+FCFG = FrameConfig(frame_len=400, hop_len=160)
 
 
 # ---------------------------------------------------------------------------
 # framing
 
 
+def _raw_frames(w, cfg):
+    """Unwindowed (T, frame_len) frames of the whole signal, T = 1 + floor((len - frame_len)/hop)."""
+    return dsp._frame_raw(w.samples, cfg.frame_len, cfg.hop_len)
+
+
 def _frame_signal(w, cfg):
-    """Windowed (T, frame_len) frames of the whole signal, T = 1 + floor((len - frame_len)/hop),
-    as the block-wise extractors frame each block."""
-    return dsp._frame_raw(w.samples, cfg.frame_len, cfg.hop_len) * dsp._WINDOWS[cfg.window](cfg.frame_len)
+    """Windowed frames of the whole signal, as the block-wise extractors frame each block."""
+    return _raw_frames(w, cfg) * dsp._window(cfg.frame_len)
 
 
 def test_frame_count_boundary():
@@ -108,8 +111,7 @@ def test_frame_count_formula():
 def test_rect_window_frames_equal_raw_slices():
     rng = np.random.default_rng(7)
     x = rng.uniform(-1, 1, 720)
-    cfg = FrameConfig(frame_len=400, hop_len=160, window="rect")
-    frames = _frame_signal(_wave(x), cfg)
+    frames = _raw_frames(_wave(x), FCFG)
     for t in range(3):
         np.testing.assert_array_equal(frames[t], x[t * 160 : t * 160 + 400])
 
@@ -134,21 +136,28 @@ def test_signal_shorter_than_frame_rejected_before_window_and_filter_bank(monkey
     def unreachable(*args):
         raise AssertionError("built before the length check")
 
-    monkeypatch.setattr(dsp, "_WINDOWS", {"hamming": unreachable})
+    monkeypatch.setattr(dsp, "_window", unreachable)
     monkeypatch.setattr(dsp, "mel_filterbank", unreachable)
     w = _wave(np.ones(399))
-    for extract in (lambda: dsp.mfcc(w, FCFG, MCFG), lambda: dsp.extract_lld_bundle(w, FCFG)):
+    for extract in (lambda: dsp.mfcc(w, FCFG, 13), lambda: dsp.extract_lld_bundle(w, FCFG)):
         with pytest.raises(ValidationError, match="shorter than one 400-sample frame"):
             extract()
 
 
 def test_frame_config_validation():
     with pytest.raises(ValidationError):
-        FrameConfig(frame_len=400, hop_len=0, window="hamming")
+        FrameConfig(frame_len=400, hop_len=0)
     with pytest.raises(ValidationError):
-        FrameConfig(frame_len=400, hop_len=401, window="hamming")
-    with pytest.raises(ValidationError):
-        FrameConfig(frame_len=400, hop_len=160, window="blackman")
+        FrameConfig(frame_len=400, hop_len=401)
+    for frame_len in (1, 0):  # a zero-crossing rate of one sample is 0/0
+        with pytest.raises(ValidationError, match=f"frame_len must be at least 2 samples, got frame_len={frame_len}"):
+            FrameConfig(frame_len=frame_len, hop_len=1)
+
+
+@pytest.mark.parametrize("frame_len,n_fft", [(2, 2), (200, 256), (256, 256), (257, 512), (400, 512),
+                                             (551, 1024), (640, 1024)])
+def test_frame_config_n_fft_is_the_least_power_of_two_that_holds_a_frame(frame_len, n_fft):
+    assert FrameConfig(frame_len=frame_len, hop_len=1).n_fft == n_fft
 
 
 def test_waveform_validation():
@@ -177,8 +186,7 @@ def test_energy_unit_constant():
 def test_energy_sine_mean_square():
     # mean square of a*sin is a^2/2 over whole periods
     x = _sine(100.0, dur=0.4, amp=0.5)
-    cfg = FrameConfig(frame_len=3200, hop_len=3200, window="rect")
-    frames = _frame_signal(_wave(x), cfg)
+    frames = _raw_frames(_wave(x), FrameConfig(frame_len=3200, hop_len=3200))
     e = dsp.short_term_energy(frames)
     assert abs(e[0, 0] - 0.125) < 0.00125
 
@@ -211,9 +219,8 @@ def test_zcr_sine_matches_brute_force():
 def test_scaling_property(s, seed):
     rng = np.random.default_rng(seed)
     x = rng.uniform(-0.9, 0.9, 720)
-    cfg = FrameConfig(frame_len=400, hop_len=160, window="rect")
-    base = _frame_signal(_wave(x), cfg)
-    scaled = _frame_signal(_wave(s * x), cfg)
+    base = _raw_frames(_wave(x), FCFG)
+    scaled = _raw_frames(_wave(s * x), FCFG)
     np.testing.assert_allclose(dsp.short_term_energy(scaled), s * s * dsp.short_term_energy(base), rtol=1e-12)
     np.testing.assert_array_equal(dsp.zero_crossing_rate(scaled), dsp.zero_crossing_rate(base))
 
@@ -223,13 +230,13 @@ def test_scaling_property(s, seed):
 
 
 def test_filterbank_matches_reference():
-    fb = dsp.mel_filterbank(16000, 512, 26, 0.0, 8000.0)
+    fb = dsp.mel_filterbank(16000, 512)
     ref = _ref_filterbank(16000, 512, 26, 0.0, 8000.0)
     np.testing.assert_allclose(fb, ref, atol=1e-12)
 
 
 def test_filterbank_nonnegative_contiguous():
-    fb = dsp.mel_filterbank(16000, 512, 26, 0.0, 8000.0)
+    fb = dsp.mel_filterbank(16000, 512)
     assert np.all(fb >= 0.0)
     for row in fb:
         nz = np.flatnonzero(row > 0)
@@ -246,18 +253,7 @@ def test_dct_matrix_orthonormal():
 @pytest.mark.parametrize("n_mfcc", [0, -1, 27])
 def test_mel_config_n_mfcc_message_states_both_bounds(n_mfcc):
     with pytest.raises(ValidationError, match=f"need 1 <= n_mfcc <= n_mels, got n_mfcc={n_mfcc} n_mels=26"):
-        MelConfig(n_fft=512, n_mels=26, n_mfcc=n_mfcc)
-
-
-def test_mel_config_validation():
-    with pytest.raises(ValidationError):
-        MelConfig(n_fft=500, n_mels=26, n_mfcc=13, fmin=0.0, fmax=8000.0, log_floor=1e-10)
-    with pytest.raises(ValidationError):
-        MelConfig(n_fft=512, n_mels=26, n_mfcc=27, fmin=0.0, fmax=8000.0, log_floor=1e-10)
-    with pytest.raises(ValidationError):
-        MelConfig(n_fft=512, n_mels=26, n_mfcc=13, fmin=8000.0, fmax=8000.0, log_floor=1e-10)
-    with pytest.raises(ValidationError):
-        MelConfig(n_fft=512, n_mels=26, n_mfcc=13, fmin=0.0, fmax=8000.0, log_floor=0.0)
+        dsp.mfcc(_wave(np.zeros(1600)), FCFG, n_mfcc)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +261,7 @@ def test_mel_config_validation():
 
 
 def test_mfcc_silence_is_constant_dct():
-    out = dsp.mfcc(_wave(np.zeros(1600)), FCFG, MCFG)
+    out = dsp.mfcc(_wave(np.zeros(1600)), FCFG, 13)
     assert out.shape == (8, 13)
     expected = np.zeros(13)
     expected[0] = math.log(1e-10) * math.sqrt(26.0)
@@ -275,8 +271,8 @@ def test_mfcc_silence_is_constant_dct():
 
 def test_mfcc_sine_peaks_in_matching_filter():
     w = _wave(_sine(1000.0))
-    energies = dsp.log_mel_energies(w, FCFG, MCFG)
-    edges = dsp.mel_edges_hz(26, 0.0, 8000.0)
+    energies = dsp.log_mel_energies(w, FCFG)
+    edges = dsp.mel_edges_hz(16000)
     peak = int(np.argmax(energies.mean(axis=0)))
     assert edges[peak] < 1000.0 < edges[peak + 2]
 
@@ -286,7 +282,7 @@ def test_mfcc_matches_reference_20_waveforms():
     worst = 0.0
     for _ in range(20):
         x = rng.uniform(-1.0, 1.0, 16000)
-        got = dsp.mfcc(_wave(x), FCFG, MCFG)
+        got = dsp.mfcc(_wave(x), FCFG, 13)
         ref = _ref_mfcc(x, 16000, 400, 160, 512, 26, 13, 0.0, 8000.0, 1e-10)
         worst = max(worst, float(np.max(np.abs(got - ref))))
     assert worst < 1e-5, worst
@@ -295,17 +291,11 @@ def test_mfcc_matches_reference_20_waveforms():
 def test_mfcc_invariant_to_trailing_samples():
     rng = np.random.default_rng(9)
     x = rng.uniform(-1, 1, 4000)
-    base = dsp.mfcc(_wave(x), FCFG, MCFG)
+    base = dsp.mfcc(_wave(x), FCFG, 13)
     # frame 23 would need samples up to index 4079, so 79 extras stay below it
-    longer = dsp.mfcc(_wave(np.concatenate([x, rng.uniform(-1, 1, 79)])), FCFG, MCFG)
+    longer = dsp.mfcc(_wave(np.concatenate([x, rng.uniform(-1, 1, 79)])), FCFG, 13)
     assert longer.shape == base.shape
     np.testing.assert_array_equal(longer, base)
-
-
-def test_mfcc_fmax_above_nyquist_rejected():
-    bad = MelConfig(n_fft=512, n_mels=26, n_mfcc=13, fmin=0.0, fmax=9000.0, log_floor=1e-10)
-    with pytest.raises(ValidationError):
-        dsp.mfcc(_wave(np.zeros(1600)), FCFG, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -328,30 +318,27 @@ def test_frame_blocks_cover_the_frames_in_order_in_near_equal_blocks(n_frames):
     assert len(blocks) == -(-n_frames // dsp.BLOCK)
 
 
-_WHOLE_WINDOWS = {"hamming": np.hamming, "rect": np.ones}
-
-
 def _whole_frames(samples, fcfg):
     return np.lib.stride_tricks.sliding_window_view(samples, fcfg.frame_len)[::fcfg.hop_len]
 
 
-def _whole_log_mel(w, fcfg, mcfg):
+def _whole_log_mel(w, fcfg):
     emphasized = w.samples.copy()
     emphasized[1:] -= 0.97 * w.samples[:-1]
-    frames = _whole_frames(emphasized, fcfg) * _WHOLE_WINDOWS[fcfg.window](fcfg.frame_len)
-    mag = np.abs(np.fft.rfft(frames, n=mcfg.n_fft, axis=1))
+    frames = _whole_frames(emphasized, fcfg) * np.hamming(fcfg.frame_len)
+    mag = np.abs(np.fft.rfft(frames, n=fcfg.n_fft, axis=1))
     # __wrapped__ builds the table afresh, so the oracle never reads the tables' cache
-    fb = dsp.mel_filterbank.__wrapped__(w.sample_rate, mcfg.n_fft, mcfg.n_mels, mcfg.fmin, mcfg.fmax)
-    return np.log(np.maximum(mag @ fb.T, mcfg.log_floor))
+    fb = dsp.mel_filterbank.__wrapped__(w.sample_rate, fcfg.n_fft)
+    return np.log(np.maximum(mag @ fb.T, 1e-10))
 
 
-def _whole_mfcc(w, fcfg, mcfg):
-    return _whole_log_mel(w, fcfg, mcfg) @ dsp.dct_matrix.__wrapped__(mcfg.n_mels)[: mcfg.n_mfcc].T
+def _whole_mfcc(w, fcfg, n_mfcc):
+    return _whole_log_mel(w, fcfg) @ dsp.dct_matrix.__wrapped__(26)[:n_mfcc].T
 
 
 def _whole_lld(w, fcfg):
     raw = _whole_frames(w.samples, fcfg)
-    windowed = raw * _WHOLE_WINDOWS[fcfg.window](fcfg.frame_len)
+    windowed = raw * np.hamming(fcfg.frame_len)
     negative = raw < 0.0
     zcr = np.sum(negative[:, 1:] != negative[:, :-1], axis=1, keepdims=True) / float(fcfg.frame_len - 1)
     return np.hstack([np.mean(np.square(windowed), axis=1, keepdims=True), zcr])
@@ -363,22 +350,20 @@ BOUNDARY_FRAMES = [1, dsp.BLOCK - 1, dsp.BLOCK, dsp.BLOCK + 1, 2 * dsp.BLOCK - 1
                    3 * dsp.BLOCK + 7, 2047, 2048, 2049, 6151]
 
 
-@pytest.mark.parametrize("n_frames", BOUNDARY_FRAMES)
-@pytest.mark.parametrize("window", ["hamming", "rect"])
-def test_block_wise_features_equal_whole_signal_bitwise(n_frames, window):
+@pytest.mark.parametrize("n_frames", BOUNDARY_FRAMES, ids="hamming-{}".format)
+def test_block_wise_features_equal_whole_signal_bitwise(n_frames):
     # hop 160 does not divide frame 400, and 97 trailing samples fill no frame
-    fcfg = FrameConfig(frame_len=400, hop_len=160, window=window)
     rng = np.random.default_rng(n_frames)
     w = _wave(rng.uniform(-1, 1, (n_frames - 1) * 160 + 400 + 97))
-    logmel = dsp.log_mel_energies(w, fcfg, MCFG)
+    logmel = dsp.log_mel_energies(w, FCFG)
     assert logmel.shape == (n_frames, 26)
-    np.testing.assert_array_equal(logmel, _whole_log_mel(w, fcfg, MCFG))
-    np.testing.assert_array_equal(dsp.mfcc(w, fcfg, MCFG), _whole_mfcc(w, fcfg, MCFG))
-    np.testing.assert_array_equal(dsp.extract_lld_bundle(w, fcfg), _whole_lld(w, fcfg))
+    np.testing.assert_array_equal(logmel, _whole_log_mel(w, FCFG))
+    np.testing.assert_array_equal(dsp.mfcc(w, FCFG, 13), _whole_mfcc(w, FCFG, 13))
+    np.testing.assert_array_equal(dsp.extract_lld_bundle(w, FCFG), _whole_lld(w, FCFG))
 
 
 def test_analysis_tables_are_cached_read_only():
-    tables = (dsp.mel_filterbank(16000, 512, 26, 0.0, 8000.0), dsp.dct_matrix(26), dsp._window("hamming", 400))
+    tables = (dsp.mel_filterbank(16000, 512), dsp.dct_matrix(26), dsp._window(400))
     for table in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -390,18 +375,19 @@ def test_analysis_tables_are_cached_read_only():
 
 
 def test_interleaved_configs_each_get_their_own_tables():
-    # a table cache keyed on the wrong arguments hands one config another's table
-    configs = [(16000, FCFG, MCFG),
-               (8000, FrameConfig(200, 80), MelConfig(n_fft=256, fmax=4000.0)),
-               (16000, FCFG, MelConfig(n_fft=512, n_mfcc=8)),
-               (8000, FrameConfig(200, 80, "rect"), MelConfig(n_fft=512, n_mfcc=5, fmax=4000.0))]
+    # a table cache keyed on the wrong arguments hands one config another's table; the
+    # 8 kHz 320-sample frames share n_fft 512 with the 16 kHz ones
+    configs = [(16000, FCFG, 13),
+               (8000, FrameConfig(200, 80), 13),
+               (16000, FCFG, 8),
+               (8000, FrameConfig(320, 160), 5)]
     rng = np.random.default_rng(11)
-    for sr, fcfg, mcfg in configs + configs[::-1]:
+    for sr, fcfg, n_mfcc in configs + configs[::-1]:
         w = _wave(rng.uniform(-1, 1, sr // 2 + 37), sr)
-        np.testing.assert_array_equal(dsp.mfcc(w, fcfg, mcfg), _whole_mfcc(w, fcfg, mcfg))
+        np.testing.assert_array_equal(dsp.mfcc(w, fcfg, n_mfcc), _whole_mfcc(w, fcfg, n_mfcc))
         np.testing.assert_array_equal(dsp.extract_lld_bundle(w, fcfg), _whole_lld(w, fcfg))
-        np.testing.assert_allclose(dsp.mel_filterbank(sr, mcfg.n_fft, mcfg.n_mels, mcfg.fmin, mcfg.fmax),
-                                   _ref_filterbank(sr, mcfg.n_fft, mcfg.n_mels, mcfg.fmin, mcfg.fmax), atol=1e-12)
+        np.testing.assert_allclose(dsp.mel_filterbank(sr, fcfg.n_fft),
+                                   _ref_filterbank(sr, fcfg.n_fft, 26, 0.0, sr / 2.0), atol=1e-12)
 
 
 def test_extraction_memory_is_bounded_by_the_block_not_the_signal():
@@ -411,7 +397,7 @@ def test_extraction_memory_is_bounded_by_the_block_not_the_signal():
     w = _wave(np.random.default_rng(5).uniform(-1, 1, 120 * 16000))
     tracemalloc.start()
     try:
-        dsp.mfcc(w, FCFG, MCFG)
+        dsp.mfcc(w, FCFG, 13)
         dsp.extract_lld_bundle(w, FCFG)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -434,7 +420,7 @@ def test_lld_bundle_composition():
     out = dsp.extract_lld_bundle(w, FCFG)
     assert out.shape == (8, 2)
     windowed = _frame_signal(w, FCFG)
-    raw = _frame_signal(w, FrameConfig(400, 160, "rect"))
+    raw = _raw_frames(w, FCFG)
     np.testing.assert_array_equal(out[:, :1], dsp.short_term_energy(windowed))
     np.testing.assert_array_equal(out[:, 1:], dsp.zero_crossing_rate(raw))
 
@@ -508,9 +494,9 @@ def test_wav_file_features_equal_in_memory_waveform_bitwise(n_frames, tmp_path):
     pcm = np.random.default_rng(n_frames).integers(-32768, 32768, (n_frames - 1) * 160 + 400 + 97)
     w = dsp.read_wav(_write_wav(tmp_path / "x.wav", pcm))
     mem = _wave(pcm / 32768.0)
-    mfcc = dsp.mfcc(w, FCFG, MCFG)
+    mfcc = dsp.mfcc(w, FCFG, 13)
     assert mfcc.shape == (n_frames, 13)
-    assert np.array_equal(mfcc, dsp.mfcc(mem, FCFG, MCFG))
+    assert np.array_equal(mfcc, dsp.mfcc(mem, FCFG, 13))
     assert np.array_equal(dsp.extract_lld_bundle(w, FCFG), dsp.extract_lld_bundle(mem, FCFG))
 
 
@@ -546,7 +532,7 @@ def test_wav_file_read_that_fails_is_a_format_error_naming_the_file(damage, tmp_
     good = path.read_bytes()
     path.write_bytes(good[:100] if damage == "cut" else b"junk" * 20)
     with pytest.raises(DataFormatError, match="late\\.wav"):
-        dsp.mfcc(w, FCFG, MCFG)
+        dsp.mfcc(w, FCFG, 13)
     with pytest.raises(DataFormatError, match="late\\.wav"):
         dsp.extract_lld_bundle(w, FCFG)
 
@@ -555,7 +541,7 @@ def _extract_peak(path):
     tracemalloc.start()
     try:
         w = dsp.read_wav(path)
-        dsp.mfcc(w, FCFG, MCFG)
+        dsp.mfcc(w, FCFG, 13)
         dsp.extract_lld_bundle(w, FCFG)
         return tracemalloc.get_traced_memory()[1]
     finally:
