@@ -5,10 +5,16 @@ Feature files use a small binary format (magic "MPFT"): f32 on disk and
 in memory; `model.collate` widens them to f64 batches. Widening is exact,
 so the round trip stays bitwise stable. Feature files and manifests are
 written atomically.
+
+The load path keeps `pathlib` out of its per-file work: a record's paths
+are strings, `os.path.join` of the manifest's directory and the path as
+written, checked with one `os.stat` under `Path.exists`'s rule, and a
+feature file is read with `os` calls (`os.readv` makes this POSIX-only).
 """
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import math
@@ -90,11 +96,16 @@ def write_feature_file(matrix: np.ndarray, path) -> None:
 
 
 def read_feature_file(path) -> np.ndarray:
-    """The (T, D) float32 rows of a feature file. Unbuffered, the header
-    and the payload are one read each, the payload straight into the
-    returned array once the header and the file size check out."""
-    with open(path, "rb", buffering=0) as fh:
-        head = fh.read(16)
+    """The (T, D) float32 rows of a feature file, `path` a str or a PathLike.
+    The header and the payload are one read each, the payload straight into
+    the returned array once the header and the file size check out."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        try:
+            head = os.read(fd, 16)
+        except OSError as exc:  # a directory opens, then fails here: name it as `open` would
+            exc.filename = os.fspath(path)
+            raise
         if head[:4] != FEATURE_MAGIC:
             raise DataFormatError(f"{path}: bad magic {head[:4]!r}, expected {FEATURE_MAGIC!r}")
         if len(head) < 16:
@@ -102,14 +113,16 @@ def read_feature_file(path) -> np.ndarray:
         version, t, d = struct.unpack_from("<III", head, 4)
         if version != FEATURE_VERSION:
             raise DataFormatError(f"{path}: unsupported version {version}")
-        size, expected = os.fstat(fh.fileno()).st_size, 16 + 4 * t * d
+        size, expected = os.fstat(fd).st_size, 16 + 4 * t * d
         if size != expected:
             raise DataFormatError(f"{path}: truncated or oversized payload ({size} bytes, expected {expected})")
         if t < 1 or d < 1:
             raise DataFormatError(f"{path}: degenerate shape ({t}, {d})")
         m = np.empty((t, d), dtype="<f4")
-        if fh.readinto(m) != m.nbytes:  # the file shrank after its size was taken
+        if os.readv(fd, [m]) != m.nbytes:  # the file shrank after its size was taken
             raise DataFormatError(f"{path}: truncated payload")
+    finally:
+        os.close(fd)
     if not np.isfinite(m).all():
         raise DataFormatError(f"{path}: non-finite values")
     return m
@@ -157,7 +170,7 @@ class SampleRecord:
     visual_paths: dict
     personality: PersonalityProfile
     labels: dict
-    personality_embedding_path: Path | None = None
+    personality_embedding_path: str | None = None
 
     def label(self, task: str) -> int:
         return self.labels[task]
@@ -207,16 +220,35 @@ def _field(obj: dict, key: str, kind: type, problems: list, default=None):
     return None
 
 
+_MISSING_ERRNOS = (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP)
+
+
+def _exists(path: str) -> bool:
+    """`Path(path).exists()` in one `os.stat`: the errnos pathlib ignores and
+    a path it cannot encode (ValueError) mean missing, any other OSError
+    propagates."""
+    try:
+        os.stat(path)
+    except OSError as exc:
+        if exc.errno in _MISSING_ERRNOS:
+            return False
+        raise
+    except ValueError:
+        return False
+    return True
+
+
 def load_manifest(path) -> list[SampleRecord]:
     """Parse a JSON-lines manifest, validating every record.
 
     All problems are gathered into one error so a bad manifest is fixable
-    in a single pass; relative paths resolve against the manifest's parent.
+    in a single pass. A path is kept as written, joined to the manifest's
+    directory with `os.path.join`, so an absolute one replaces it.
     """
     path = Path(path)
     if not path.exists():
         raise DataFormatError(f"{path}: manifest not found")
-    base = path.parent
+    base = os.path.dirname(path)  # "" for a manifest in the working directory
     records: list[SampleRecord] = []
     errors: list[str] = []
     bad_lines = 0
@@ -246,7 +278,7 @@ def load_manifest(path) -> list[SampleRecord]:
     return records
 
 
-def _parse_line(line: str, base: Path, problems: list):
+def _parse_line(line: str, base: str, problems: list):
     """(id, record) of one manifest line, with what is wrong with it appended
     to `problems`; the record counts only when that list stays empty. The id
     is None when the line has none. Checking stops at a missing id, an
@@ -271,8 +303,8 @@ def _parse_line(line: str, base: Path, problems: list):
             if stream not in src:
                 problems.append(f"missing {label} stream {stream!r}")
             elif _field(src, stream, str, problems) is not None:
-                p = paths[label][stream] = base / src[stream]  # an absolute path replaces base
-                if not p.exists():
+                p = paths[label][stream] = os.path.join(base, src[stream])
+                if not _exists(p):
                     problems.append(f"{label} path for {stream!r} does not exist: {p}")
 
     labels = _field(obj, "labels", dict, problems, {})
@@ -293,8 +325,8 @@ def _parse_line(line: str, base: Path, problems: list):
     if obj.get("personality_embedding_path") is not None:
         if _field(obj, "personality_embedding_path", str, problems) is None:
             return sample_id, None
-        emb_path = base / obj["personality_embedding_path"]
-        if not emb_path.exists():
+        emb_path = os.path.join(base, obj["personality_embedding_path"])
+        if not _exists(emb_path):
             problems.append(f"personality embedding path does not exist: {emb_path}")
 
     if problems:

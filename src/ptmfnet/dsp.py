@@ -8,13 +8,14 @@ an FFT of `FrameConfig.n_fft` points, N_MELS HTK mel bands from 0 Hz to
 Nyquist, and magnitudes floored at LOG_FLOOR before the log.
 `log_mel_energies`, `mfcc` and `extract_lld_bundle` analyse the frames in
 near-equal blocks of at most BLOCK, writing each block's rows into a
-preallocated `(T, n)` output, so their temporaries scale with the block,
-not the signal; `mfcc` multiplies each block's log-mel rows by the DCT, so
-no `(T, N_MELS)` table is ever whole. Their output has the same bits as a
-whole-signal analysis wherever a BLAS product's row bits do not depend on
-its row count, which not every OpenBLAS kernel ensures. Their source is a
-`Waveform` held in memory or a `WavFile` from `read_wav`, whose samples are
-read from the file one block at a time and so are never whole in memory.
+preallocated `(T, n)` output through block buffers allocated once a call,
+so their temporaries scale with the block, not the signal; `mfcc`
+multiplies each block's log-mel rows by the DCT, so no `(T, N_MELS)` table
+is ever whole. Their output has the same bits as a whole-signal analysis
+wherever a BLAS product's row bits do not depend on its row count, which
+not every OpenBLAS kernel ensures. Their source is a `Waveform` held in
+memory or a `WavFile` from `read_wav`, whose samples are read from the file
+one block at a time and so are never whole in memory.
 """
 
 from __future__ import annotations
@@ -89,18 +90,21 @@ def _frame_raw(samples: np.ndarray, frame_len: int, hop_len: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(samples, frame_len)[::hop_len]
 
 
-def short_term_energy(frames: np.ndarray) -> np.ndarray:
-    """Mean squared sample per (already windowed) frame, shape (T, 1)."""
-    return np.mean(np.square(frames), axis=1, keepdims=True)
+def short_term_energy(frames: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Mean squared sample per (already windowed) frame, shape (T, 1). The
+    squares go into `scratch` when given (of `frames`' shape, `frames` itself
+    included)."""
+    return np.mean(np.square(frames, out=scratch), axis=1, keepdims=True)
 
 
-def zero_crossing_rate(frames: np.ndarray) -> np.ndarray:
+def zero_crossing_rate(frames: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """Sign-change fraction per frame, shape (T, 1).
 
     Expects unwindowed frames (windowing corrupts sign structure); zero
-    samples count as positive, so digital silence has rate 0.
+    samples count as positive, so digital silence has rate 0. The signs go
+    into `scratch` when given, a bool array of `frames`' shape.
     """
-    negative = frames < 0.0
+    negative = np.less(frames, 0.0, out=scratch)
     changes = np.sum(negative[:, 1:] != negative[:, :-1], axis=1, keepdims=True)
     return changes / float(frames.shape[1] - 1)
 
@@ -178,13 +182,23 @@ def _mel_analysis(w: Waveform | WavFile, fcfg: FrameConfig, basis=None) -> np.nd
     window = _window(fcfg.frame_len)
     fb_t = mel_filterbank(w.sample_rate, fcfg.n_fft).T
     out = np.empty((n_frames, N_MELS if basis is None else basis.shape[1]))
+    # one set of block buffers a call, each block in their first rows; the
+    # windowed frames' columns past frame_len stay zero, the FFT's padding
+    rows = min(n_frames, BLOCK)  # no block holds more
+    padded = np.zeros((rows, fcfg.n_fft))
+    mag = np.empty((rows, fb_t.shape[0]))
+    mel = np.empty((rows, N_MELS)) if basis is not None else None
     for a, b, lo, hi in blocks:
         # emphasizing from lo-1 and dropping that sample equals emphasizing the whole signal
         emphasized = pre_emphasize(x[lo - 1:hi])[1:] if lo else pre_emphasize(x[:hi])
-        frames = _frame_raw(emphasized, fcfg.frame_len, fcfg.hop_len) * window
-        mag = np.abs(np.fft.rfft(frames, n=fcfg.n_fft, axis=1))
-        log_mel = np.log(np.maximum(mag @ fb_t, LOG_FLOOR))
-        out[a:b] = log_mel if basis is None else log_mel @ basis
+        np.multiply(_frame_raw(emphasized, fcfg.frame_len, fcfg.hop_len), window,
+                    out=padded[:b - a, :fcfg.frame_len])
+        np.abs(np.fft.rfft(padded[:b - a], axis=1), out=mag[:b - a])
+        log_mel = out[a:b] if basis is None else mel[:b - a]
+        np.matmul(mag[:b - a], fb_t, out=log_mel)
+        np.log(np.maximum(log_mel, LOG_FLOOR, out=log_mel), out=log_mel)
+        if basis is not None:
+            np.matmul(log_mel, basis, out=out[a:b])
     return out
 
 
@@ -203,10 +217,14 @@ def extract_lld_bundle(w: Waveform | WavFile, fcfg: FrameConfig) -> np.ndarray:
     n_frames, blocks = _frame_blocks(w.samples, fcfg)
     window = _window(fcfg.frame_len)
     out = np.empty((n_frames, 2))
+    rows = min(n_frames, BLOCK)  # no block holds more
+    squares = np.empty((rows, fcfg.frame_len))
+    signs = np.empty((rows, fcfg.frame_len), dtype=bool)
     for a, b, lo, hi in blocks:
         raw = _frame_raw(w.samples[lo:hi], fcfg.frame_len, fcfg.hop_len)
-        out[a:b, :1] = short_term_energy(raw * window)
-        out[a:b, 1:] = zero_crossing_rate(raw)
+        windowed = np.multiply(raw, window, out=squares[:b - a])
+        out[a:b, :1] = short_term_energy(windowed, scratch=windowed)
+        out[a:b, 1:] = zero_crossing_rate(raw, scratch=signs[:b - a])
     return out
 
 

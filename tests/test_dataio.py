@@ -1,4 +1,7 @@
+import errno
 import json
+import os
+import pathlib
 import struct
 import tracemalloc
 
@@ -97,6 +100,29 @@ def test_truncated_payload(tmp_path):
     path.write_bytes(path.read_bytes()[:-2])
     with pytest.raises(DataFormatError, match="truncated"):
         dataio.read_feature_file(path)
+
+
+def test_a_short_payload_read_is_truncated_and_closes_its_file(tmp_path, monkeypatch):
+    # the size checks out, then the one payload read comes back short
+    path = tmp_path / "t.mpft"
+    dataio.write_feature_file(np.ones((3, 3), dtype=np.float32), path)
+    opened, closed = [], []
+    real_open, real_close = os.open, os.close
+    monkeypatch.setattr(os, "open", lambda *a: opened.append(real_open(*a)) or opened[-1])
+    monkeypatch.setattr(os, "close", lambda fd: closed.append(fd) or real_close(fd))
+    monkeypatch.setattr(os, "readv", lambda fd, buffers: 4)
+    with pytest.raises(DataFormatError, match="truncated payload"):
+        dataio.read_feature_file(path)
+    assert len(opened) == 1 and closed == opened
+
+
+def test_a_directory_is_named_as_open_names_it(tmp_path):
+    # it opens with os.open, and only the first read fails
+    (tmp_path / "d").mkdir()
+    for path in (tmp_path / "d", str(tmp_path / "d")):
+        with pytest.raises(IsADirectoryError) as exc:
+            dataio.read_feature_file(path)
+        assert str(exc.value) == f"[Errno {errno.EISDIR}] Is a directory: '{tmp_path / 'd'}'"
 
 
 def test_non_finite_rejected_both_ways(tmp_path):
@@ -244,7 +270,66 @@ def test_ten_records_in_order(tmp_path):
     records = dataio.load_manifest(tmp_path / "m.jsonl")
     assert [r.id for r in records] == [f"s{i}" for i in range(10)]
     assert records[0].labels == {"binary": 1, "ternary": 2, "quinary": 3}
-    assert records[0].audio_paths["mfcc"].exists()
+    assert os.path.exists(records[0].audio_paths["mfcc"])
+
+
+def _denied(path, *args, **kwargs):
+    raise PermissionError(errno.EACCES, "Permission denied", str(path))
+
+
+def test_exists_follows_path_exists(tmp_path, monkeypatch):
+    (tmp_path / "file").write_bytes(b"")
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "broken").symlink_to(tmp_path / "absent")
+    (tmp_path / "loop").symlink_to(tmp_path / "loop")
+    cases = {"file": True, "absent": False, "dir": True, "broken": False, "loop": False,
+             "file/x": False, "nul\0byte": False}  # file/x: ENOTDIR, loop: ELOOP, NUL: ValueError
+    for name, expected in cases.items():
+        path = f"{tmp_path}/{name}"
+        assert dataio._exists(path) == pathlib.Path(path).exists() == expected, name
+    # any other OSError propagates from both
+    monkeypatch.setattr(os, "stat", _denied)
+    if hasattr(pathlib, "_NormalAccessor"):  # Python 3.10's pathlib bound os.stat at import
+        monkeypatch.setattr(pathlib._NormalAccessor, "stat", staticmethod(_denied))
+    for check in (dataio._exists, lambda p: pathlib.Path(p).exists()):
+        with pytest.raises(PermissionError):
+            check(f"{tmp_path}/file")
+
+
+@pytest.mark.parametrize("name", ["m.jsonl", "./m.jsonl"])
+def test_a_manifest_in_the_working_directory_names_paths_as_written(tmp_path, monkeypatch, name):
+    (tmp_path / "features").mkdir()
+    obj = _record_dict(tmp_path / "features", "s1")
+    obj["audio_paths"] = {s: f"features/{p}" for s, p in obj["audio_paths"].items()}
+    obj["visual_paths"] = {s: f"features/{p}" for s, p in obj["visual_paths"].items()}
+    _write_lines(tmp_path / "m.jsonl", [json.dumps(obj)])
+    monkeypatch.chdir(tmp_path)
+    (r,) = dataio.load_manifest(name)
+    assert r.audio_paths["mfcc"] == "features/s1_mfcc.mpft"
+    obj["audio_paths"]["mfcc"] = "features/missing.mpft"
+    _write_lines(tmp_path / "m.jsonl", [json.dumps(obj)])
+    with pytest.raises(ValidationError) as exc:
+        dataio.load_manifest(name)
+    assert str(exc.value) == ("m.jsonl: 1 invalid manifest line(s)\n"
+                              "line 1: audio path for 'mfcc' does not exist: features/missing.mpft")
+
+
+def test_a_path_is_kept_as_written(tmp_path):
+    # pathlib dropped a doubled and a trailing slash; os.path.join keeps both,
+    # and a file path that ends in a slash names no file
+    (tmp_path / "features").mkdir()
+    obj = _record_dict(tmp_path / "features", "s1")
+    obj["audio_paths"] = {s: f"features//{p}" for s, p in obj["audio_paths"].items()}
+    obj["visual_paths"] = {s: f"features/{p}" for s, p in obj["visual_paths"].items()}
+    _write_lines(tmp_path / "m.jsonl", [json.dumps(obj)])
+    (r,) = dataio.load_manifest(tmp_path / "m.jsonl")
+    assert r.audio_paths["mfcc"] == f"{tmp_path}/features//s1_mfcc.mpft"
+    obj["visual_paths"]["resnet"] += "/"
+    _write_lines(tmp_path / "m.jsonl", [json.dumps(obj)])
+    with pytest.raises(ValidationError) as exc:
+        dataio.load_manifest(tmp_path / "m.jsonl")
+    assert str(exc.value).splitlines()[1:] == [
+        f"line 1: visual path for 'resnet' does not exist: {tmp_path}/features/s1_resnet.mpft/"]
 
 
 def test_duplicate_id_rejected(tmp_path):
@@ -363,9 +448,9 @@ def test_absolute_paths_are_kept_as_given(tmp_path):
     (tmp_path / "elsewhere").mkdir()
     _write_lines(tmp_path / "elsewhere" / "m.jsonl", [json.dumps(obj)])
     (r,) = dataio.load_manifest(tmp_path / "elsewhere" / "m.jsonl")
-    assert r.audio_paths == {s: feats / f"s1_{s}.mpft" for s in dataio.AUDIO_STREAMS}
-    assert r.visual_paths == {s: feats / f"s1_{s}.mpft" for s in dataio.VISUAL_STREAMS}
-    assert r.personality_embedding_path == feats / "s1_lld.mpft"
+    assert r.audio_paths == {s: str(feats / f"s1_{s}.mpft") for s in dataio.AUDIO_STREAMS}
+    assert r.visual_paths == {s: str(feats / f"s1_{s}.mpft") for s in dataio.VISUAL_STREAMS}
+    assert r.personality_embedding_path == str(feats / "s1_lld.mpft")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Hostile input for every file reader: byte flips and truncations of a valid
 WAV, feature file (.mpft), checkpoint (.ptmf) and manifest may fail only with
 DataFormatError or ValidationError, never with another exception. A WAV goes
-through the whole extraction, whose block reads decode its samples."""
+through the whole extraction, whose block reads decode its samples. A feature
+file fails only with DataFormatError, and leaves no file descriptor open."""
 
+import os
 import wave
 
 import numpy as np
@@ -73,6 +75,15 @@ def _corruption(draw, size):
     return ("flip", draw(st.lists(st.tuples(pos, st.integers(0, 255)), min_size=1, max_size=4)))
 
 
+def _corrupted(good: bytes, corruption) -> bytes:
+    how, arg = corruption
+    data = good[:arg] if how == "cut" else bytearray(good)
+    if how == "flip":
+        for pos, value in arg:
+            data[pos] = value
+    return bytes(data)
+
+
 @pytest.mark.parametrize("kind", sorted(READERS))
 def test_corrupt_file_raises_only_format_or_validation_errors(kind, tmp_path_factory):
     make, read = READERS[kind]
@@ -84,15 +95,30 @@ def test_corrupt_file_raises_only_format_or_validation_errors(kind, tmp_path_fac
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(_corruption(len(good)))
     def check(corruption):
-        how, arg = corruption
-        data = good[:arg] if how == "cut" else bytearray(good)
-        if how == "flip":
-            for pos, value in arg:
-                data[pos] = value
-        path.write_bytes(bytes(data))
+        path.write_bytes(_corrupted(good, corruption))
         try:
             read(path)
         except (DataFormatError, ValidationError):
             pass
+
+    check()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc/self/fd")
+def test_corrupt_feature_file_raises_only_format_errors_and_closes_its_descriptor(tmp_path):
+    path = tmp_path / "input.mpft"
+    _mpft(path)
+    good = path.read_bytes()
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_corruption(len(good)))
+    def check(corruption):
+        path.write_bytes(_corrupted(good, corruption))
+        before = os.listdir("/proc/self/fd")
+        try:
+            read_feature_file(path)
+        except DataFormatError:
+            pass
+        assert os.listdir("/proc/self/fd") == before
 
     check()
