@@ -316,12 +316,18 @@ def lstm(xs: Sequence[Tensor], lengths: Sequence, Ws: Sequence[Tensor], Us: Sequ
     computes every stream's product as a call with that stream alone would.
     A stream's input projection, outputs and gradient reductions read only
     its own T_s steps, so outputs and gradients are bitwise those of S
-    single-stream calls. A forward step writes into buffers allocated
-    before the loop and takes the sigmoid of all 4H columns with one exp,
-    bitwise `_sigmoid`; when no node will be recorded (no tape, or no input
-    needs a gradient) it keeps no per-step state for a VJP. The VJP runs
-    backpropagation through time, O(T) steps and memory, for all streams in
-    one reverse loop, with the factors that do not depend on the carried
+    single-stream calls. The forward's per-step buffers are gate-major, so
+    every elementwise operand of a step is one contiguous array: the input
+    projection is written into a (T, 4, S, B, H) table, and a step's only
+    strided read is adding the matmul's (S, B, 4H) product to its row. A
+    step takes the sigmoid of the i, f and o gates with one exp, bitwise
+    `_sigmoid`, and updates the cell with one multiply of [i, f] by
+    [g, c_prev] and one add of the two halves, bitwise f * c_prev + i * g.
+    It writes into buffers allocated before the loop; when no node will be
+    recorded (no tape, or no input needs a gradient) it keeps no per-step
+    state for a VJP. The VJP runs backpropagation through time, O(T) steps
+    and memory, for all streams in one reverse loop in the (S, B, 4H)
+    column layout, with the factors that do not depend on the carried
     gradients computed for all steps before it; it zeroes output gradients
     past each length, so every padded step passes back exactly 0.
     """
@@ -338,48 +344,54 @@ def lstm(xs: Sequence[Tensor], lengths: Sequence, Ws: Sequence[Tensor], Us: Sequ
                 or U.shape != (h_dim, 4 * h_dim) or b.shape != (1, 4 * h_dim):
             raise ShapeError(f"lstm shapes disagree: x {x.shape} as {valid.shape[0]} sequences "
                              f"(not {n_seq}), W {W.shape}, U {U.shape}, b {b.shape}")
-    k = 3 * h_dim  # i|f|o columns take the sigmoid, g the tanh
     u = np.stack([U.data for U in Us])
-    # time-major, so each step reads one block; zero past a stream's T_s
-    xw = np.zeros((t_len, n_streams, n_seq, 4 * h_dim))
+    # time-major and gate-major, so each step reads one (4, S, B, H) block;
+    # zero past a stream's T_s
+    xw = np.zeros((t_len, 4, n_streams, n_seq, h_dim))
     for s, (x, W, b, t_s) in enumerate(zip(xs, Ws, bs, t_lens)):
-        xw[:t_s, s] = (x.data @ W.data + b.data).reshape(n_seq, t_s, 4 * h_dim).transpose(1, 0, 2)
+        xw[:t_s, :, s] = (x.data @ W.data + b.data).reshape(n_seq, t_s, 4, h_dim).transpose(1, 2, 0, 3)
     inputs = tuple(p for stream in zip(xs, Ws, Us, bs) for p in stream)
     needs_grad = any(p.requires_grad for p in inputs)
     record = needs_grad and bool(_TAPE_STACK)
-    # With a node to record, step t keeps its gates in row t, c in row t + 1
-    # and tanh(c) in row t for the VJP; without one, every step reuses row 0
-    # and c carries over in place. h is the output and is always kept. The
-    # loops iterate over the tables, which yields each step's rows for less
-    # than indexing them.
+    # Row t of `cell` holds step t's gates i, f, o, g and the c it starts
+    # from, so [i, f] and [g, c_prev] are contiguous pairs and the cell
+    # update is one multiply; step t writes its c into row t + 1. With a
+    # node to record, every step keeps its rows, and tanh(c) in row t of
+    # tc, for the VJP; without one, every step reuses row 0 and c carries
+    # over in place. h is the output and is always kept. The loops iterate
+    # over the tables, which yields each step's rows for less than indexing
+    # them.
     n_kept = t_len if record else 1
-    gates = np.empty((n_kept, n_streams, n_seq, 4 * h_dim))
-    i, f, o, g = gates.reshape(n_kept, n_streams, n_seq, 4, h_dim).transpose(3, 0, 1, 2, 4)
-    c = np.zeros((n_kept + 1, n_streams, n_seq, h_dim))
+    cell = np.empty((n_kept + 1, 5, n_streams, n_seq, h_dim))
+    cell[0, 4] = 0.0
     tc = np.empty((n_kept, n_streams, n_seq, h_dim))
     h = np.zeros((t_len + 1, n_streams, n_seq, h_dim))  # row t + 1 holds the state after step t
     if record:
-        kept = zip(gates, i, f, o, g, c[:-1], c[1:], tc)
+        kept = zip(cell[:-1, :3], cell[:-1, :2], cell[:-1, 2], cell[:-1, 3], cell[:-1, 3:], cell[1:, 4], tc)
     else:
-        kept = itertools.repeat((gates[0], i[0], f[0], o[0], g[0], c[0], c[0], tc[0]), t_len)
-    pre, ig = np.empty_like(xw[0]), np.empty_like(h[0])
-    pre_g = pre[..., k:]
-    # _sigmoid of all 4H columns with one exp: where(d >= 0, 1, e) is
+        kept = itertools.repeat((cell[0, :3], cell[0, :2], cell[0, 2], cell[0, 3], cell[0, 3:], cell[0, 4],
+                                 tc[0]), t_len)
+    pre = np.empty((n_streams, n_seq, 4 * h_dim))
+    pre_gates = pre.reshape(n_streams, n_seq, 4, h_dim).transpose(2, 0, 1, 3)
+    act_in = np.empty_like(xw[0])
+    ifo_in, g_in = act_in[:3], act_in[3]
+    # _sigmoid of the i|f|o gates with one exp: where(d >= 0, 1, e) is
     # exp(min(d, 0)) and e = exp(-|d|) is exp(copysign(d, -1)), to the bit
-    num_den = np.empty((2, *pre.shape))
+    num_den = np.empty((2, *ifo_in.shape))
     num, den = num_den
-    for h_prev, h_t, xw_t, (act, i_t, f_t, o_t, g_t, c_prev, c_t, tc_t) in zip(h[:-1], h[1:], xw, kept):
+    ig_fc = np.empty((2, n_streams, n_seq, h_dim))
+    ig, fc = ig_fc
+    for h_prev, h_t, xw_t, (ifo_t, if_t, o_t, g_t, gc_t, c_t, tc_t) in zip(h[:-1], h[1:], xw, kept):
         np.matmul(h_prev, u, out=pre)
-        pre += xw_t
-        np.minimum(pre, 0.0, out=num)
-        np.copysign(pre, -1.0, out=den)
+        np.add(pre_gates, xw_t, out=act_in)
+        np.minimum(ifo_in, 0.0, out=num)
+        np.copysign(ifo_in, -1.0, out=den)
         np.exp(num_den, out=num_den)
         den += 1.0
-        np.divide(num, den, out=act)
-        np.tanh(pre_g, out=g_t)
-        np.multiply(f_t, c_prev, out=c_t)
-        np.multiply(i_t, g_t, out=ig)
-        c_t += ig
+        np.divide(num, den, out=ifo_t)
+        np.tanh(g_in, out=g_t)
+        np.multiply(if_t, gc_t, out=ig_fc)
+        np.add(ig, fc, out=c_t)  # i * g + f * c_prev: addition commutes, so the bits of f * c_prev + i * g
         np.tanh(c_t, out=tc_t)
         np.multiply(o_t, tc_t, out=h_t)
     outs = tuple(_result((h[1:t_s + 1, s].transpose(1, 0, 2) * valid).reshape(-1, h_dim), needs_grad)
@@ -392,14 +404,19 @@ def lstm(xs: Sequence[Tensor], lengths: Sequence, Ws: Sequence[Tensor], Us: Sequ
         for s, (g_s, t_s, valid) in enumerate(zip(gys, t_lens, valids)):
             gy[:t_s, s] = (g_s.reshape(n_seq, t_s, h_dim) * valid).transpose(1, 0, 2)
         u_t = u.transpose(0, 2, 1)
-        # The factors that do not depend on dh or dc, for all steps at once.
-        # A step's dc gains dh * o * (1 - tanh(c)^2), and its d_pre is
+        k = 3 * h_dim  # the i|f|o columns
+        i, f, o, g, c_prev = cell[:-1].transpose(1, 0, 2, 3, 4)
+        # The factors that do not depend on dh or dc, for all steps at once,
+        # in the (S, B, 4H) column layout of the loop's matmul. A step's dc
+        # gains dh * o * (1 - tanh(c)^2), and its d_pre is
         # [dc, dc, dh, dc] * [g, c_prev, tanh(c), i], then times the gates
         # (i|f|o only), then times 1 - gates with 1 - g^2 in the g block,
         # which d_pre holds before the loop.
         dtc = 1.0 - tc * tc
-        mult = np.concatenate([g, c[:-1], tc, i], axis=-1)
-        d_pre = 1.0 - gates
+        mult = np.concatenate([g, c_prev, tc, i], axis=-1)
+        ifo = cell[:-1, :3].transpose(0, 2, 3, 1, 4).reshape(t_len, n_streams, n_seq, k)  # a copy
+        d_pre = np.empty_like(mult)
+        np.subtract(1.0, ifo, out=d_pre[..., :k])
         d_pre[..., k:] = 1.0 - g * g
         # dh, dc and the step's buffers are updated in place
         dh, dc, d_dc = np.zeros((3, n_streams, n_seq, h_dim))
@@ -407,7 +424,7 @@ def lstm(xs: Sequence[Tensor], lengths: Sequence, Ws: Sequence[Tensor], Us: Sequ
         d_state = d_step.reshape(n_streams, n_seq, 4, h_dim)
         dc_each, dh_block, d_step_ifo = dc[:, :, None], d_state[:, :, 2], d_step[..., :k]
         for gy_t, o_t, dtc_t, mult_t, ifo_t, f_t, d_pre_t in zip(
-                *(a[::-1] for a in (gy, o, dtc, mult, gates[..., :k], f, d_pre))):
+                *(a[::-1] for a in (gy, o, dtc, mult, ifo, f, d_pre))):
             dh += gy_t
             np.multiply(dh, o_t, out=d_dc)
             d_dc *= dtc_t
@@ -421,7 +438,7 @@ def lstm(xs: Sequence[Tensor], lengths: Sequence, Ws: Sequence[Tensor], Us: Sequ
             dc *= f_t
         # free the loop's tables before the reductions (its last step's rows
         # would keep them)
-        del gy, dtc, mult, gy_t, dtc_t, mult_t
+        del gy, dtc, mult, ifo, gy_t, dtc_t, mult_t, ifo_t
         grads = []
         for s, (x, W, t_s) in enumerate(zip(xs, Ws, t_lens)):
             d_rows = d_pre[:t_s, s].transpose(1, 0, 2).reshape(-1, 4 * h_dim)  # back to batch-major rows

@@ -45,6 +45,13 @@ _FIELD_TYPES = {
     "dict": (lambda v: isinstance(v, dict), "an object"),
 }
 
+# integer fields and their least value: every width and the batch size take
+# at least 1, the layer count, the epochs and the seed at least 0
+_FIELD_MINIMUMS = {**dict.fromkeys(("personality_dim", "audio_hidden", "visual_hidden", "coatt_lld_dim",
+                                     "coatt_mfcc_dim", "coatt_w2v_dim", "asp_attn_dim", "d_model", "tx_heads",
+                                     "tx_ffn", "d_h", "n_p", "batch_size"), 1),
+                   "tx_layers": 0, "epochs": 0, "seed": 0}
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -96,20 +103,16 @@ class ModelConfig:
                                       f"got {dims!r}")
         if self.task not in TASKS:
             raise ValidationError(f"unknown task {self.task!r}; choose from {TASKS}")
-        dims = [self.personality_dim, self.audio_hidden, self.visual_hidden,
-                self.coatt_lld_dim, self.coatt_mfcc_dim, self.coatt_w2v_dim,
-                self.asp_attn_dim, self.d_model, self.tx_heads, self.tx_ffn,
-                self.d_h, self.n_p, self.batch_size]
-        if any(d < 1 for d in dims):
-            raise ValidationError("all dims must be positive")
+        for name, least in _FIELD_MINIMUMS.items():
+            value = getattr(self, name)
+            if value < least:
+                raise ValidationError(f"{name} must be >= {least}, got {value}")
         if self.d_model % self.tx_heads:
             raise ValidationError(f"d_model={self.d_model} not divisible by tx_heads={self.tx_heads}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValidationError("dropout must be in [0, 1)")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValidationError("val_fraction must be in (0, 1)")
-        if self.tx_layers < 0 or self.epochs < 0 or self.seed < 0:
-            raise ValidationError("tx_layers, epochs and seed must be non-negative")
         if self.lr <= 0:
             raise ValidationError(f"lr must be positive, got {self.lr!r}")
 

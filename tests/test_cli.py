@@ -460,6 +460,18 @@ def test_config_file_wrong_type_or_range_exits_1_with_one_line(synth_dir, tmp_pa
     assert not (tmp_path / "m.ptmf").exists()
 
 
+@pytest.mark.parametrize("flag, value, field", [("--batch-size", "0", "batch_size"), ("--seed", "-1", "seed"),
+                                                ("--epochs", "-2", "epochs")])
+def test_train_out_of_range_flag_exits_1_with_one_line_naming_the_field(synth_dir, tmp_path, capsys, flag, value,
+                                                                         field):
+    code = main(["train", "--manifest", str(synth_dir / "manifest.jsonl"), flag, value,
+                 "--checkpoint-out", str(tmp_path / "m.ptmf")])
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert code == EXIT_VALIDATION
+    assert errors == [f"error: {field} must be >= {0 if field != 'batch_size' else 1}, got {value}"]
+    assert not (tmp_path / "m.ptmf").exists()
+
+
 def test_diverging_training_exits_1_and_writes_nothing(tmp_path, capsys):
     # lr 1e300 passes every config check; the second step's loss is NaN
     assert main(["synth", "--n", "20", "--task", "binary", "--seed", "7",

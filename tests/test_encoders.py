@@ -341,6 +341,13 @@ def _grouped_lstm(streams, lengths, probes):
     return [h.data for h in outs], [tuple(t.grad for t in stream) for stream in tensors]
 
 
+def _tape_free_lstm(streams, lengths):
+    """ad.lstm over `streams` [(x, W, U, b)] with no tape, so it records no
+    node and keeps no per-step state; returns the outputs."""
+    xs, ws, us, bs = zip(*[[Tensor(a, requires_grad=True) for a in stream] for stream in streams])
+    return [h.data for h in ad.lstm(xs, lengths, ws, us, bs)]
+
+
 # input width and padded T of each stream, T given as an offset from t_len:
 # one stream, three of one T, and four whose last one (the model's visual
 # stream) runs past the others or stops short of them
@@ -352,27 +359,32 @@ STREAM_SETS = {
 }
 
 
-@pytest.mark.parametrize("t_len", [1, 200])
-@pytest.mark.parametrize("n_seq", [1, 8])
+# B = 85 at T = 12 is the batch shape of evaluation over short samples
+@pytest.mark.parametrize("n_seq, t_len", [(1, 1), (1, 200), (8, 1), (8, 200), (85, 12)])
 @pytest.mark.parametrize("h_dim", [4, 8])
 @pytest.mark.parametrize("streams", sorted(STREAM_SETS))
 def test_grouped_lstm_matches_one_stream_calls_bitwise(streams, h_dim, n_seq, t_len):
-    # B = 8 mixes lengths, one of them a single frame (all of them at T = 1)
+    # B >= 8 mixes lengths, one of them a single frame (all of them at T = 1)
     spec = STREAM_SETS[streams]
     rng = np.random.default_rng(1000 * len(spec) + 10 * h_dim + n_seq + t_len)
     lengths, data, probes = [], [], []
     for d, extra in spec:
         t_s = t_len + extra
-        lengths.append([t_s] if n_seq == 1 else np.minimum([t_s, 1, 57, 133, 2, t_s, 99, 7], t_s).tolist())
+        lengths.append([t_s] if n_seq == 1 else
+                       np.minimum(np.resize([t_s, 1, 57, 133, 2, t_s, 99, 7, 5, 11, 3], n_seq), t_s).tolist())
         data.append((rng.normal(size=(n_seq * t_s, d)), rng.normal(size=(d, 4 * h_dim)) * 0.5,
                      rng.normal(size=(h_dim, 4 * h_dim)) * 0.5, rng.normal(size=(1, 4 * h_dim))))
         probes.append(rng.normal(size=(n_seq * t_s, h_dim)))
     outs, grads = _grouped_lstm(data, lengths, probes)
+    tape_free = _tape_free_lstm(data, lengths)
     for s, (stream, lens, probe) in enumerate(zip(data, lengths, probes)):
         ref_out, ref_grads = _one_stream_lstm(stream[0], lens, *stream[1:], probe)
         alone_out, (alone_grads,) = _grouped_lstm([stream], [lens], [probe])
         for got, ref in ((outs[s], ref_out), (outs[s], alone_out[0])):
             np.testing.assert_array_equal(got, ref, err_msg=f"stream {s} output")
+        # a tape-free call runs the same loop on reused rows
+        for got in (outs[s], ref_out):
+            assert tape_free[s].tobytes() == got.tobytes(), f"stream {s} tape-free output"
         for name, got, ref, alone in zip(("dx", "dW", "dU", "db"), grads[s], ref_grads, alone_grads):
             # tobytes also tells -0.0 from 0.0
             assert got.tobytes() == ref.tobytes(), f"stream {s} {name} vs the one-stream loop"
@@ -404,11 +416,10 @@ def test_grouped_lstm_matches_one_stream_oracle_on_edge_preactivations():
         data.append((x.reshape(-1, 1), W, U, b))
         probes.append(rng.normal(size=(len(lens) * t_s, h_dim)))
     outs, grads = _grouped_lstm(data, lengths, probes)
-    xs, ws, us, bs = zip(*[[Tensor(a, requires_grad=True) for a in stream] for stream in data])
-    tape_free = ad.lstm(xs, lengths, ws, us, bs)
+    tape_free = _tape_free_lstm(data, lengths)
     for s, (stream, lens, probe) in enumerate(zip(data, lengths, probes)):
         ref_out, ref_grads = _one_stream_lstm(stream[0], lens, *stream[1:], probe)
-        assert np.array_equal(outs[s], ref_out) and outs[s].tobytes() == tape_free[s].data.tobytes()
+        assert np.array_equal(outs[s], ref_out) and outs[s].tobytes() == tape_free[s].tobytes()
         for name, got, ref in zip(("dx", "dW", "dU", "db"), grads[s], ref_grads):
             assert np.array_equal(got, ref), f"stream {s} {name}"
 

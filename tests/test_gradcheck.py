@@ -11,6 +11,7 @@ from ptmfnet import gradcheck
 from ptmfnet.autodiff import Parameter, Tensor
 from ptmfnet.gradcheck import grad_check, run_battery, worst
 from test_autodiff import BATCHED_OPS, batched_grad_check
+from test_encoders import _grouped_lstm, _one_stream_lstm, _tape_free_lstm
 
 EXPECTED_MODULES = ["lstm", "lstm_grouped", "asp", "co_attention", "transformer_fusion",
                     "ptmfim", "classifier_head", "loss"]
@@ -73,13 +74,16 @@ def _mutate(monkeypatch, name, old, new):
 
 # source edits of the lstm VJP: drop the cell-state carry to the step before,
 # leave out the square of tanh(c) or of g in a precomputed derivative table,
-# or scale one returned gradient (the first stream's dW, the last one's db)
+# or scale one returned gradient (the first stream's dW, the last one's db);
+# and one of the forward, which the VJP no longer matches: swap the halves of
+# the cell update's one multiply, [i, f] * [c_prev, g]
 LSTM_MUTATIONS = {
     "dc_carry_dropped": ("dc *= f_t", "dc[...] = 0.0"),
     "tanh_c_slope_unsquared": ("dtc = 1.0 - tc * tc", "dtc = 1.0 - tc"),
     "g_slope_unsquared": ("d_pre[..., k:] = 1.0 - g * g", "d_pre[..., k:] = 1.0 - g"),
     "first_dW_scaled": ("return tuple(grads)", "grads[1] = grads[1] * (1 + 1e-3); return tuple(grads)"),
     "last_db_scaled": ("return tuple(grads)", "grads[-1] = grads[-1] * (1 + 1e-3); return tuple(grads)"),
+    "cell_update_halves_swapped": ("np.multiply(if_t, gc_t, out=ig_fc)", "np.multiply(if_t, gc_t[::-1], out=ig_fc)"),
 }
 
 
@@ -89,6 +93,19 @@ def test_battery_fails_on_a_broken_lstm_vjp(monkeypatch, mutation):
     blocks = run_battery(seed=0)
     failed = sorted(block for block, errors in blocks.items() if worst(errors) > 1e-4)
     assert failed == ["lstm", "lstm_grouped"], {b: worst(e) for b, e in blocks.items()}
+
+
+def test_one_stream_oracle_fails_on_swapped_cell_update_halves(monkeypatch):
+    _mutate(monkeypatch, "lstm", *LSTM_MUTATIONS["cell_update_halves_swapped"])
+    rng = np.random.default_rng(3)
+    lens, h_dim = [6, 4], 4
+    stream = (rng.normal(size=(12, 3)), rng.normal(size=(3, 4 * h_dim)), rng.normal(size=(h_dim, 4 * h_dim)),
+              rng.normal(size=(1, 4 * h_dim)))
+    probe = rng.normal(size=(12, h_dim))
+    ref_out, _ = _one_stream_lstm(stream[0], lens, *stream[1:], probe)
+    (taped,), _ = _grouped_lstm([stream], [lens], [probe])
+    (tape_free,) = _tape_free_lstm([stream], [lens])
+    assert not np.array_equal(taped, ref_out) and not np.array_equal(tape_free, ref_out)
 
 
 # one-line source edits of the other hand-written VJPs and of backward's

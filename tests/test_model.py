@@ -374,10 +374,24 @@ def test_config_rejects_bad_values():
         make_cfg(d_model=6, tx_heads=4)
     with pytest.raises(ValidationError, match="dropout"):
         make_cfg(dropout=1.0)
-    with pytest.raises(ValidationError, match="positive"):
+    with pytest.raises(ValidationError, match="d_h must be >= 1, got 0"):
         make_cfg(d_h=0)
     with pytest.raises(ValidationError, match="audio_dims"):
         make_cfg(audio_dims={"lld": 3})
+
+
+@pytest.mark.parametrize("name, least", [
+    *((name, 1) for name in ("personality_dim", "audio_hidden", "visual_hidden", "coatt_lld_dim", "coatt_mfcc_dim",
+                             "coatt_w2v_dim", "asp_attn_dim", "d_model", "tx_heads", "tx_ffn", "d_h", "n_p",
+                             "batch_size")),
+    ("tx_layers", 0), ("epochs", 0), ("seed", 0),
+])
+def test_config_range_error_names_the_field_and_the_value(name, least):
+    for bad in (least - 1, least - 5):
+        with pytest.raises(ValidationError) as err:
+            make_cfg(**{name: bad})
+        assert str(err.value) == f"{name} must be >= {least}, got {bad}"
+    make_cfg(**{name: least, **({"tx_heads": 1} if name == "d_model" else {})})
 
 
 def test_config_dict_round_trip():
