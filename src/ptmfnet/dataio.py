@@ -9,8 +9,9 @@ written atomically.
 The load path keeps `pathlib` out of its per-file work: a record's paths
 are strings, `os.path.join` of the manifest's directory and the path as
 written, checked with one `os.stat` under `Path.exists`'s rule, and a
-feature file is read with `os` calls (`os.readv` makes this POSIX-only).
-"""
+feature file is read with `os` calls: one `os.read` of the header, an
+`os.lseek` to the end for its size, and one `os.preadv` of the payload
+at offset 16 (`os.preadv` makes this POSIX-only)."""
 
 from __future__ import annotations
 
@@ -98,7 +99,9 @@ def write_feature_file(matrix: np.ndarray, path) -> None:
 def read_feature_file(path) -> np.ndarray:
     """The (T, D) float32 rows of a feature file, `path` a str or a PathLike.
     The header and the payload are one read each, the payload straight into
-    the returned array once the header and the file size check out."""
+    the returned array once the header and the file size check out. The
+    size is the offset of the file's end, which `os.lseek` gives for less
+    than `os.fstat` does."""
     fd = os.open(path, os.O_RDONLY)
     try:
         try:
@@ -113,13 +116,19 @@ def read_feature_file(path) -> np.ndarray:
         version, t, d = struct.unpack_from("<III", head, 4)
         if version != FEATURE_VERSION:
             raise DataFormatError(f"{path}: unsupported version {version}")
-        size, expected = os.fstat(fd).st_size, 16 + 4 * t * d
+        try:
+            size = os.lseek(fd, 0, os.SEEK_END)
+        except OSError as exc:  # a pipe has no end to seek to; os.fstat gives its size as 0
+            if exc.errno != errno.ESPIPE:
+                raise
+            size = 0
+        expected = 16 + 4 * t * d
         if size != expected:
             raise DataFormatError(f"{path}: truncated or oversized payload ({size} bytes, expected {expected})")
         if t < 1 or d < 1:
             raise DataFormatError(f"{path}: degenerate shape ({t}, {d})")
         m = np.empty((t, d), dtype="<f4")
-        if os.readv(fd, [m]) != m.nbytes:  # the file shrank after its size was taken
+        if os.preadv(fd, [m], 16) != m.nbytes:  # the file shrank after its size was taken
             raise DataFormatError(f"{path}: truncated payload")
     finally:
         os.close(fd)

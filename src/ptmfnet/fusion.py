@@ -12,20 +12,36 @@ from .errors import ValidationError
 from .layers import Linear, attention
 
 
+# Alignment indices depend on the two lengths alone, and a corpus of short
+# clips repeats few (n, t_min) pairs, so they are kept read-only in a cache
+# of at most ALIGN_CACHE_ENTRIES indices of at most ALIGN_CACHE_MAX_T frames
+# each: 8 * 256 * 1024 bytes = 2 MiB of int64 at worst. Longer indices are
+# computed on every call; the oldest entry goes first.
+ALIGN_CACHE_ENTRIES = 256
+ALIGN_CACHE_MAX_T = 1024
+_align_index_cache: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _align_index(n: int, t_min: int) -> np.ndarray:
+    idx = _align_index_cache.get((n, t_min))
+    if idx is None:
+        idx = np.rint(np.arange(t_min) * ((n - 1) / max(t_min - 1, 1))).astype(int)
+        if t_min <= ALIGN_CACHE_MAX_T:
+            if len(_align_index_cache) >= ALIGN_CACHE_ENTRIES:
+                del _align_index_cache[next(iter(_align_index_cache))]
+            idx.flags.writeable = False
+            _align_index_cache[(n, t_min)] = idx
+    return idx
+
+
 def align_streams(arrays: list[np.ndarray]) -> list[np.ndarray]:
     """Resample every (T_i, D_i) array to the bundle's minimum T by
     nearest-frame index selection: frame k is row k (T_i - 1) / (t_min - 1)
     rounded half to even, as `np.round(np.linspace(...))` computes it.
     Streams already at min T pass through unchanged."""
     t_min = min(a.shape[0] for a in arrays)
-    out = []
-    for a in arrays:
-        if a.shape[0] == t_min:
-            out.append(a)
-        else:
-            idx = np.rint(np.arange(t_min) * ((a.shape[0] - 1) / max(t_min - 1, 1))).astype(int)
-            out.append(a.take(idx, axis=0))
-    return out
+    return [a if a.shape[0] == t_min else a.take(_align_index(a.shape[0], t_min), axis=0)
+            for a in arrays]
 
 
 class CoAttentionFusion(Module):

@@ -36,22 +36,31 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 class Adam:
     """Standard Adam with bias correction over one flat parameter vector and
-    its gradient (see `autodiff.flatten`), both updated in place."""
+    its gradient (see `autodiff.flatten`), both updated in place. A step
+    works in two scratch vectors allocated here, in the operation order of
+    `data -= lr * (m / bc1) / (sqrt(v / bc2) + EPS)`, so it allocates no
+    parameter-sized array."""
 
     def __init__(self, data: np.ndarray, grad: np.ndarray, lr: float):
         self.data, self.grad, self.lr = data, grad, lr
         self.t = 0
         self.m, self.v = np.zeros_like(data), np.zeros_like(data)
+        self._a, self._b = np.empty_like(data), np.empty_like(data)
 
     def step(self) -> None:
         self.t += 1
         bc1 = 1.0 - BETA1 ** self.t
         bc2 = 1.0 - BETA2 ** self.t
+        a, b = self._a, self._b
         self.m *= BETA1
-        self.m += (1.0 - BETA1) * self.grad
+        self.m += np.multiply(self.grad, 1.0 - BETA1, out=a)
         self.v *= BETA2
-        self.v += (1.0 - BETA2) * np.square(self.grad)
-        self.data -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + EPS)
+        np.square(self.grad, out=a)
+        self.v += np.multiply(a, 1.0 - BETA2, out=a)
+        np.multiply(np.divide(self.m, bc1, out=a), self.lr, out=a)
+        np.sqrt(np.divide(self.v, bc2, out=b), out=b)
+        b += EPS
+        self.data -= np.divide(a, b, out=a)
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,47 @@ def test_truncated_payload(tmp_path):
         dataio.read_feature_file(path)
 
 
+@pytest.mark.parametrize("claim, size", [((3, 3), 41), ((1 << 16, 1 << 18), 20)])
+def test_a_wrong_size_is_rejected_before_the_payload_is_allocated(tmp_path, claim, size):
+    # one byte too many, and a 20-byte file whose header claims 2^36 payload bytes
+    path = tmp_path / "huge.mpft"
+    path.write_bytes((b"MPFT" + struct.pack("<III", 1, *claim)).ljust(size, b"\x00"))
+    expected = 16 + 4 * claim[0] * claim[1]
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataFormatError) as exc:
+            dataio.read_feature_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == f"{path}: truncated or oversized payload ({size} bytes, expected {expected})"
+    assert peak < 1 << 20
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+def test_a_pipe_fails_the_size_check_as_a_file_of_no_bytes(tmp_path):
+    path = tmp_path / "p.mpft"
+    os.mkfifo(path)
+    fd = os.open(path, os.O_RDWR)  # holds the pipe open for writing, so the reader's open does not block
+    try:
+        os.write(fd, b"MPFT" + struct.pack("<III", 1, 1, 1) + b"\x00" * 4)
+        with pytest.raises(DataFormatError) as exc:
+            dataio.read_feature_file(path)
+    finally:
+        os.close(fd)
+    assert str(exc.value) == f"{path}: truncated or oversized payload (0 bytes, expected 20)"
+
+
+def test_a_well_formed_read_makes_no_fstat_call(tmp_path, monkeypatch):
+    path = tmp_path / "m.mpft"
+    m = np.arange(12, dtype=np.float32).reshape(4, 3)
+    dataio.write_feature_file(m, path)
+    calls, real_fstat = [], os.fstat
+    monkeypatch.setattr(os, "fstat", lambda *a, **kw: calls.append(a) or real_fstat(*a, **kw))
+    assert dataio.read_feature_file(path).tobytes() == m.tobytes()
+    assert calls == []
+
+
 def test_a_short_payload_read_is_truncated_and_closes_its_file(tmp_path, monkeypatch):
     # the size checks out, then the one payload read comes back short
     path = tmp_path / "t.mpft"
@@ -110,7 +151,7 @@ def test_a_short_payload_read_is_truncated_and_closes_its_file(tmp_path, monkeyp
     real_open, real_close = os.open, os.close
     monkeypatch.setattr(os, "open", lambda *a: opened.append(real_open(*a)) or opened[-1])
     monkeypatch.setattr(os, "close", lambda fd: closed.append(fd) or real_close(fd))
-    monkeypatch.setattr(os, "readv", lambda fd, buffers: 4)
+    monkeypatch.setattr(os, "preadv", lambda fd, buffers, offset: 4)
     with pytest.raises(DataFormatError, match="truncated payload"):
         dataio.read_feature_file(path)
     assert len(opened) == 1 and closed == opened

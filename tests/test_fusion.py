@@ -36,8 +36,10 @@ def test_align_to_single_frame():
     np.testing.assert_array_equal(out[0], [[0.0]])
 
 
-def test_align_index_is_rounded_linspace():
+def test_align_index_is_rounded_linspace(monkeypatch):
     # every pair up to 300 frames, then seeded pairs up to 200 000
+    cache = {}
+    monkeypatch.setattr(fusion, "_align_index_cache", cache)
     frames = np.arange(200_000)[:, None]
     rng = np.random.default_rng(84)
     long_t = rng.integers(2, 200_001, 2000)
@@ -45,6 +47,16 @@ def test_align_index_is_rounded_linspace():
     pairs += [(int(t), int(rng.integers(1, t))) for t in long_t]
     for t, t_min in pairs:
         idx = fusion.align_streams([frames[:t], frames[:t_min]])[0][:, 0]
+        assert np.array_equal(idx, np.round(np.linspace(0.0, t - 1, t_min)).astype(int)), (t, t_min)
+    # the walk filled the cache to its bound with short indices only
+    worst = fusion.ALIGN_CACHE_ENTRIES * fusion.ALIGN_CACHE_MAX_T * 8
+    assert len(cache) == fusion.ALIGN_CACHE_ENTRIES and worst <= 4_000_000
+    assert sum(idx.nbytes for idx in cache.values()) <= worst
+    for (t, t_min), idx in list(cache.items()):
+        assert t_min == idx.size <= fusion.ALIGN_CACHE_MAX_T and not idx.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            idx[0] = 1
+        assert fusion.align_streams([frames[:t], frames[:t_min]])[0].flags.writeable
         assert np.array_equal(idx, np.round(np.linspace(0.0, t - 1, t_min)).astype(int)), (t, t_min)
 
 

@@ -1,8 +1,9 @@
-"""Hostile input for every file reader: byte flips and truncations of a valid
-WAV, feature file (.mpft), checkpoint (.ptmf) and manifest may fail only with
-DataFormatError or ValidationError, never with another exception. A WAV goes
-through the whole extraction, whose block reads decode its samples. A feature
-file fails only with DataFormatError, and leaves no file descriptor open."""
+"""Hostile input for every file reader: byte flips, truncations and appended
+bytes of a valid WAV, feature file (.mpft), checkpoint (.ptmf) and manifest
+may fail only with DataFormatError or ValidationError, never with another
+exception. A WAV goes through the whole extraction, whose block reads decode
+its samples. A feature file fails only with DataFormatError, and leaves no
+file descriptor open."""
 
 import os
 import wave
@@ -68,19 +69,26 @@ READERS = {
 
 @st.composite
 def _corruption(draw, size):
-    """A truncation, or one to four overwritten bytes (mostly in the header)."""
-    if draw(st.booleans()):
+    """A truncation, one byte or many appended, or one to four overwritten
+    bytes (mostly in the header)."""
+    how = draw(st.sampled_from(("cut", "append", "flip")))
+    if how == "cut":
         return ("cut", draw(st.integers(0, size - 1)))
+    if how == "append":
+        return ("append", draw(st.binary(min_size=1, max_size=1) | st.binary(min_size=2, max_size=4 * size)))
     pos = st.integers(0, min(size, 64) - 1) | st.integers(0, size - 1)
     return ("flip", draw(st.lists(st.tuples(pos, st.integers(0, 255)), min_size=1, max_size=4)))
 
 
 def _corrupted(good: bytes, corruption) -> bytes:
     how, arg = corruption
-    data = good[:arg] if how == "cut" else bytearray(good)
-    if how == "flip":
-        for pos, value in arg:
-            data[pos] = value
+    if how == "cut":
+        return good[:arg]
+    if how == "append":
+        return good + arg
+    data = bytearray(good)
+    for pos, value in arg:
+        data[pos] = value
     return bytes(data)
 
 

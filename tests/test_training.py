@@ -5,6 +5,7 @@ import copy
 import gc
 import json
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,6 +176,18 @@ def test_flat_adam_matches_per_tensor_oracle_bitwise():
         assert p_ref.name == p_flat.name
         assert np.all(p_flat.tensor.data != p_init)
         np.testing.assert_array_equal(p_flat.tensor.data, p_ref.tensor.data)
+
+
+def test_adam_step_allocates_no_parameter_sized_array():
+    data, grad, opt = _adam(np.linspace(-1.0, 1.0, 100_000), lr=1e-3)
+    grad[...] = np.random.default_rng(12).standard_normal(grad.size)
+    tracemalloc.start()
+    try:
+        opt.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < data.nbytes // 8, (peak, data.nbytes)
 
 
 def test_adam_zero_gradient_leaves_params_unchanged():
