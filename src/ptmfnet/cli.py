@@ -140,11 +140,11 @@ def _cmd_extract(args) -> int:
     written = []
     if args.features in ("mfcc", "both"):
         path = out_dir / f"{wav_path.stem}_mfcc.mpft"
-        write_feature_file(mfcc(w, fcfg, args.n_mfcc), path)
+        write_feature_file(mfcc(w, fcfg, args.n_mfcc, np.float32), path)
         written.append(path)
     if args.features in ("lld", "both"):
         path = out_dir / f"{wav_path.stem}_lld.mpft"
-        write_feature_file(extract_lld_bundle(w, fcfg), path)
+        write_feature_file(extract_lld_bundle(w, fcfg, np.float32), path)
         written.append(path)
     for path in written:
         print(path)

@@ -87,7 +87,7 @@ def write_feature_file(matrix: np.ndarray, path) -> None:
     m = np.asarray(matrix, dtype=np.float32)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValidationError(f"feature matrix must be 2-D and non-empty, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not (np.isfinite(m.min()) and np.isfinite(m.max())):  # NaN propagates: no (T, d) temporary
         raise ValidationError("feature matrix contains non-finite values")
     t, d = m.shape
     with atomic_write(path, "wb") as fh:

@@ -7,19 +7,24 @@ The analysis is fixed but for the framing and `n_mfcc`: a Hamming window,
 an FFT of `FrameConfig.n_fft` points, N_MELS HTK mel bands from 0 Hz to
 Nyquist, and magnitudes floored at LOG_FLOOR before the log.
 `log_mel_energies`, `mfcc` and `extract_lld_bundle` analyse the frames in
-near-equal blocks of at most BLOCK, writing each block's rows into a
+near-equal blocks of at most BLOCK (256), writing each block's rows into a
 preallocated `(T, n)` output through block buffers allocated once a call,
 so their temporaries scale with the block, not the signal; `mfcc`
 multiplies each block's log-mel rows by the DCT, so no `(T, N_MELS)` table
-is ever whole. Their output has the same bits as a whole-signal analysis
-wherever a BLAS product's row bits do not depend on its row count, which
-not every OpenBLAS kernel ensures. Their source is a `Waveform` held in
-memory or a `WavFile` from `read_wav`, whose samples are read from the file
-one block at a time and so are never whole in memory.
+is ever whole. A block is computed in float64 and cast into the output as
+soon as it is done: `mfcc` and `extract_lld_bundle` return float64 rows,
+or float32 rows when asked (what `extract` writes), so then no float64
+`(T, n)` table exists either. Their output has the same bits as a
+whole-signal analysis wherever a BLAS product's row bits do not depend on
+its row count, which not every OpenBLAS kernel ensures. Their source is a
+`Waveform` held in memory or a `WavFile` from `read_wav`, whose samples
+each analysis decodes once, one block at a time through one open `wave`
+handle, so they are never whole in memory.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import wave
@@ -32,7 +37,8 @@ from .errors import DataFormatError, ValidationError
 PRE_EMPHASIS = 0.97
 N_MELS = 26
 LOG_FLOOR = 1e-10
-BLOCK = 512  # the most frames analysed at a time
+BLOCK = 256  # the most frames analysed at a time
+_ROW_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 
 
 @dataclass(frozen=True)
@@ -78,6 +84,13 @@ def check_n_mfcc(n_mfcc: int) -> int:
     return n_mfcc
 
 
+def _row_dtype(dtype) -> np.dtype:
+    with contextlib.suppress(TypeError):  # not a dtype at all
+        if (row := np.dtype(dtype)) in _ROW_DTYPES:
+            return row
+    raise ValidationError(f"feature rows must be float32 or float64, got dtype {dtype!r}")
+
+
 def _n_frames(size: int, frame_len: int, hop_len: int) -> int:
     if size < frame_len:
         raise ValidationError(f"signal of {size} samples is shorter than one {frame_len}-sample frame")
@@ -109,9 +122,12 @@ def zero_crossing_rate(frames: np.ndarray, scratch: np.ndarray | None = None) ->
     return changes / float(frames.shape[1] - 1)
 
 
-def pre_emphasize(samples: np.ndarray) -> np.ndarray:
-    out = samples.copy()
-    out[1:] -= PRE_EMPHASIS * samples[:-1]
+def pre_emphasize(samples: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """samples[t] - PRE_EMPHASIS * samples[t - 1], the first sample as it is,
+    written into `out` (of `samples`' size, and not `samples` itself)."""
+    out[:1] = samples[:1]
+    np.multiply(samples[:-1], PRE_EMPHASIS, out=out[1:])
+    np.subtract(samples[1:], out[1:], out=out[1:])
     return out
 
 
@@ -174,31 +190,45 @@ def _frame_blocks(samples, fcfg: FrameConfig):
                       for a, b in zip(edges, edges[1:])]
 
 
-def _mel_analysis(w: Waveform | WavFile, fcfg: FrameConfig, basis=None) -> np.ndarray:
+def _opened(samples):
+    """A context that gives `samples` to slice: a WAV file's through one open handle."""
+    return samples.opened() if isinstance(samples, PcmSamples) else contextlib.nullcontext(samples)
+
+
+def _mel_analysis(w: Waveform | WavFile, fcfg: FrameConfig, basis=None, dtype=np.float64) -> np.ndarray:
     """Floored log mel-band magnitudes block by block, each block's rows
-    multiplied by `basis` when one is given, into one (T, n) output."""
-    x = w.samples
-    n_frames, blocks = _frame_blocks(x, fcfg)  # first: it rejects a signal shorter than the window
+    multiplied by `basis` when one is given, into one (T, n) output of
+    `dtype`. A block is computed in float64 and cast as it is written."""
+    dtype = _row_dtype(dtype)
+    n_frames, blocks = _frame_blocks(w.samples, fcfg)  # first: it rejects a signal shorter than the window
     window = _window(fcfg.frame_len)
     fb_t = mel_filterbank(w.sample_rate, fcfg.n_fft).T
-    out = np.empty((n_frames, N_MELS if basis is None else basis.shape[1]))
+    n_out = N_MELS if basis is None else basis.shape[1]
+    out = np.empty((n_frames, n_out), dtype=dtype)
     # one set of block buffers a call, each block in their first rows; the
     # windowed frames' columns past frame_len stay zero, the FFT's padding
     rows = min(n_frames, BLOCK)  # no block holds more
+    emphasized = np.empty((rows - 1) * fcfg.hop_len + fcfg.frame_len + 1)  # and the sample before
     padded = np.zeros((rows, fcfg.n_fft))
     mag = np.empty((rows, fb_t.shape[0]))
     mel = np.empty((rows, N_MELS)) if basis is not None else None
-    for a, b, lo, hi in blocks:
-        # emphasizing from lo-1 and dropping that sample equals emphasizing the whole signal
-        emphasized = pre_emphasize(x[lo - 1:hi])[1:] if lo else pre_emphasize(x[:hi])
-        np.multiply(_frame_raw(emphasized, fcfg.frame_len, fcfg.hop_len), window,
-                    out=padded[:b - a, :fcfg.frame_len])
-        np.abs(np.fft.rfft(padded[:b - a], axis=1), out=mag[:b - a])
-        log_mel = out[a:b] if basis is None else mel[:b - a]
-        np.matmul(mag[:b - a], fb_t, out=log_mel)
-        np.log(np.maximum(log_mel, LOG_FLOOR, out=log_mel), out=log_mel)
-        if basis is not None:
-            np.matmul(log_mel, basis, out=out[a:b])
+    cast = np.empty((rows, n_out)) if dtype != np.float64 else None
+    with _opened(w.samples) as x:
+        for a, b, lo, hi in blocks:
+            # emphasizing from lo-1 and dropping that sample equals emphasizing the whole signal
+            part = x[lo - 1:hi] if lo else x[:hi]
+            e = pre_emphasize(part, emphasized[:part.size])
+            np.multiply(_frame_raw(e[1:] if lo else e, fcfg.frame_len, fcfg.hop_len), window,
+                        out=padded[:b - a, :fcfg.frame_len])
+            np.abs(np.fft.rfft(padded[:b - a], axis=1), out=mag[:b - a])
+            block = out[a:b] if cast is None else cast[:b - a]
+            log_mel = block if basis is None else mel[:b - a]
+            np.matmul(mag[:b - a], fb_t, out=log_mel)
+            np.log(np.maximum(log_mel, LOG_FLOOR, out=log_mel), out=log_mel)
+            if basis is not None:
+                np.matmul(log_mel, basis, out=block)
+            if cast is not None:
+                out[a:b] = block
     return out
 
 
@@ -207,24 +237,27 @@ def log_mel_energies(w: Waveform | WavFile, fcfg: FrameConfig) -> np.ndarray:
     return _mel_analysis(w, fcfg)
 
 
-def mfcc(w: Waveform | WavFile, fcfg: FrameConfig, n_mfcc: int) -> np.ndarray:
-    """Mel-frequency cepstral coefficients, shape (T, n_mfcc)."""
-    return _mel_analysis(w, fcfg, dct_matrix(N_MELS)[: check_n_mfcc(n_mfcc)].T)
+def mfcc(w: Waveform | WavFile, fcfg: FrameConfig, n_mfcc: int, dtype=np.float64) -> np.ndarray:
+    """Mel-frequency cepstral coefficients, shape (T, n_mfcc), as float64 or float32 rows."""
+    return _mel_analysis(w, fcfg, dct_matrix(N_MELS)[: check_n_mfcc(n_mfcc)].T, dtype)
 
 
-def extract_lld_bundle(w: Waveform | WavFile, fcfg: FrameConfig) -> np.ndarray:
-    """Short-term energy and zero-crossing rate side by side, shape (T, 2)."""
+def extract_lld_bundle(w: Waveform | WavFile, fcfg: FrameConfig, dtype=np.float64) -> np.ndarray:
+    """Short-term energy and zero-crossing rate side by side, shape (T, 2), as
+    float64 or float32 rows (each computed in float64, then cast)."""
+    dtype = _row_dtype(dtype)
     n_frames, blocks = _frame_blocks(w.samples, fcfg)
     window = _window(fcfg.frame_len)
-    out = np.empty((n_frames, 2))
+    out = np.empty((n_frames, 2), dtype=dtype)
     rows = min(n_frames, BLOCK)  # no block holds more
     squares = np.empty((rows, fcfg.frame_len))
     signs = np.empty((rows, fcfg.frame_len), dtype=bool)
-    for a, b, lo, hi in blocks:
-        raw = _frame_raw(w.samples[lo:hi], fcfg.frame_len, fcfg.hop_len)
-        windowed = np.multiply(raw, window, out=squares[:b - a])
-        out[a:b, :1] = short_term_energy(windowed, scratch=windowed)
-        out[a:b, 1:] = zero_crossing_rate(raw, scratch=signs[:b - a])
+    with _opened(w.samples) as x:
+        for a, b, lo, hi in blocks:
+            raw = _frame_raw(x[lo:hi], fcfg.frame_len, fcfg.hop_len)
+            windowed = np.multiply(raw, window, out=squares[:b - a])
+            out[a:b, :1] = short_term_energy(windowed, scratch=windowed)
+            out[a:b, 1:] = zero_crossing_rate(raw, scratch=signs[:b - a])
     return out
 
 
@@ -260,22 +293,35 @@ def _decode(fh, path, lo: int, hi: int) -> np.ndarray:
 
 class PcmSamples:
     """The samples of a 16-bit PCM mono WAV file: `size`, and `[lo:hi]` reads
-    that slice from the file as read-only float64 `pcm / 32768`. A failed
-    read is a DataFormatError naming the file."""
+    that slice from the file as read-only float64 `pcm / 32768`. `opened()`
+    is a context that gives the same samples read through one open handle,
+    closed when it ends. A failed read is a DataFormatError naming the file."""
 
-    def __init__(self, path, size: int):
+    def __init__(self, path, size: int, fh=None):
         self.path = str(path)
         self.size = size
+        self._fh = fh  # an `opened()` view's handle; otherwise each slice opens the file
 
     def __getitem__(self, key: slice) -> np.ndarray:
+        if self._fh is None:
+            with self.opened() as pcm:
+                return pcm[key]
         lo, hi, step = key.indices(self.size)
         if step != 1:
             raise ValueError("PcmSamples slices take no step")
         try:
-            with wave.open(self.path, "rb") as fh:
-                return _decode(fh, self.path, lo, max(hi, lo))
+            return _decode(self._fh, self.path, lo, max(hi, lo))
         except _WAV_ERRORS as exc:
             raise _unreadable(self.path, exc) from exc
+
+    @contextlib.contextmanager
+    def opened(self):
+        try:
+            fh = wave.open(self.path, "rb")
+        except _WAV_ERRORS as exc:
+            raise _unreadable(self.path, exc) from exc
+        with fh:
+            yield PcmSamples(self.path, self.size, fh)
 
 
 @dataclass(frozen=True)

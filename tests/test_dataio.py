@@ -176,6 +176,30 @@ def test_non_finite_rejected_both_ways(tmp_path):
         dataio.read_feature_file(path)
 
 
+@pytest.mark.parametrize("values", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]], ids=str)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_write_rejects_every_non_finite_value(values, dtype, tmp_path):
+    m = np.ones((5, 3), dtype=dtype)
+    m.flat[[4, 11][:len(values)]] = values
+    with pytest.raises(ValidationError, match="non-finite"):
+        dataio.write_feature_file(m, tmp_path / "x.mpft")
+    assert not (tmp_path / "x.mpft").exists()
+
+
+def test_write_keeps_float32_max_and_rejects_float64_past_it(tmp_path):
+    top = np.finfo(np.float32).max
+    for sign in (1, -1):
+        m = np.full((4, 3), sign * top, dtype=np.float32)  # a sum of these would overflow
+        dataio.write_feature_file(m, tmp_path / "max.mpft")
+        assert np.array_equal(dataio.read_feature_file(tmp_path / "max.mpft"), m)
+    for past in (1e39, -1e39, 2.0 * float(top)):
+        m = np.ones((4, 3))
+        m[2, 1] = past
+        with np.errstate(over="ignore"), pytest.raises(ValidationError, match="non-finite"):
+            dataio.write_feature_file(m, tmp_path / "past.mpft")
+    assert not (tmp_path / "past.mpft").exists()
+
+
 def test_write_rejects_bad_shapes(tmp_path):
     with pytest.raises(ValidationError):
         dataio.write_feature_file(np.ones(4), tmp_path / "x.mpft")

@@ -302,8 +302,12 @@ def test_mfcc_invariant_to_trailing_samples():
 # block-wise analysis against the whole-signal expressions
 
 
-@pytest.mark.parametrize("n_frames", [1, 2, dsp.BLOCK - 1, dsp.BLOCK, dsp.BLOCK + 1, 2 * dsp.BLOCK - 1,
-                                      2 * dsp.BLOCK, 2 * dsp.BLOCK + 1, 3 * dsp.BLOCK + 7, 37501])
+def _around_blocks(*blocks):
+    """Frame counts at and beside the edges of one, two and three blocks of each size."""
+    return {k * b + d for b in blocks for k, d in ((1, -1), (1, 0), (1, 1), (2, -1), (2, 0), (2, 1), (3, 7))}
+
+
+@pytest.mark.parametrize("n_frames", sorted({1, 2, *_around_blocks(dsp.BLOCK, 512), 37501}))
 def test_frame_blocks_cover_the_frames_in_order_in_near_equal_blocks(n_frames):
     fcfg = FrameConfig(frame_len=400, hop_len=160)
     samples = np.zeros((n_frames - 1) * 160 + 400 + 97)
@@ -344,10 +348,9 @@ def _whole_lld(w, fcfg):
     return np.hstack([np.mean(np.square(windowed), axis=1, keepdims=True), zcr])
 
 
-# Sizes around the block edges, plus fixed multi-block sizes whose remainders differ: 2047, 2048, 2049
-# and 6151 frames split into 4, 4, 5 and 13 blocks.
-BOUNDARY_FRAMES = [1, dsp.BLOCK - 1, dsp.BLOCK, dsp.BLOCK + 1, 2 * dsp.BLOCK - 1, 2 * dsp.BLOCK + 1,
-                   3 * dsp.BLOCK + 7, 2047, 2048, 2049, 6151]
+# Sizes around the edges of BLOCK- and 512-frame blocks, plus fixed multi-block sizes whose
+# remainders differ: 2047, 2048, 2049 and 6151 frames split into 8, 8, 9 and 25 blocks of 256.
+BOUNDARY_FRAMES = sorted({1, *_around_blocks(dsp.BLOCK, 512), 2047, 2048, 2049, 6151})
 
 
 @pytest.mark.parametrize("n_frames", BOUNDARY_FRAMES, ids="hamming-{}".format)
@@ -360,6 +363,28 @@ def test_block_wise_features_equal_whole_signal_bitwise(n_frames):
     np.testing.assert_array_equal(logmel, _whole_log_mel(w, FCFG))
     np.testing.assert_array_equal(dsp.mfcc(w, FCFG, 13), _whole_mfcc(w, FCFG, 13))
     np.testing.assert_array_equal(dsp.extract_lld_bundle(w, FCFG), _whole_lld(w, FCFG))
+
+
+@pytest.mark.parametrize("block", [512, 256])
+@pytest.mark.parametrize("n_frames", BOUNDARY_FRAMES)
+def test_float32_rows_are_the_float64_rows_cast_bitwise(n_frames, block, monkeypatch):
+    monkeypatch.setattr(dsp, "BLOCK", block)
+    w = _wave(np.random.default_rng(n_frames).uniform(-1, 1, (n_frames - 1) * 160 + 400 + 97))
+    for analysis in (lambda dtype: dsp.mfcc(w, FCFG, 13, dtype),
+                     lambda dtype: dsp.extract_lld_bundle(w, FCFG, dtype)):
+        rows = analysis(np.float32)
+        assert rows.dtype == np.float32 and rows.flags.c_contiguous
+        expected = analysis(np.float64).astype(np.float32)
+        np.testing.assert_array_equal(rows.view(np.uint32), expected.view(np.uint32))
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.int32, np.complex128, object, "no-such-type"])
+def test_rows_of_another_dtype_are_rejected(dtype):
+    w = _wave(np.zeros(1600))
+    with pytest.raises(ValidationError, match="float32 or float64"):
+        dsp.mfcc(w, FCFG, 13, dtype)
+    with pytest.raises(ValidationError, match="float32 or float64"):
+        dsp.extract_lld_bundle(w, FCFG, dtype)
 
 
 def test_analysis_tables_are_cached_read_only():

@@ -3,7 +3,8 @@ bytes of a valid WAV, feature file (.mpft), checkpoint (.ptmf) and manifest
 may fail only with DataFormatError or ValidationError, never with another
 exception. A WAV goes through the whole extraction, whose block reads decode
 its samples. A feature file fails only with DataFormatError, and leaves no
-file descriptor open."""
+file descriptor open; nor does a WAV extraction, whose block reads share one
+open handle a pass."""
 
 import os
 import wave
@@ -21,20 +22,22 @@ from ptmfnet.dataio import (AUDIO_STREAMS, VISUAL_STREAMS, PersonalityProfile, l
 from ptmfnet.errors import DataFormatError, ValidationError
 
 
-def _wav(path):
+def _wav(path, n=1000):
     with wave.open(str(path), "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)
         fh.setframerate(16000)
-        fh.writeframes((np.sin(np.arange(1000) / 7.0) * 8000).astype("<i2").tobytes())
+        fh.writeframes((np.sin(np.arange(n) / 7.0) * 8000).astype("<i2").tobytes())
+
+
+FCFG = dsp.FrameConfig(frame_len=400, hop_len=160)
 
 
 def _extract(path):
     # fixed framing: a corrupted sample rate must not size the window or filter bank
     w = dsp.read_wav(path)
-    fcfg = dsp.FrameConfig(frame_len=400, hop_len=160)
-    dsp.mfcc(w, fcfg, 13)
-    dsp.extract_lld_bundle(w, fcfg)
+    dsp.mfcc(w, FCFG, 13)
+    dsp.extract_lld_bundle(w, FCFG)
 
 
 def _mpft(path):
@@ -130,3 +133,43 @@ def test_corrupt_feature_file_raises_only_format_errors_and_closes_its_descripto
         assert os.listdir("/proc/self/fd") == before
 
     check()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc/self/fd")
+def test_wav_extraction_closes_its_descriptors(tmp_path):
+    path = tmp_path / "input.wav"
+    _wav(path)
+    good = path.read_bytes()
+    before = os.listdir("/proc/self/fd")
+    _extract(path)
+    assert os.listdir("/proc/self/fd") == before
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_corruption(len(good)))
+    def check(corruption):
+        path.write_bytes(_corrupted(good, corruption))
+        before = os.listdir("/proc/self/fd")
+        try:
+            _extract(path)
+        except (DataFormatError, ValidationError):
+            # checked while the traceback holds the failed pass's frames: a handle
+            # that only dropping its last reference would close is still open here
+            assert os.listdir("/proc/self/fd") == before
+        assert os.listdir("/proc/self/fd") == before
+
+    check()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc/self/fd")
+@pytest.mark.parametrize("keep", [30, 44 + 2 * 20000, 44 + 2 * 60000])
+def test_wav_cut_after_its_check_fails_naming_the_file_and_closes_its_descriptor(keep, tmp_path):
+    # 500 frames are two blocks of at most 256; the cuts fall in the header, the first block and the second
+    path = tmp_path / "late.wav"
+    _wav(path, (500 - 1) * 160 + 400)
+    w = dsp.read_wav(path)
+    path.write_bytes(path.read_bytes()[:keep])
+    before = os.listdir("/proc/self/fd")
+    for analysis in (lambda: dsp.mfcc(w, FCFG, 13), lambda: dsp.extract_lld_bundle(w, FCFG)):
+        with pytest.raises(DataFormatError, match=r"late\.wav") as failure:
+            analysis()
+        assert os.listdir("/proc/self/fd") == before, failure  # the traceback keeps the pass's frames
