@@ -1,7 +1,7 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 Everything runs define-by-run on an explicit tape: ops append nodes while a
-Tape is active, backward() walks the node list once in reverse. Broadcasting
+Tape is active, backward() takes them off once, in reverse. Broadcasting
 is restricted to 1-extent axes of equal-rank operands; there is no implicit
 rank promotion.
 """
@@ -74,7 +74,7 @@ def _result(data: np.ndarray, requires_grad: bool) -> Tensor:
     # Internal constructor for op outputs. Finiteness here is a debug-mode
     # assertion (the Tensor constructor still hard-checks user data): the
     # per-op isfinite sweep costs ~20% of training time. Gradient buffers
-    # stay unallocated; backward folds flows only into leaf tensors.
+    # stay unallocated; backward adds flows into leaves' buffers as VJPs return them.
     t = Tensor.__new__(Tensor)
     t.data = data
     t.requires_grad = requires_grad
@@ -130,37 +130,36 @@ def backward(loss: Tensor) -> None:
     Gradients add onto existing buffers; the caller zeroes between steps. A
     multi-output node gets one gradient per output, zeros for an output that
     fed nothing, and is skipped only when none of its outputs fed the loss.
+    One backward per tape: it takes each node off the tape and drops each
+    output's gradient once the node's VJP has run, freeing both as it goes.
     """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     tape = loss._tape
-    if tape is None or not tape.nodes:
+    if tape is None:
         raise RuntimeError("loss was not recorded on a tape (no operations to traverse)")
+    if not tape.nodes:
+        raise RuntimeError("loss's tape was consumed by an earlier backward (one backward per tape)")
     flows: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    holders: dict[int, Tensor] = {id(loss): loss}
-    for node in reversed(tape.nodes):
+    while tape.nodes:
+        node = tape.nodes.pop()
         if isinstance(node.out, tuple):
-            g_outs = [flows.get(id(o)) for o in node.out]
+            g_outs = [flows.pop(id(o), None) for o in node.out]
             if all(g is None for g in g_outs):
                 continue
             g_out = tuple(np.zeros_like(o.data) if g is None else g for o, g in zip(node.out, g_outs))
         else:
-            g_out = flows.get(id(node.out))
+            g_out = flows.pop(id(node.out), None)
             if g_out is None:
                 continue
         for t, g in zip(node.inputs, node.vjp(g_out)):
             if g is None or not t.requires_grad:
                 continue
-            k = id(t)
-            if k in flows:
-                flows[k] = flows[k] + g
+            if t.grad is not None:
+                t.grad += g
             else:
-                flows[k] = g
-                holders[k] = t
-    for k, g in flows.items():
-        t = holders[k]
-        if t.grad is not None:
-            t.grad += g
+                k = id(t)
+                flows[k] = flows[k] + g if k in flows else g
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,8 @@ def atomic_write(path, mode: str = "w", **open_kw):
 
 
 def write_feature_file(matrix: np.ndarray, path) -> None:
-    m = np.asarray(matrix, dtype=np.float32)
+    with np.errstate(over="ignore"):  # a float64 past float32's range becomes inf, rejected below
+        m = np.asarray(matrix, dtype=np.float32)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValidationError(f"feature matrix must be 2-D and non-empty, got shape {m.shape}")
     if not (np.isfinite(m.min()) and np.isfinite(m.max())):  # NaN propagates: no (T, d) temporary

@@ -198,15 +198,11 @@ class Trainer:
         loss_sum = 0.0
         for step, start in enumerate(range(0, len(order), cfg.batch_size)):
             batch = collate([self.train_feats[i] for i in order[start:start + cfg.batch_size]])
-            with Tape() as tape:
+            with Tape():
                 loss = cross_entropy(self.model.forward(batch, training=True, rng=self.rng_drop),
                                      batch.labels)
                 opt.grad[...] = 0.0
                 ad.backward(loss)
-            # The tape and the tensors it recorded refer to each other. Emptying
-            # it lets reference counting free the step's buffers now, rather
-            # than whenever the cycle collector next runs.
-            tape.nodes.clear()
             self._check_finite(loss, step)
             opt.step()
             loss_sum += loss.item() * len(batch)

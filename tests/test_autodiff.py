@@ -1,4 +1,6 @@
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -52,8 +54,10 @@ def test_matmul_with_bias_is_matmul_then_add_bitwise(rows):
         wb = [(t(w, rg=True), t(b, rg=True)) for w, b in wb0]
         with Tape() as tape:
             out = ad.concat([affine(x, w, b) for w, b in wb], axis=1)
-            ad.backward(ad.tsum(ad.mul(out, probe)))
-        return len(tape.nodes), [out.data, x.grad] + [p.grad for pair in wb for p in pair]
+            loss = ad.tsum(ad.mul(out, probe))
+            n_nodes = len(tape.nodes)
+            ad.backward(loss)
+        return n_nodes, [out.data, x.grad] + [p.grad for pair in wb for p in pair]
 
     n_fused, fused = run(ad.matmul)
     n_pairs, pairs = run(lambda x, w, b: ad.add(ad.matmul(x, w), b))
@@ -299,17 +303,54 @@ def test_backward_without_tape_raises():
 
 
 def test_backward_is_additive():
+    # two tapes of the same forward: the second backward adds onto the first's gradients
     rng = np.random.default_rng(4)
     x = t(rng.normal(size=(3, 2)), rg=True)
     w = t(rng.normal(size=(2, 2)), rg=True)
-    with Tape():
-        y = ad.matmul(x, w)
-        loss = ad.tsum(ad.mul(y, y))
-        ad.backward(loss)
-        first = (x.grad.copy(), w.grad.copy())
-        ad.backward(loss)
+
+    def step():
+        with Tape():
+            y = ad.matmul(x, w)
+            ad.backward(ad.tsum(ad.mul(y, y)))
+
+    step()
+    first = (x.grad.copy(), w.grad.copy())
+    step()
     np.testing.assert_array_equal(x.grad, 2.0 * first[0])
     np.testing.assert_array_equal(w.grad, 2.0 * first[1])
+
+
+def test_backward_consumes_its_tape_and_frees_the_intermediates():
+    # with the cycle collector off, only reference counting can free the
+    # step: backward takes every node off the tape, so nothing keeps the
+    # intermediate h alive once it returns
+    rng = np.random.default_rng(9)
+    x = t(rng.normal(size=(2, 3)), rg=True)
+    w = t(rng.normal(size=(3, 3)), rg=True)
+    gc.disable()
+    try:
+        with Tape() as tape:
+            h = ad.relu(ad.matmul(x, w))
+            h_data = weakref.ref(h.data)
+            loss = ad.tsum(ad.mul(h, h))
+            del h
+            n_nodes = len(tape.nodes)
+            ad.backward(loss)
+        assert (n_nodes, len(tape.nodes)) == (4, 0)
+        assert h_data() is None
+    finally:
+        gc.enable()
+    np.testing.assert_allclose(w.grad, x.data.T @ (2.0 * np.maximum(x.data @ w.data, 0.0)))
+
+
+def test_second_backward_on_a_consumed_tape_raises():
+    x = t([[1.5, -2.0]], rg=True)
+    with Tape():
+        loss = ad.tsum(ad.mul(x, x))
+        ad.backward(loss)
+        with pytest.raises(RuntimeError, match="tape was consumed"):
+            ad.backward(loss)
+    np.testing.assert_array_equal(x.grad, [[3.0, -4.0]])
 
 
 def test_backward_diamond_graph():
@@ -343,9 +384,10 @@ def test_tape_topological_order_and_single_traversal():
                 return orig(g)
 
             node.vjp = counted
+        n_nodes = len(tape.nodes)
         ad.backward(loss)
     assert all(c <= 1 for c in calls.values())
-    assert sum(calls.values()) == len(tape.nodes)
+    assert sum(calls.values()) == n_nodes
 
 
 def _split_columns(x, at):
@@ -366,8 +408,9 @@ def test_multi_output_node_gets_zeros_for_an_output_that_feeds_nothing():
     probe = rng.normal(size=(3, 2))
     with Tape() as tape:
         (left, right), seen = _split_columns(x, 2)
-        ad.backward(ad.tsum(ad.mul(left, t(probe))))
-    assert len(tape.nodes) == 3 and tape.nodes[0].out == (left, right)
+        loss = ad.tsum(ad.mul(left, t(probe)))
+        assert len(tape.nodes) == 3 and tape.nodes[0].out == (left, right)
+        ad.backward(loss)
     ((g_left, g_right),) = seen
     np.testing.assert_array_equal(g_left, probe)
     assert g_right.shape == (3, 3) and np.all(g_right == 0.0)

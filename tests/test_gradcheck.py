@@ -122,8 +122,8 @@ VJP_MUTATIONS = {
         "cross_entropy", "gc = g[0, 0] * c", "gc = g[0, 0]", {"loss", "batched cross_entropy"}),
     "tmean_scale_dropped": ("tmean", "np.repeat(g * c, n, axis=0)", "np.repeat(g, n, axis=0)", {"ptmfim"}),
     "backward_routes_first_output_only": (
-        "backward", "[flows.get(id(o)) for o in node.out]",
-        "[flows.get(id(node.out[0]))] + [None] * (len(node.out) - 1)",
+        "backward", "[flows.pop(id(o), None) for o in node.out]",
+        "[flows.pop(id(node.out[0]), None)] + [None] * (len(node.out) - 1)",
         {"lstm_grouped", "batched lstm_three_streams"}),
     "matmul_bias_grad_scaled": (
         "matmul", "_unbroadcast(g, bias.shape)", "_unbroadcast(g, bias.shape) * (1 + 1e-3)",
